@@ -96,7 +96,7 @@ class Accelerator {
   /// Functional + timing simulation over a packed reference.  When the
   /// caller already holds the hit list for this (query, reference,
   /// threshold) — e.g. Session::align_batch scores a whole batch in one
-  /// pass over cached bit-planes — it can pass `precomputed_hits` and the
+  /// tile-fused pass — it can pass `precomputed_hits` and the
   /// run reduces to cycle/energy accounting.  The list must be exactly
   /// what the default path would compute; the LUT oracle path ignores it
   /// and always evaluates element by element.

@@ -2,19 +2,19 @@
 // Backend layer of the serving engine (DESIGN.md §"Layered host runtime").
 //
 // A ScanBackend is one way of answering "all hits of this compiled query
-// against the uploaded reference": the tile-fused software scanner, the
-// precompiled whole-reference planes, or the cycle-accurate hardware
-// simulation (Accelerator) wrapped in the PR-4 fault-detection/recovery
-// machinery that used to live inside Session.  Every backend consumes a
-// CompiledQuery (the compile layer's artifact) and returns hits + per-run
-// stats through one uniform BackendRun, so the engine's coalescing
-// scheduler and the Session facade schedule them interchangeably — the
-// architecture ASAP and the FPGA-alignment surveys frame for alignment
-// accelerators behind a host runtime.
+// against the uploaded reference": the tile-fused software scanner, or the
+// cycle-accurate hardware simulation (Accelerator) scheduled as packed
+// device invocations and wrapped in the fault-detection/recovery
+// machinery.  Every backend consumes a CompiledQuery (the compile layer's
+// artifact) and returns hits + per-run stats through one uniform
+// BackendRun, so the engine's coalescing scheduler and the Session facade
+// schedule them interchangeably — the architecture ASAP and the
+// FPGA-alignment surveys frame for alignment accelerators behind a host
+// runtime.
 //
 // Functional contract shared by all backends: the forward hit list, and
 // the reverse-strand list mapped to forward window coordinates, are
-// bit-for-bit what golden_hits computes (the software scanners by the
+// bit-for-bit what golden_hits computes (the software scanner by the
 // PR-1/PR-3 pinning, the hw-sim by the accelerator's own differential
 // tests, faults included — recovery repairs to golden or reports a typed
 // error).
@@ -33,21 +33,17 @@ namespace fabp::core {
 
 /// Backend selection: which implementation serves a request.
 enum class BackendKind : std::uint8_t {
-  HwSim,   ///< Accelerator model + fault recovery (the full card model)
-  Tiled,   ///< tile-fused software compile+scan (TileScanner)
-  Planes,  ///< precompiled whole-reference planes (BitScanReference)
+  HwSim,  ///< Accelerator model + fault recovery (the full card model)
+  Tiled,  ///< tile-fused software compile+scan (TileScanner)
 };
 
 const char* to_string(BackendKind kind) noexcept;
 
-/// The software backend matching a HostConfig's scan-path choice.
-BackendKind software_backend_kind(ScanPath path) noexcept;
-
 /// The "FPGA DRAM" of the model: the packed reference (and its
 /// reverse-complement copy when both strands are searched), shared by every
-/// backend of an engine.  upload() is the one mutation point; backends
-/// cache derived artifacts (planes, tile CRCs) and drop them on
-/// invalidate().
+/// backend of an engine.  upload() fills it before any backend is built
+/// over it; backends may cache derived artifacts (tile CRCs) lazily because
+/// the store never changes under them.
 struct ReferenceStore {
   bio::PackedNucleotides forward;
   bio::PackedNucleotides reverse;  ///< RC copy; empty unless both strands
@@ -73,7 +69,7 @@ struct ReferenceStore {
 
 /// One immutable generation of a database's reference.  The store is
 /// filled at construction and never mutated afterwards; everything built
-/// over it (backends, shard plans, plane caches) hangs off the subclassing
+/// over it (backends, shard plans, tile-CRC caches) hangs off the subclassing
 /// owner and dies with the snapshot.  Polymorphic so the engine can attach
 /// its per-generation backend set while the reclamation layer tracks only
 /// this base.
@@ -197,9 +193,6 @@ class ScanBackend {
   virtual BackendKind kind() const noexcept = 0;
   std::string_view name() const noexcept { return to_string(kind()); }
 
-  /// The reference store changed (re-upload): drop every derived cache.
-  virtual void invalidate() = 0;
-
   /// One aligned search (both strands when the config says so).  Typed
   /// errors only — never throws for runtime failures.
   virtual Expected<BackendRun> run(const BackendRequest& request) = 0;
@@ -207,8 +200,8 @@ class ScanBackend {
   /// A coalesced batch as one call, in request order: element [i] is the
   /// result for requests[i].  The default forwards to run() serially; the
   /// hw-sim backend overrides it with the device batch scheduler (packed
-  /// invocations, double-buffered DMA, multi-PE slices — DESIGN.md §4d)
-  /// and keeps every element bit-identical to the serial path.
+  /// invocations, double-buffered DMA, multi-PE slices — DESIGN.md §4d),
+  /// and its run() is a one-request run_many.
   virtual std::vector<Expected<BackendRun>> run_many(
       std::span<const BackendRequest> requests);
 

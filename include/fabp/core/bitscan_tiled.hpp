@@ -68,20 +68,6 @@ struct TileScanConfig {
   TilePartition partition = TilePartition::Auto;
 };
 
-/// Which software scan path an entry point should take.
-enum class ScanPath {
-  Auto,    ///< FABP_SCAN_MODE=tiled|planes decides; tiled when unset.
-  Tiled,   ///< fused tile compile+scan (this header)
-  Planes,  ///< precompiled whole-reference planes (BitScanReference)
-};
-
-/// Resolves a requested path: explicit Tiled/Planes win; Auto follows the
-/// FABP_SCAN_MODE environment variable ("tiled" or "planes", read once per
-/// process) and defaults to the tiled path.  The Planes escape hatch keeps
-/// the precompiled path reachable for differential testing and perf
-/// comparison.
-bool use_tiled_scan(ScanPath requested = ScanPath::Auto) noexcept;
-
 /// Fused tile compile+scan over a 2-bit packed reference.  Non-owning: the
 /// packed store (or database) must outlive the scanner.  All entry points
 /// dispatch to the active ScanKernel unless a kernel is passed explicitly

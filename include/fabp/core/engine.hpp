@@ -192,8 +192,8 @@ struct EngineCounters {
 /// One resident generation of a database: the immutable snapshot plus the
 /// backend set built over it.  Constructing the backends over a fresh
 /// snapshot is what "shard plans rebuilt per generation" means — the
-/// ShardedBackend constructor reslices the new store immediately — and it
-/// also guarantees no stale derived artifacts (planes, tile CRCs) can
+/// ShardedBackend constructor slices the new store immediately — and it
+/// also guarantees no stale derived artifacts (tile CRCs, shard slices) can
 /// survive a swap.  Requests pin this whole object for their lifetime;
 /// the last pin dropping reclaims strands, slices and caches in one sweep
 /// (see VersionedStore).
@@ -315,11 +315,11 @@ class Ticket {
   /// Blocks until the request finishes and consumes the outcome.
   Expected<HostRunReport> wait() { return future_.get(); }
 
-  /// True once the outcome is available (wait() will not block).
-  bool ready() const {
+  /// True once the outcome is available (wait() will not block), blocking
+  /// up to `within` for it; returns the moment the request settles.
+  bool ready(std::chrono::microseconds within = {}) const {
     return future_.valid() &&
-           future_.wait_for(std::chrono::seconds{0}) ==
-               std::future_status::ready;
+           future_.wait_for(within) == std::future_status::ready;
   }
 
   /// Cancels the request if no worker has claimed it yet.  Returns true
@@ -362,7 +362,7 @@ class Engine {
   /// Single-database facade (the Session path): publishes a new generation
   /// of kDefaultDatabase.  In-flight requests finish on the snapshot they
   /// were admitted under; fresh backends per generation preserve the
-  /// "no stale planes/CRCs after re-upload" contract byte-compatibly.
+  /// "no stale CRCs after re-upload" contract by construction.
   void upload_reference(const bio::NucleotideSequence& reference);
   void upload_reference(bio::PackedNucleotides reference);
 

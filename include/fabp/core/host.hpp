@@ -11,7 +11,7 @@
 // machinery lives in three layers under this header's types:
 //   - compile:  core/query_compiler.hpp  (query -> CompiledQuery, LRU)
 //   - backend:  core/backend.hpp         (ScanBackend: hw-sim + recovery,
-//                                         tiled, planes)
+//                                         tiled)
 //   - engine:   core/engine.hpp          (queue, workers, coalescing)
 // `Session` remains the stable public API: a thin synchronous facade over
 // one Engine, with behavior bit-for-bit identical to the pre-refactor
@@ -93,12 +93,8 @@ struct HostConfig {
   /// the card streams a pre-built RC copy of the database, doubling the
   /// kernel time).
   bool search_both_strands = false;
-  /// Software scan path: Auto (FABP_SCAN_MODE, tiled when unset) streams
-  /// the packed reference through the tile-fused compile+scan; Planes
-  /// keeps the precompiled whole-reference bit-planes (the escape hatch
-  /// for differential testing and perf comparison).
-  ScanPath scan_path = ScanPath::Auto;
-  /// Tile geometry for the tiled path.
+  /// Tile geometry of the software scan (the tile-fused compile+scan that
+  /// streams the packed reference).
   TileScanConfig tile{};
   double pcie_bandwidth_bps = 12e9;   // host <-> card effective PCIe gen3 x16
   double invoke_overhead_s = 30e-6;   // kernel launch + fence
@@ -195,14 +191,11 @@ class Session {
   /// the card (the paper's deployment model: the database is transferred
   /// once, queries stream through).  Thresholds are per-query fractions of
   /// the query's element count.  The functional hit lists for the whole
-  /// batch are produced in one multi-query pass over the reference — on
-  /// the default tiled path each freshly compiled tile is scored against
-  /// every query while hot in cache; on the Planes path the same happens
-  /// per block of cached plane words — and the per-query accelerator runs
-  /// reduce to cycle/energy accounting; reports are bit-for-bit identical
-  /// to calling align() per query.  Pass a pool to chunk the batch scan
-  /// over threads (and, on the Planes path with search_both_strands, to
-  /// compile the two strands' planes concurrently).
+  /// batch are produced in one multi-query pass over the reference — each
+  /// freshly compiled tile is scored against every query while hot in
+  /// cache — and the per-query accelerator runs reduce to cycle/energy
+  /// accounting; reports are bit-for-bit identical to calling align() per
+  /// query.  Pass a pool to chunk the batch scan over threads.
   using BatchReport = ::fabp::core::BatchReport;
   BatchReport align_batch(std::span<const bio::ProteinSequence> queries,
                           double threshold_fraction,
@@ -216,18 +209,15 @@ class Session {
 
   /// Pure-software scan of the resident reference through the bit-sliced
   /// engine (no accelerator timing model): returns exactly the hits
-  /// align() reports for the forward strand.  On the default tiled path
-  /// the packed reference is streamed directly (nothing is compiled or
-  /// cached); the Planes path compiles the reference planes on first use
-  /// and caches them across queries.  Pass a pool to chunk the scan over
-  /// threads (output is identical either way).
+  /// align() reports for the forward strand.  The packed reference is
+  /// streamed directly (nothing is compiled or cached).  Pass a pool to
+  /// chunk the scan over threads (output is identical either way).
   std::vector<Hit> software_hits(const bio::ProteinSequence& query,
                                  std::uint32_t threshold,
                                  util::ThreadPool* pool = nullptr);
 
-  /// Batch form of software_hits: all queries are scored in one pass over
-  /// the reference (tile-fused by default, cached planes on the Planes
-  /// path); element [q] of the result equals
+  /// Batch form of software_hits: all queries are scored in one tile-fused
+  /// pass over the reference; element [q] of the result equals
   /// software_hits(queries[q], thresholds[q]) exactly.
   /// thresholds.size() must equal queries.size().
   std::vector<std::vector<Hit>> software_hits_batch(
@@ -237,9 +227,6 @@ class Session {
 
   const bio::PackedNucleotides& reference() const noexcept;
   const HostConfig& config() const noexcept;
-
-  /// True when this session's software scans take the tiled path.
-  bool tiled() const noexcept;
 
   /// Health-state machine position (degrades after repeated failures).
   HealthState health() const noexcept;

@@ -82,19 +82,18 @@ struct ShardStatus {
 /// N ScanBackend cards behind one ScanBackend face.  kind() reports the
 /// primary backend kind, so the engine and facade stay oblivious.
 /// Thread-safety contract matches every other backend: external
-/// serialization of run/run_many/scan_* / invalidate (the engine's
-/// exec_mutex_); the internal shard workers only parallelize *inside* one
-/// such call.
+/// serialization of run/run_many/scan_* (the engine's exec_mutex_); the
+/// internal shard workers only parallelize *inside* one such call.
 class ShardedBackend final : public ScanBackend {
  public:
   /// `config` and `store` must outlive the backend (the engine owns both).
-  /// The store is the *global* reference; invalidate() re-slices it.
+  /// The store is the *global* reference, already uploaded (or empty):
+  /// the constructor slices it once per shard.
   ShardedBackend(BackendKind kind, const HostConfig& config,
                  const ReferenceStore& store, const ShardConfig& shard);
   ~ShardedBackend() override;
 
   BackendKind kind() const noexcept override { return kind_; }
-  void invalidate() override;
   Expected<BackendRun> run(const BackendRequest& request) override;
   std::vector<Expected<BackendRun>> run_many(
       std::span<const BackendRequest> requests) override;
@@ -126,7 +125,6 @@ class ShardedBackend final : public ScanBackend {
  private:
   struct Shard;
 
-  void reslice();
   Expected<BackendRun> gather_request(
       std::size_t request_index, std::size_t query_elements,
       std::vector<std::vector<Expected<BackendRun>>>& per_shard);

@@ -28,19 +28,13 @@ std::vector<bool> query_mask_for(const bio::ProteinSequence& query,
                            : std::vector<bool>(query.size(), false);
 }
 
-// Candidate-discovery scan of one strand.  The tiled default packs the
-// strand to 2 bits/base and fuses compile+scan per tile; the Planes
-// escape hatch (FABP_SCAN_MODE=planes) keeps the precompiled
-// whole-strand planes for differential runs.  Output is identical.
+// Candidate-discovery scan of one strand: pack it to 2 bits/base and fuse
+// compile+scan per tile.
 std::vector<core::Hit> prefilter_scan(const core::BitScanQuery& compiled,
                                       const bio::NucleotideSequence& strand,
                                       std::uint32_t threshold) {
-  if (core::use_tiled_scan()) {
-    const bio::PackedNucleotides packed{strand};
-    return core::TileScanner{packed}.hits(compiled, threshold);
-  }
-  return core::bitscan_hits(compiled, core::BitScanReference{strand},
-                            threshold);
+  const bio::PackedNucleotides packed{strand};
+  return core::TileScanner{packed}.hits(compiled, threshold);
 }
 }  // namespace
 

@@ -109,19 +109,13 @@ AcceleratorRun Accelerator::run(
   // stream_beat_timing().  The LUT path keeps the element-by-element
   // evaluation through the generated comparator LUTs as the oracle.
   if (!config_.use_lut_path) {
-    if (precomputed_hits) {
-      out.hits = *precomputed_hits;
-    } else if (use_tiled_scan()) {
-      // Tile-fused default: stream the 2-bit packed reference directly —
-      // no whole-reference plane compile before the first hit, and the
-      // run's working set beyond the packed store is one scan tile.
-      out.hits = TileScanner{reference}.hits(BitScanQuery{elements_},
-                                             config_.threshold);
-    } else {
-      out.hits = bitscan_hits(BitScanQuery{elements_},
-                              BitScanReference{reference},
-                              config_.threshold);
-    }
+    // Tile-fused scan: stream the 2-bit packed reference directly — no
+    // whole-reference plane compile before the first hit, and the run's
+    // working set beyond the packed store is one scan tile.
+    out.hits = precomputed_hits
+                   ? *precomputed_hits
+                   : TileScanner{reference}.hits(BitScanQuery{elements_},
+                                                 config_.threshold);
     const StreamBeatTiming timing =
         stream_beat_timing(config_.axi, config_.fault_injector, total_beats,
                            mapping_.channels, mapping_.segments);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <utility>
 
@@ -117,14 +116,15 @@ InvocationStrandTiming invocation_strand_timing(
 }
 
 // ---------------------------------------------------------------------------
-// Software backends: tile-fused and precompiled-plane scans share the run()
-// shape (scan both strands, map the reverse list, report wall time); only
-// the strand-scan primitive differs.
+// Software backend: the tile-fused TileScanner over the resident strands
+// (scan both strands, map the reverse list, report wall time).
 
-class SoftwareBackendBase : public ScanBackend {
+class TiledSoftwareBackend final : public ScanBackend {
  public:
-  SoftwareBackendBase(const HostConfig& config, const ReferenceStore& store)
+  TiledSoftwareBackend(const HostConfig& config, const ReferenceStore& store)
       : config_{config}, store_{store} {}
+
+  BackendKind kind() const noexcept override { return BackendKind::Tiled; }
 
   Expected<BackendRun> run(const BackendRequest& request) override {
     if (!store_.uploaded)
@@ -149,31 +149,6 @@ class SoftwareBackendBase : public ScanBackend {
     return out;
   }
 
-  std::vector<Hit> scan_one(const CompiledQuery& query,
-                            std::uint32_t threshold,
-                            util::ThreadPool* pool) override {
-    return strand_hits(query, threshold, false, pool);
-  }
-
- protected:
-  /// Raw hits of one strand's store (RC coordinates for the reverse one).
-  virtual std::vector<Hit> strand_hits(const CompiledQuery& query,
-                                       std::uint32_t threshold,
-                                       bool reverse_strand,
-                                       util::ThreadPool* pool) = 0;
-
-  const HostConfig& config_;
-  const ReferenceStore& store_;
-};
-
-class TiledSoftwareBackend final : public SoftwareBackendBase {
- public:
-  using SoftwareBackendBase::SoftwareBackendBase;
-
-  BackendKind kind() const noexcept override { return BackendKind::Tiled; }
-
-  void invalidate() override {}  // nothing cached: the scan streams packed words
-
   std::vector<std::vector<Hit>> scan_batch(
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
@@ -185,105 +160,37 @@ class TiledSoftwareBackend final : public SoftwareBackendBase {
         scans, thresholds, pool);
   }
 
+  std::vector<Hit> scan_one(const CompiledQuery& query,
+                            std::uint32_t threshold,
+                            util::ThreadPool* pool) override {
+    return strand_hits(query, threshold, false, pool);
+  }
+
  private:
+  /// Raw hits of one strand's store (RC coordinates for the reverse one).
   std::vector<Hit> strand_hits(const CompiledQuery& query,
                                std::uint32_t threshold, bool reverse_strand,
-                               util::ThreadPool* pool) override {
+                               util::ThreadPool* pool) const {
     return TileScanner{store_.strand(reverse_strand), config_.tile}.hits(
         query.scan, threshold, pool);
   }
-};
 
-class PlanesSoftwareBackend final : public SoftwareBackendBase {
- public:
-  using SoftwareBackendBase::SoftwareBackendBase;
-
-  BackendKind kind() const noexcept override { return BackendKind::Planes; }
-
-  void invalidate() override {
-    forward_ready_ = reverse_ready_ = false;
-    forward_ = BitScanReference{};
-    reverse_ = BitScanReference{};
-  }
-
-  std::vector<std::vector<Hit>> scan_batch(
-      std::span<const CompiledQueryPtr> queries,
-      std::span<const std::uint32_t> thresholds, bool reverse_strand,
-      util::ThreadPool* pool) override {
-    // Compiling both strands up front lets the reverse compile overlap the
-    // forward one on the pool (see ensure_planes) — the engine's forward
-    // batch pass pays the whole compile, the reverse pass finds it cached.
-    ensure_planes(config_.search_both_strands, pool);
-    std::vector<BitScanQuery> scans;
-    scans.reserve(queries.size());
-    for (const CompiledQueryPtr& query : queries) scans.push_back(query->scan);
-    return bitscan_hits_batch(scans, planes(reverse_strand), thresholds, pool);
-  }
-
- private:
-  std::vector<Hit> strand_hits(const CompiledQuery& query,
-                               std::uint32_t threshold, bool reverse_strand,
-                               util::ThreadPool* pool) override {
-    const BitScanReference& reference = planes(reverse_strand);
-    return pool ? bitscan_hits_parallel(query.scan, reference, threshold,
-                                        *pool)
-                : bitscan_hits(query.scan, reference, threshold);
-  }
-
-  /// Lazily compiled planes of one strand's resident store.
-  const BitScanReference& planes(bool reverse_strand) {
-    auto& planes = reverse_strand ? reverse_ : forward_;
-    bool& ready = reverse_strand ? reverse_ready_ : forward_ready_;
-    if (!ready) {
-      planes = BitScanReference{store_.strand(reverse_strand)};
-      ready = true;
-    }
-    return planes;
-  }
-
-  /// Overlap the strand compiles: the reverse planes build on a pool
-  /// worker while the caller builds the forward planes — with both strands
-  /// the compile wall-time halves.
-  void ensure_planes(bool both_strands, util::ThreadPool* pool) {
-    std::future<void> reverse_done;
-    if (both_strands && !reverse_ready_ && pool)
-      reverse_done =
-          pool->submit([this] { reverse_ = BitScanReference{store_.reverse}; });
-    planes(false);
-    if (reverse_done.valid()) {
-      reverse_done.get();
-      reverse_ready_ = true;
-    } else if (both_strands) {
-      planes(true);
-    }
-  }
-
-  BitScanReference forward_;
-  BitScanReference reverse_;
-  bool forward_ready_ = false;
-  bool reverse_ready_ = false;
+  const HostConfig& config_;
+  const ReferenceStore& store_;
 };
 
 // ---------------------------------------------------------------------------
 // Hardware-simulation backend: the Accelerator cycle model wrapped in the
-// fault-detection / bounded-retry / degradation machinery (moved here from
-// the pre-refactor Session — the behavior, stream seeding and accounting
-// are unchanged and still pinned by tests/core/chaos_test.cpp).
+// fault-detection / bounded-retry / degradation machinery, scheduled as
+// packed device invocations (DESIGN.md §4d).  A serial run() is a one-task
+// invocation through the same pipeline.
 
 class HwSimBackend final : public ScanBackend {
  public:
   HwSimBackend(const HostConfig& config, const ReferenceStore& store)
-      : config_{config},
-        store_{store},
-        software_{make_backend(software_backend_kind(config.scan_path), config,
-                               store)} {}
+      : config_{config}, store_{store}, software_{config, store} {}
 
   BackendKind kind() const noexcept override { return BackendKind::HwSim; }
-
-  void invalidate() override {
-    ref_crcs_ready_ = rev_crcs_ready_ = false;
-    software_->invalidate();
-  }
 
   bool supports_precomputed_hits() const noexcept override {
     // The LUT oracle path always evaluates element by element.
@@ -300,24 +207,23 @@ class HwSimBackend final : public ScanBackend {
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) override {
-    // Precompute through the configured software path (scan_path picks
-    // tiled or cached planes), exactly as the pre-refactor align_batch.
-    return software_->scan_batch(queries, thresholds, reverse_strand, pool);
+    return software_.scan_batch(queries, thresholds, reverse_strand, pool);
   }
 
   std::vector<Hit> scan_one(const CompiledQuery& query,
                             std::uint32_t threshold,
                             util::ThreadPool* pool) override {
-    return software_->scan_one(query, threshold, pool);
+    return software_.scan_one(query, threshold, pool);
   }
 
-  Expected<BackendRun> run(const BackendRequest& request) override;
+  Expected<BackendRun> run(const BackendRequest& request) override {
+    return std::move(run_many({&request, 1}).front());
+  }
 
   /// Device batch scheduler (DESIGN.md §4d): packs the coalesced requests
-  /// into fixed-capacity device invocations, stages the next invocations'
-  /// clean hit lists concurrently (the ping/pong DMA buffers), commits in
-  /// order with invocation-granular fault machinery, and deschedules
-  /// per-PE hit streams back per request — bit-identical to serial run().
+  /// into fixed-capacity device invocations, commits them in order with
+  /// invocation-granular fault machinery, and deschedules per-PE hit
+  /// streams back per request.
   std::vector<Expected<BackendRun>> run_many(
       std::span<const BackendRequest> requests) override;
 
@@ -326,21 +232,11 @@ class HwSimBackend final : public ScanBackend {
   }
 
  private:
-  /// Clean per-task strand hit lists of one packed invocation, built from
-  /// per-PE reference slices and descheduled by chunk-ordered
-  /// concatenation.  Safe to build concurrently with an earlier
-  /// invocation's commit: only the const store and compiled queries are
-  /// touched, never the injector or any mutable backend state.
-  struct PreparedTask {
-    std::vector<Hit> forward;  ///< position order
-    std::vector<Hit> reverse;  ///< raw RC coordinates
-  };
-
+  /// Clean strand hit list of one task (raw RC coordinates for the reverse
+  /// strand), built from per-PE reference slices and descheduled by
+  /// chunk-ordered concatenation.
   std::vector<Hit> prepared_strand(const BackendRequest& request,
                                    bool reverse_strand) const;
-  std::vector<PreparedTask> prepare_invocation(
-      std::span<const BackendRequest> requests,
-      const hw::DeviceInvocation& invocation) const;
   bool faulty_invocation_run(std::span<const hw::ControlRecord> records,
                              std::span<const BackendRequest> requests,
                              bool reverse_strand, std::size_t channels,
@@ -350,16 +246,8 @@ class HwSimBackend final : public ScanBackend {
                              InvocationStrandTiming& timing);
   void commit_invocation(std::span<const BackendRequest> requests,
                          const hw::DeviceInvocation& invocation,
-                         std::vector<PreparedTask> prepared,
                          std::vector<Expected<BackendRun>>& results,
                          std::vector<hw::PipelineStage>& stages);
-
-  bool faulty_strand_run(const CompiledQuery& query, std::uint32_t threshold,
-                         const bio::PackedNucleotides& store,
-                         bool reverse_strand,
-                         const std::vector<Hit>* precomputed,
-                         RecoveryStats& stats, Error& error,
-                         AcceleratorRun& out);
 
   /// Packed words per integrity tile (the PR 3 tile geometry).
   std::size_t tile_words() const noexcept {
@@ -368,352 +256,39 @@ class HwSimBackend final : public ScanBackend {
     return positions / bio::kElementsPerWord;
   }
 
-  /// Per-tile CRC32 of the resident store (forward or RC), computed once
-  /// per upload on first use (fault paths only) and cached.
+  /// Per-tile CRC32 of the resident store (forward or RC), computed on
+  /// first use (fault paths only) and cached: the store is immutable for
+  /// the backend's lifetime.
   const std::vector<std::uint32_t>& tile_crcs(bool reverse_strand) {
     auto& crcs = reverse_strand ? rev_crcs_ : ref_crcs_;
-    bool& ready = reverse_strand ? rev_crcs_ready_ : ref_crcs_ready_;
-    if (!ready) {
+    if (crcs.empty()) {
       const std::span<const std::uint64_t> words =
           store_.strand(reverse_strand).words();
       const std::size_t tw = tile_words();
-      crcs.clear();
       for (std::size_t wb = 0; wb < words.size(); wb += tw)
         crcs.push_back(util::crc32_words(
             words.subspan(wb, std::min(tw, words.size() - wb))));
-      ready = true;
     }
     return crcs;
   }
 
   const HostConfig& config_;
   const ReferenceStore& store_;
-  std::unique_ptr<ScanBackend> software_;  // precompute + software_hits path
+  TiledSoftwareBackend software_;  // precompute + software_hits path
 
   // Fault-tolerance state: upload-time tile checksums (lazy, fault paths
   // only), the health machine, and the backend-lifetime fault schedule.
   std::vector<std::uint32_t> ref_crcs_;
   std::vector<std::uint32_t> rev_crcs_;
-  bool ref_crcs_ready_ = false;
-  bool rev_crcs_ready_ = false;
   HealthState health_ = HealthState::Healthy;
   std::size_t consecutive_failures_ = 0;
-  /// Device invocations issued: serial run() calls and packed batches
-  /// share the counter, and it seeds the fault streams — so a replay with
-  /// the same request sequence draws the same schedules at any batch
-  /// capacity or buffer depth.
+  /// Device invocations issued.  It seeds the fault streams, so a replay
+  /// with the same request sequence draws the same schedules at any
+  /// buffer depth.
   std::uint64_t invocation_ = 0;
   std::vector<hw::FaultEvent> fault_log_;
   DevicePipelineStats pipeline_;  ///< lifetime scheduler accounting
 };
-
-bool HwSimBackend::faulty_strand_run(const CompiledQuery& query,
-                                     std::uint32_t threshold,
-                                     const bio::PackedNucleotides& store,
-                                     bool reverse_strand,
-                                     const std::vector<Hit>* precomputed,
-                                     RecoveryStats& stats, Error& error,
-                                     AcceleratorRun& out) {
-  const RecoveryConfig& rec = config_.recovery;
-  const std::size_t lq = query.encoded.size();
-  const std::size_t valid_positions =
-      store.size() >= lq ? store.size() - lq + 1 : 0;
-  const BitScanQuery& compiled = query.scan;
-  const std::size_t max_attempts = std::max<std::size_t>(1, rec.max_attempts);
-
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    ++stats.attempts;
-    // Stream index is a pure function of (invocation, attempt, strand):
-    // retries draw independent schedules, replays draw identical ones.
-    const std::uint64_t stream =
-        (invocation_ << 8) | (attempt << 1) | (reverse_strand ? 1u : 0u);
-    hw::FaultInjector injector{config_.fault, stream};
-
-    ErrorCode failure = ErrorCode::None;
-    AcceleratorRun run;
-    if (injector.transfer_fails()) {
-      failure = ErrorCode::TransferFailure;
-      ++stats.transfer_faults;
-    } else {
-      AcceleratorConfig acc_config = config_.accelerator;
-      acc_config.threshold = threshold;
-      acc_config.fault_injector = &injector;  // stall storms inflate time
-      Accelerator accelerator{acc_config};
-      accelerator.load_encoded(query.encoded);
-      run = accelerator.run(store, precomputed);
-      if (rec.watchdog_s > 0.0 && run.kernel_seconds > rec.watchdog_s) {
-        failure = ErrorCode::Timeout;
-        ++stats.timeouts;
-      }
-    }
-
-    if (failure != ErrorCode::None) {
-      const auto& log = injector.log();
-      fault_log_.insert(fault_log_.end(), log.begin(), log.end());
-      if (attempt + 1 < max_attempts) {
-        ++stats.retries;
-        stats.recovery_s += rec.backoff_base_s *
-                            static_cast<double>(std::uint64_t{1} << attempt);
-        continue;
-      }
-      error = Error{failure,
-                    failure == ErrorCode::Timeout
-                        ? "kernel watchdog deadline exceeded on every attempt"
-                        : "PCIe transfer failed on every attempt",
-                    stats.attempts};
-      return false;
-    }
-
-    // --- data-path corruption over the streamed reference -------------
-    // The schedule says which beats were hit; corruption lands on a copy
-    // of the packed store, per-tile CRCs against the upload-time
-    // checksums localise it, and detected tiles are repaired by
-    // re-scanning only the positions whose window can read a corrupted
-    // element.  With verify_integrity off the corrupted hits are
-    // delivered as-is — that is what the chaos divergence test observes.
-    const std::vector<hw::FaultEvent> events =
-        injector.data_events(store.beat_count());
-    if (!events.empty() && valid_positions > 0) {
-      const std::span<const std::uint64_t> words = store.words();
-      const std::size_t tw = tile_words();
-      std::vector<std::uint64_t> corrupted =
-          hw::corrupt_words(words, events, tw);
-
-      std::vector<std::size_t> tiles;
-      for (const hw::FaultEvent& event : events) {
-        const std::size_t w = event.beat * (hw::kAxiDataBits / 64);
-        if (data_fault(event.kind) && w < words.size())
-          tiles.push_back(w / tw);
-      }
-      std::sort(tiles.begin(), tiles.end());
-      tiles.erase(std::unique(tiles.begin(), tiles.end()), tiles.end());
-
-      std::vector<Interval> corrupt_ranges, repair_ranges;
-      for (std::size_t t : tiles) {
-        const std::size_t wb = t * tw;
-        const std::size_t we = std::min(words.size(), wb + tw);
-        // A fault can be a data no-op (e.g. a duplicated beat identical
-        // to its successor): only tiles whose words actually changed
-        // affect the scan.
-        if (std::equal(words.begin() + static_cast<std::ptrdiff_t>(wb),
-                       words.begin() + static_cast<std::ptrdiff_t>(we),
-                       corrupted.begin() + static_cast<std::ptrdiff_t>(wb)))
-          continue;
-        const std::size_t el_begin = wb * bio::kElementsPerWord;
-        const std::size_t el_end =
-            std::min(store.size(), we * bio::kElementsPerWord);
-        const Interval range{el_begin > lq - 1 ? el_begin - (lq - 1) : 0,
-                             std::min(el_end, valid_positions)};
-        if (range.begin >= range.end) continue;
-        corrupt_ranges.push_back(range);
-        if (rec.verify_integrity) {
-          // Detection: the streamed tile's CRC vs the upload checksum.
-          const std::uint32_t got =
-              util::crc32_words(std::span{corrupted}.subspan(wb, we - wb));
-          if (got != tile_crcs(reverse_strand)[t]) {
-            ++stats.crc_faults;
-            ++stats.rescanned_tiles;
-            repair_ranges.push_back(range);
-            // Re-streaming the affected fraction of the reference.
-            stats.recovery_s += run.kernel_seconds *
-                                static_cast<double>(range.end - range.begin) /
-                                static_cast<double>(store.size());
-          }
-        }
-      }
-      corrupt_ranges = merge_intervals(std::move(corrupt_ranges));
-      repair_ranges = merge_intervals(std::move(repair_ranges));
-
-      if (!corrupt_ranges.empty()) {
-        // What the card actually delivered: hits scanned from the
-        // corrupted stream over every affected range.
-        const bio::PackedNucleotides corrupted_store =
-            bio::PackedNucleotides::from_words(std::move(corrupted),
-                                               store.size());
-        splice_ranges(run.hits, TileScanner{corrupted_store, config_.tile},
-                      compiled, threshold, corrupt_ranges);
-      }
-      if (!repair_ranges.empty()) {
-        // Chunk-granular repair: re-scan only the detected ranges from
-        // the resident (true) store.
-        splice_ranges(run.hits, TileScanner{store, config_.tile}, compiled,
-                      threshold, repair_ranges);
-      }
-    }
-
-    // --- readback integrity -------------------------------------------
-    std::uint32_t bit = 0;
-    if (injector.readback_corrupts(bit)) {
-      if (rec.verify_integrity) {
-        // The hit buffer's CRC fails on arrival; the DRAM copy is intact,
-        // so one re-read recovers it.
-        ++stats.readback_faults;
-        stats.recovery_s +=
-            (static_cast<double>(run.hits.size()) * 8.0 + 64.0) /
-            config_.pcie_bandwidth_bps;
-      } else if (!run.hits.empty()) {
-        Hit& victim = run.hits[bit % run.hits.size()];
-        victim.score ^= 1u << (bit % 8);
-      } else {
-        run.hits.push_back(Hit{0, threshold});  // spurious record
-      }
-    }
-
-    // --- golden spot-check sampler ------------------------------------
-    if (rec.spot_check_samples > 0 && valid_positions > 0) {
-      util::Xoshiro256 rng{
-          util::SplitMix64{config_.fault.seed ^ (0xfabc0de5ULL + stream)}
-              .next()};
-      const TileScanner scanner{store, config_.tile};
-      for (std::size_t k = 0; k < rec.spot_check_samples; ++k) {
-        ++stats.spot_checks;
-        const std::size_t begin = rng.bounded(valid_positions);
-        const std::size_t end = std::min(begin + 256, valid_positions);
-        std::vector<Hit> expected;
-        scanner.range(compiled, threshold, begin, end, expected);
-        const auto lo = std::lower_bound(
-            run.hits.begin(), run.hits.end(), begin,
-            [](const Hit& h, std::size_t p) { return h.position < p; });
-        const auto hi = std::lower_bound(
-            lo, run.hits.end(), end,
-            [](const Hit& h, std::size_t p) { return h.position < p; });
-        if (!std::equal(lo, hi, expected.begin(), expected.end())) {
-          ++stats.spot_check_faults;
-          const Interval window{begin, end};
-          splice_ranges(run.hits, scanner, compiled, threshold,
-                        std::span{&window, 1});
-        }
-      }
-    }
-
-    const auto& log = injector.log();
-    fault_log_.insert(fault_log_.end(), log.begin(), log.end());
-    out = std::move(run);
-    return true;
-  }
-  return false;  // unreachable: the loop returns on its last attempt
-}
-
-Expected<BackendRun> HwSimBackend::run(const BackendRequest& request) {
-  if (!store_.uploaded)
-    return Error{ErrorCode::NoReference, "Session: no reference uploaded"};
-  ++invocation_;
-  const CompiledQuery& query = *request.query;
-  const std::uint32_t threshold = request.threshold;
-
-  AcceleratorConfig acc_config = config_.accelerator;
-  acc_config.threshold = threshold;
-
-  const bool chaos = config_.fault.enabled() ||
-                     config_.recovery.spot_check_samples > 0 ||
-                     health_ != HealthState::Healthy;
-  if (!chaos) {
-    // Clean fast path: exactly the pre-fault pipeline (one branch above is
-    // the entire zero-fault overhead of this layer).
-    Accelerator accelerator{acc_config};
-    accelerator.load_encoded(query.encoded);
-    BackendRun out;
-    AcceleratorRun run = accelerator.run(store_.forward, request.forward_hits);
-    out.recovery.attempts = 1;
-
-    if (config_.search_both_strands) {
-      ++out.recovery.attempts;
-      AcceleratorRun rc_run =
-          accelerator.run(store_.reverse, request.reverse_hits);
-      out.reverse_hits = map_reverse_hits(
-          rc_run.hits, store_.forward.size(), query.encoded.size());
-      // Account the second pass in the kernel time.
-      run.cycles += rc_run.cycles;
-      run.kernel_seconds += rc_run.kernel_seconds;
-      run.joules += rc_run.joules;
-    }
-    out.hits = std::move(run.hits);
-    out.mapping = run.mapping;
-    out.cycles = run.cycles;
-    out.kernel_seconds = run.kernel_seconds;
-    out.watts = run.watts;
-    return out;
-  }
-
-  // Fault-tolerant path.
-  RecoveryStats stats;
-  Accelerator probe{acc_config};  // mapping + validation, no run
-  probe.load_encoded(query.encoded);
-  const FabpMapping mapping = probe.mapping();
-  const std::size_t lq = query.encoded.size();
-
-  // Degraded (or exhausted) strand runs are served by the pure-software
-  // tiled path against the resident store: zero card time, golden hits.
-  const auto fallback_strand = [&](const bio::PackedNucleotides& store,
-                                   const std::vector<Hit>* precomputed) {
-    AcceleratorRun run;
-    run.mapping = mapping;
-    run.hits = precomputed ? *precomputed
-                           : TileScanner{store, config_.tile}.hits(query.scan,
-                                                                   threshold);
-    ++stats.fallbacks;
-    return run;
-  };
-
-  const auto run_strand = [&](const bio::PackedNucleotides& store,
-                              bool reverse_strand,
-                              const std::vector<Hit>* precomputed,
-                              AcceleratorRun& out, Error& err) -> bool {
-    if (health_ == HealthState::Degraded) {
-      if (!config_.recovery.allow_software_fallback) {
-        err = Error{ErrorCode::DeviceLost,
-                    "session degraded and software fallback disabled", 0};
-        return false;
-      }
-      out = fallback_strand(store, precomputed);
-      return true;
-    }
-    Error strand_error;
-    if (faulty_strand_run(query, threshold, store, reverse_strand,
-                          precomputed, stats, strand_error, out)) {
-      consecutive_failures_ = 0;
-      return true;
-    }
-    ++consecutive_failures_;
-    if (consecutive_failures_ >=
-        std::max<std::size_t>(1, config_.recovery.degrade_after))
-      health_ = HealthState::Degraded;
-    if (config_.recovery.allow_software_fallback) {
-      out = fallback_strand(store, precomputed);
-      return true;
-    }
-    err = std::move(strand_error);
-    return false;
-  };
-
-  AcceleratorRun run;
-  Error error;
-  if (!run_strand(store_.forward, false, request.forward_hits, run, error))
-    return error;
-
-  std::vector<Hit> reverse_hits;
-  if (config_.search_both_strands) {
-    AcceleratorRun rc_run;
-    if (!run_strand(store_.reverse, true, request.reverse_hits, rc_run,
-                    error))
-      return error;
-    reverse_hits = map_reverse_hits(rc_run.hits, store_.forward.size(), lq);
-    run.cycles += rc_run.cycles;
-    run.kernel_seconds += rc_run.kernel_seconds;
-    run.joules += rc_run.joules;
-  }
-
-  stats.degraded = health_ == HealthState::Degraded;
-  BackendRun out;
-  out.hits = std::move(run.hits);
-  out.reverse_hits = std::move(reverse_hits);
-  out.mapping = run.mapping;
-  out.cycles = run.cycles;
-  out.kernel_seconds = run.kernel_seconds;
-  out.watts = run.watts;
-  out.recovery = stats;
-  return out;
-}
 
 // --- device batch scheduler (DESIGN.md §4d) --------------------------------
 
@@ -727,6 +302,18 @@ std::vector<Hit> HwSimBackend::prepared_strand(const BackendRequest& request,
       std::max<std::size_t>(1, config_.device_batch.pe_count);
   const std::vector<Hit>* precomputed =
       reverse_strand ? request.reverse_hits : request.forward_hits;
+
+  if (config_.accelerator.use_lut_path) {
+    // The LUT oracle evaluates element by element through the generated
+    // comparator LUTs over the whole strand (the per-PE slices concatenate
+    // to the same list); faults, retries and timing stay the invocation's.
+    AcceleratorConfig lut = config_.accelerator;
+    lut.threshold = request.threshold;
+    lut.fault_injector = nullptr;
+    Accelerator accelerator{lut};
+    accelerator.load_encoded(query.encoded);
+    return accelerator.run(store).hits;
+  }
 
   // PE p evaluates the alignment windows starting in its contiguous slice
   // of the position range (the slice's element stream carries the L_q-1
@@ -755,22 +342,6 @@ std::vector<Hit> HwSimBackend::prepared_strand(const BackendRequest& request,
   return merge_hit_chunks(chunks);
 }
 
-std::vector<HwSimBackend::PreparedTask> HwSimBackend::prepare_invocation(
-    std::span<const BackendRequest> requests,
-    const hw::DeviceInvocation& invocation) const {
-  std::vector<PreparedTask> prepared;
-  prepared.reserve(invocation.records.size());
-  for (const hw::ControlRecord& record : invocation.records) {
-    const BackendRequest& request = requests[record.task];
-    PreparedTask task;
-    task.forward = prepared_strand(request, false);
-    if (config_.search_both_strands)
-      task.reverse = prepared_strand(request, true);
-    prepared.push_back(std::move(task));
-  }
-  return prepared;
-}
-
 bool HwSimBackend::faulty_invocation_run(
     std::span<const hw::ControlRecord> records,
     std::span<const BackendRequest> requests, bool reverse_strand,
@@ -787,9 +358,9 @@ bool HwSimBackend::faulty_invocation_run(
 
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     ++stats.attempts;
-    // Same stream keying as the serial path — the invocation counter makes
-    // a packed batch draw exactly the schedule a serial run in the same
-    // device-call position would (the depth-1 == depth-8 replay contract).
+    // Stream index is a pure function of (invocation, attempt, strand):
+    // retries draw independent schedules, replays draw identical ones at
+    // any buffer depth (the depth-1 == depth-8 replay contract).
     const std::uint64_t stream =
         (invocation_ << 8) | (attempt << 1) | (reverse_strand ? 1u : 0u);
     hw::FaultInjector injector{config_.fault, stream};
@@ -992,7 +563,6 @@ bool HwSimBackend::faulty_invocation_run(
 void HwSimBackend::commit_invocation(
     std::span<const BackendRequest> requests,
     const hw::DeviceInvocation& invocation,
-    std::vector<PreparedTask> prepared,
     std::vector<Expected<BackendRun>>& results,
     std::vector<hw::PipelineStage>& stages) {
   ++invocation_;
@@ -1021,11 +591,14 @@ void HwSimBackend::commit_invocation(
     lq_max = std::max(lq_max, request.query->encoded.size());
   }
 
+  // Clean per-task strand hit lists: what the card delivers before any
+  // injected fault perturbs them.
   std::vector<std::vector<Hit>> fwd(n), rev(n);
   std::size_t fwd_hits = 0, rev_hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    fwd[i] = std::move(prepared[i].forward);
-    rev[i] = std::move(prepared[i].reverse);
+    const BackendRequest& request = requests[invocation.records[i].task];
+    fwd[i] = prepared_strand(request, false);
+    if (config_.search_both_strands) rev[i] = prepared_strand(request, true);
     fwd_hits += fwd[i].size();
     rev_hits += rev[i].size();
   }
@@ -1085,7 +658,7 @@ void HwSimBackend::commit_invocation(
         health_ = HealthState::Degraded;
       if (config_.recovery.allow_software_fallback) {
         // Failed attempts never touched the hit lists, so the prepared
-        // clean hits — the software TileScanner scan — serve the fallback.
+        // clean hits serve the fallback.
         ++stats.fallbacks;
         timing = InvocationStrandTiming{};
         return true;
@@ -1111,13 +684,13 @@ void HwSimBackend::commit_invocation(
           util::ceil_div(bytes, hw::kAxiDataBits / 8))) /
           clock;
 
+  pipeline_.invocations += 1;
+  pipeline_.tasks += n;
+  pipeline_.largest_invocation = std::max(pipeline_.largest_invocation, n);
+  if (stats.retries > 0) pipeline_.retried_invocations += 1;
   if (failed) {
     for (std::size_t i = 0; i < n; ++i) results.push_back(error);
     stages.push_back(hw::PipelineStage{dma_s, 0.0});
-    pipeline_.invocations += 1;
-    pipeline_.tasks += n;
-    pipeline_.largest_invocation = std::max(pipeline_.largest_invocation, n);
-    if (stats.retries > 0) pipeline_.retried_invocations += 1;
     return;
   }
 
@@ -1151,10 +724,6 @@ void HwSimBackend::commit_invocation(
   }
 
   stages.push_back(hw::PipelineStage{dma_s, total_seconds});
-  pipeline_.invocations += 1;
-  pipeline_.tasks += n;
-  pipeline_.largest_invocation = std::max(pipeline_.largest_invocation, n);
-  if (stats.retries > 0) pipeline_.retried_invocations += 1;
   pipeline_.pe_busy_s +=
       static_cast<double>(fwd_timing.pe_busy_cycles +
                           rev_timing.pe_busy_cycles) /
@@ -1165,9 +734,6 @@ std::vector<Expected<BackendRun>> HwSimBackend::run_many(
     std::span<const BackendRequest> requests) {
   std::vector<Expected<BackendRun>> results;
   if (requests.empty()) return results;
-  // The LUT oracle path evaluates element by element and cannot share one
-  // reference stream between packed queries — keep the serial loop.
-  if (config_.accelerator.use_lut_path) return ScanBackend::run_many(requests);
   if (!store_.uploaded) {
     results.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i)
@@ -1188,30 +754,11 @@ std::vector<Expected<BackendRun>> HwSimBackend::run_many(
       hw::pack_invocations(descs, batch);
   const std::size_t depth = std::max<std::size_t>(1, batch.buffer_depth);
 
-  // Ping/pong staging: while invocation k commits on this thread (every
-  // fault draw, every piece of mutable backend state), the clean hit
-  // lists of the next depth-1 invocations build concurrently — the host
-  // analogue of filling the idle DMA buffer during compute.  prepare
-  // touches only the const store and compiled queries, so commit order
-  // (and with it the fault stream sequence) is independent of depth.
-  std::vector<std::future<std::vector<PreparedTask>>> staged(
-      invocations.size());
   std::vector<hw::PipelineStage> stages;
   stages.reserve(invocations.size());
   results.reserve(requests.size());
-  for (std::size_t k = 0; k < invocations.size(); ++k) {
-    const std::size_t horizon = std::min(invocations.size(), k + depth);
-    for (std::size_t j = k; j < horizon; ++j) {
-      if (staged[j].valid()) continue;
-      staged[j] = std::async(std::launch::async,
-                             [this, requests, &invocations, j] {
-                               return prepare_invocation(requests,
-                                                         invocations[j]);
-                             });
-    }
-    commit_invocation(requests, invocations[k], staged[k].get(), results,
-                      stages);
-  }
+  for (const hw::DeviceInvocation& invocation : invocations)
+    commit_invocation(requests, invocation, results, stages);
 
   // Modeled pipeline: the same invocations through the ping/pong timeline
   // at the configured depth, against the depth-1 single-buffer baseline.
@@ -1235,13 +782,8 @@ const char* to_string(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::HwSim: return "hwsim";
     case BackendKind::Tiled: return "tiled";
-    case BackendKind::Planes: return "planes";
   }
   return "unknown";
-}
-
-BackendKind software_backend_kind(ScanPath path) noexcept {
-  return use_tiled_scan(path) ? BackendKind::Tiled : BackendKind::Planes;
 }
 
 const std::vector<hw::FaultEvent>& ScanBackend::fault_log() const noexcept {
@@ -1329,8 +871,6 @@ std::unique_ptr<ScanBackend> make_backend(BackendKind kind,
       return std::make_unique<HwSimBackend>(config, store);
     case BackendKind::Tiled:
       return std::make_unique<TiledSoftwareBackend>(config, store);
-    case BackendKind::Planes:
-      return std::make_unique<PlanesSoftwareBackend>(config, store);
   }
   return std::make_unique<TiledSoftwareBackend>(config, store);
 }

@@ -1,9 +1,7 @@
 #include "fabp/core/bitscan_tiled.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #include "fabp/util/bitops.hpp"
 #include "fabp/util/thread_pool.hpp"
@@ -159,16 +157,6 @@ std::size_t stride_for(std::size_t tile_positions, std::size_t qlen) noexcept {
 }
 
 }  // namespace
-
-bool use_tiled_scan(ScanPath requested) noexcept {
-  if (requested != ScanPath::Auto) return requested == ScanPath::Tiled;
-  static const bool tiled = [] {
-    if (const char* mode = std::getenv("FABP_SCAN_MODE"))
-      if (std::string_view{mode} == "planes") return false;
-    return true;  // unknown values keep the default, like FABP_FORCE_ISA
-  }();
-  return tiled;
-}
 
 TileScanner::TileScanner(const bio::PackedNucleotides& packed,
                          TileScanConfig config)

@@ -147,7 +147,7 @@ Engine::~Engine() {
 void Engine::build_backends(Generation& gen) const {
   if (config_.shard.shard_count > 1) {
     // Multi-card scale-out: the router presents N per-slice backends as
-    // one ScanBackend.  Constructing it over the new snapshot reslices
+    // one ScanBackend.  Constructing it over the new snapshot slices
     // immediately — the per-generation shard plan rebuild.
     auto sharded = make_sharded_backend(config_.backend, config_.host,
                                         gen.store, config_.shard);
@@ -210,9 +210,9 @@ std::uint64_t Engine::upload_database(const std::string& name,
   // constructing the backend set and recutting shard slices can be
   // expensive, and in-flight scans keep serving the old snapshot the
   // whole time.  A scan after the swap can never read stale derived
-  // artifacts (planes, tile checksums) because the new generation's
-  // backends were built over the new store — the invalidate-on-upload
-  // contract regression-tested in host_test.cpp, now by construction.
+  // artifacts (tile checksums) because the new generation's backends were
+  // built over the new store: the re-upload contract host_test.cpp
+  // regression-tests holds by construction.
   auto gen = std::make_shared<Generation>();
   gen->generation = db.versions.next_generation();
   const std::uint64_t published = gen->generation;
@@ -443,9 +443,7 @@ ScanBackend& Engine::route_backend(Database& db, Generation& gen) {
       if (shard.health != HealthState::Degraded) return *gen.backend;
   }
   if (gen.fallback == nullptr)
-    gen.fallback = make_backend(
-        software_backend_kind(config_.host.scan_path), config_.host,
-        gen.store);
+    gen.fallback = make_backend(BackendKind::Tiled, config_.host, gen.store);
   gen.fallback_engaged = true;
   db.degraded.store(true, std::memory_order_relaxed);
   gen.fallback_batches.fetch_add(1, std::memory_order_relaxed);
@@ -627,11 +625,10 @@ Expected<BatchReport> Engine::align_batch_sync(
   std::lock_guard lock{db.exec_mutex};
 
   // One multi-query pass over the reference produces every hit list up
-  // front — on the default tiled path each freshly compiled tile is
-  // scored against the whole batch while hot in cache; the Planes escape
-  // hatch streams the cached whole-reference plane words instead.  The
-  // per-query runs below then reduce to cycle/energy accounting.  The LUT
-  // oracle path keeps its own evaluation.
+  // front — each freshly compiled tile is scored against the whole batch
+  // while hot in cache.  The per-query runs below then reduce to
+  // cycle/energy accounting.  The LUT oracle path keeps its own
+  // evaluation.
   std::vector<std::vector<Hit>> forward, reverse;
   const bool precompute = gen->backend->supports_precomputed_hits();
   if (precompute) {

@@ -27,8 +27,8 @@ void RecoveryStats::merge(const RecoveryStats& other) noexcept {
 // Engine spawns workers only on its asynchronous submit() surface, which
 // this facade never touches).  Uploads route through the versioned
 // snapshot path — each upload publishes a fresh generation with its own
-// backend set, which preserves the strand-plane-cache invalidation
-// semantics (the PR-2 regression) by construction.
+// backend set, so a scan never sees a previous upload's derived
+// artifacts (the re-upload regression) by construction.
 
 namespace {
 EngineConfig facade_engine_config(HostConfig config) {
@@ -108,10 +108,6 @@ const bio::PackedNucleotides& Session::reference() const noexcept {
 
 const HostConfig& Session::config() const noexcept {
   return engine_->host_config();
-}
-
-bool Session::tiled() const noexcept {
-  return use_tiled_scan(engine_->host_config().scan_path);
 }
 
 HealthState Session::health() const noexcept { return engine_->health(); }

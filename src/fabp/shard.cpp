@@ -130,8 +130,11 @@ ShardedBackend::ShardedBackend(BackendKind kind, const HostConfig& config,
   if (Error error = validate_shard_config(shard_config_);
       error.code != ErrorCode::None)
     throw FaultError{std::move(error)};
-  shards_.reserve(shard_config_.shard_count);
-  for (std::size_t s = 0; s < shard_config_.shard_count; ++s) {
+  const std::size_t total = store_.forward.size();
+  const std::size_t count = shard_config_.shard_count;
+  const std::size_t halo = shard_config_.max_query_elements - 1;
+  shards_.reserve(count);
+  for (std::size_t s = 0; s < count; ++s) {
     auto sh = std::make_unique<Shard>();
     sh->index = s;
     sh->config = config_;
@@ -142,13 +145,23 @@ ShardedBackend::ShardedBackend(BackendKind kind, const HostConfig& config,
       sh->config.fault = hw::FaultConfig{};
       sh->config.fault.seed = seed;
     }
+    // Natural ragged partition of window-start ownership: shard s owns
+    // [s*S/N, (s+1)*S/N); the resident slice extends `halo` elements past
+    // the owned range (clamped at the reference end) so every window
+    // starting in the owned range lies inside the slice.
+    sh->owned_begin = s * total / count;
+    sh->owned_end = (s + 1) * total / count;
+    if (store_.uploaded) {
+      const std::size_t slice_end = std::min(total, sh->owned_end + halo);
+      sh->store.upload(
+          store_.forward.slice(sh->owned_begin, slice_end - sh->owned_begin),
+          config_.search_both_strands);
+    }
     sh->primary = make_backend(kind_, sh->config, sh->store);
     if (kind_ == BackendKind::HwSim)
-      sh->fallback = make_backend(software_backend_kind(sh->config.scan_path),
-                                  sh->config, sh->store);
+      sh->fallback = make_backend(BackendKind::Tiled, sh->config, sh->store);
     shards_.push_back(std::move(sh));
   }
-  reslice();
   for (auto& sh : shards_)
     sh->worker = std::thread{[shard_ptr = sh.get()] { shard_ptr->worker_loop(); }};
 }
@@ -164,33 +177,6 @@ ShardedBackend::~ShardedBackend() {
   for (auto& sh : shards_)
     if (sh->worker.joinable()) sh->worker.join();
 }
-
-void ShardedBackend::reslice() {
-  const std::size_t total = store_.forward.size();
-  const std::size_t count = shards_.size();
-  const std::size_t halo = shard_config_.max_query_elements - 1;
-  for (auto& sp : shards_) {
-    Shard& sh = *sp;
-    // Natural ragged partition of window-start ownership: shard s owns
-    // [s*S/N, (s+1)*S/N); the resident slice extends `halo` elements past
-    // the owned range (clamped at the reference end) so every window
-    // starting in the owned range lies inside the slice.
-    sh.owned_begin = sh.index * total / count;
-    sh.owned_end = (sh.index + 1) * total / count;
-    if (store_.uploaded) {
-      const std::size_t slice_end = std::min(total, sh.owned_end + halo);
-      sh.store.upload(
-          store_.forward.slice(sh.owned_begin, slice_end - sh.owned_begin),
-          config_.search_both_strands);
-    } else {
-      sh.store = ReferenceStore{};
-    }
-    sh.primary->invalidate();
-    if (sh.fallback) sh.fallback->invalidate();
-  }
-}
-
-void ShardedBackend::invalidate() { reslice(); }
 
 std::size_t ShardedBackend::shard_count() const noexcept {
   return shards_.size();

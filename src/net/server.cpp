@@ -565,6 +565,23 @@ void WireServer::handle_connection(Socket conn,
     int timeout_ms = -1;
     if (inflight > 0) {
       timeout_ms = 2;  // tickets resolve out-of-band; re-check soon
+      if (flushed) {
+        // Nothing to send: spend the tick blocked on the oldest ticket,
+        // which gates FIFO promotion, so its reply is promoted the moment
+        // it settles rather than on the next tick boundary.  Only this
+        // thread pushes or pops `pending`, so the element outlives the
+        // wait; the drain path only cancels it (under state->m).
+        const core::Ticket* oldest = nullptr;
+        {
+          std::lock_guard state_lock{state->m};
+          if (state->pending.front().has_ticket)
+            oldest = &state->pending.front().ticket;
+        }
+        if (oldest != nullptr) {
+          oldest->ready(std::chrono::milliseconds{2});
+          timeout_ms = 0;  // the tick is spent; just sample the socket
+        }
+      }
     } else {
       double wait_s = -1.0;
       const auto consider = [&](double candidate) {

@@ -28,7 +28,7 @@ std::vector<Hit> backend_forward_hits(BackendKind kind,
   return std::move(run).value().hits;
 }
 
-// All three backends implement the same functional contract: the hits of
+// Both backends implement the same functional contract: the hits of
 // run() equal the golden behavioral scan, hit for hit.
 TEST(Backend, AllKindsMatchGolden) {
   util::Xoshiro256 rng{901};
@@ -45,7 +45,7 @@ TEST(Backend, AllKindsMatchGolden) {
     const std::vector<Hit> expected =
         golden_hits(query->elements, ref, threshold);
     for (const BackendKind kind :
-         {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes})
+         {BackendKind::HwSim, BackendKind::Tiled})
       EXPECT_EQ(backend_forward_hits(kind, config, store, *query, threshold),
                 expected)
           << to_string(kind) << " query " << q;
@@ -76,7 +76,7 @@ TEST(Backend, ReverseStrandMappingAgreesAcrossKinds) {
   std::sort(expected.begin(), expected.end());
 
   for (const BackendKind kind :
-       {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+       {BackendKind::HwSim, BackendKind::Tiled}) {
     const std::unique_ptr<ScanBackend> backend =
         make_backend(kind, config, store);
     BackendRequest request;
@@ -105,7 +105,7 @@ TEST(Backend, ScanBatchMatchesPerQueryRuns) {
   }
 
   for (const BackendKind kind :
-       {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+       {BackendKind::HwSim, BackendKind::Tiled}) {
     const std::unique_ptr<ScanBackend> backend =
         make_backend(kind, config, store);
     const auto batch = backend->scan_batch(queries, thresholds, false, nullptr);
@@ -117,43 +117,13 @@ TEST(Backend, ScanBatchMatchesPerQueryRuns) {
   }
 }
 
-// Re-upload + invalidate must drop every derived artifact (the planes
-// backend caches whole-reference planes; stale planes would scan the old
-// reference).
-TEST(Backend, InvalidateDropsStalePlanes) {
-  util::Xoshiro256 rng{904};
-  const NucleotideSequence ref1 = bio::random_dna(15000, rng);
-  const NucleotideSequence ref2 = bio::random_dna(15000, rng);
-  HostConfig config;
-  config.scan_path = ScanPath::Planes;
-  ReferenceStore store;
-  store.upload(bio::PackedNucleotides{ref1}, false);
-
-  const CompiledQueryPtr query = compile_query(bio::random_protein(8, rng));
-  const std::uint32_t threshold =
-      static_cast<std::uint32_t>(query->size() / 2);
-
-  const std::unique_ptr<ScanBackend> backend =
-      make_backend(BackendKind::Planes, config, store);
-  BackendRequest request;
-  request.query = query.get();
-  request.threshold = threshold;
-  ASSERT_TRUE(backend->run(request).has_value());  // compiles ref1 planes
-
-  store.upload(bio::PackedNucleotides{ref2}, false);
-  backend->invalidate();
-  Expected<BackendRun> run = backend->run(request);
-  ASSERT_TRUE(run.has_value());
-  EXPECT_EQ(run->hits, golden_hits(query->elements, ref2, threshold));
-}
-
 TEST(Backend, RunWithoutReferenceIsTypedError) {
   HostConfig config;
   ReferenceStore store;  // never uploaded
   const CompiledQueryPtr query = compile_query(
       bio::ProteinSequence::parse("MFSRW"));
   for (const BackendKind kind :
-       {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+       {BackendKind::HwSim, BackendKind::Tiled}) {
     const std::unique_ptr<ScanBackend> backend =
         make_backend(kind, config, store);
     BackendRequest request;

@@ -329,8 +329,8 @@ TEST(TileScan, ScanRunsFollowPartitionPolicy) {
 }
 
 TEST(TileScan, PartitionIdentityAcrossBackends) {
-  // The partition knob rides HostConfig::tile into every backend; all
-  // three kinds must return identical hits whichever policy is set,
+  // The partition knob rides HostConfig::tile into every backend; both
+  // kinds must return identical hits whichever policy is set,
   // pooled or not.
   util::Xoshiro256 rng{463};
   const NucleotideSequence ref = bio::random_dna(25'000, rng);
@@ -343,7 +343,7 @@ TEST(TileScan, PartitionIdentityAcrossBackends) {
 
   util::ThreadPool pool{4};
   for (const BackendKind kind :
-       {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+       {BackendKind::HwSim, BackendKind::Tiled}) {
     for (TilePartition partition :
          {TilePartition::Static, TilePartition::Stealing}) {
       HostConfig config;
@@ -385,14 +385,6 @@ TEST(TileScan, ScratchFootprintIsIndependentOfReferenceSize) {
             (large.size() + b.tile_positions() - 1) / b.tile_positions());
   const TileScanner tiny{small, {.tile_positions = 1}};
   EXPECT_EQ(tiny.tile_positions(), 64u);  // minimum one word
-}
-
-TEST(TileScan, ScanPathResolution) {
-  // Explicit requests win regardless of the environment; Auto is resolved
-  // once per process from FABP_SCAN_MODE (exercised by tools/check.sh legs
-  // rather than here, to keep this test env-order independent).
-  EXPECT_TRUE(use_tiled_scan(ScanPath::Tiled));
-  EXPECT_FALSE(use_tiled_scan(ScanPath::Planes));
 }
 
 }  // namespace

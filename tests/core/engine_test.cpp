@@ -37,7 +37,7 @@ TEST(Engine, CoalescedEqualsSequentialAllBackends) {
   const std::vector<ProteinSequence> queries = make_queries(48, rng);
 
   for (const BackendKind kind :
-       {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+       {BackendKind::HwSim, BackendKind::Tiled}) {
     EngineConfig config;
     config.host.search_both_strands = true;
     config.backend = kind;
@@ -99,8 +99,12 @@ TEST(Engine, QueueFullRejectsWithTypedError) {
   ASSERT_FALSE(outcome.has_value());
   EXPECT_EQ(outcome.error().code, ErrorCode::QueueFull);
   EXPECT_EQ(engine.stats().rejected, 1u);
+  // A bounded wait times out while no worker runs, and returns as soon as
+  // the request settles once one does.
+  EXPECT_FALSE(a.ready(std::chrono::milliseconds{20}));
 
   engine.start();
+  EXPECT_TRUE(a.ready(std::chrono::seconds{60}));
   EXPECT_TRUE(a.wait().has_value());
   EXPECT_TRUE(b.wait().has_value());
 }

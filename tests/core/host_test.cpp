@@ -136,8 +136,8 @@ TEST(Session, BatchAlignsEveryQuery) {
 }
 
 TEST(Session, BatchIdenticalToPerQueryAligns) {
-  // align_batch precomputes every hit list in one pass over the cached
-  // reference planes; the reports must nonetheless be exactly what
+  // align_batch precomputes every hit list in one tile-fused pass over
+  // the reference; the reports must nonetheless be exactly what
   // per-query align() produces — hits, order, and timing model included.
   util::Xoshiro256 rng{194};
   for (bool both_strands : {false, true}) {
@@ -187,7 +187,7 @@ TEST(Session, SoftwareHitsBatchMatchesPerQuery) {
 
 TEST(Session, ReuploadInvalidatesBitscanPlanes) {
   // Regression: software scans after a re-upload must see the new
-  // reference, never the stale compiled planes of the old one.
+  // reference, never derived state of the old one.
   util::Xoshiro256 rng{196};
   const ProteinSequence protein = bio::random_protein(15, rng);
   const auto elements = back_translate(protein);
@@ -212,8 +212,8 @@ TEST(Session, ReuploadInvalidatesBitscanPlanes) {
     if (h.position == 500 && h.score == threshold) planted_found = true;
   EXPECT_TRUE(planted_found);
 
-  // align() goes through Accelerator and compiles planes per run, but the
-  // batch path reuses the session caches — check it too.
+  // The batch path precomputes through the backend's scan_batch — check
+  // it too.
   const auto batch = session.align_batch(std::vector{protein}, 1.0);
   ASSERT_EQ(batch.per_query.size(), 1u);
   EXPECT_EQ(batch.per_query[0].hits, hits_b);
@@ -294,62 +294,9 @@ TEST(Session, LongQueryUsesSegmentedMapping) {
   EXPECT_GT(r.mapping.segments, 1u);
 }
 
-TEST(TileScanSession, TiledAndPlanesPathsAgreeEverywhere) {
-  // The scan-path escape hatch must be a pure implementation switch:
-  // align, align_batch (both strands, pooled and serial), software_hits
-  // and software_hits_batch all produce identical output either way.
-  util::Xoshiro256 rng{251};
-  const NucleotideSequence ref = bio::random_dna(9000, rng);
-  std::vector<ProteinSequence> queries;
-  for (int q = 0; q < 4; ++q)
-    queries.push_back(bio::random_protein(8 + rng.next() % 25, rng));
-  std::vector<std::uint32_t> thresholds;
-  for (const auto& query : queries)
-    thresholds.push_back(static_cast<std::uint32_t>(query.size() * 2));
-
-  util::ThreadPool pool{3};
-  for (bool both_strands : {false, true}) {
-    HostConfig tiled_cfg;
-    tiled_cfg.search_both_strands = both_strands;
-    tiled_cfg.scan_path = ScanPath::Tiled;
-    tiled_cfg.tile.tile_positions = 1024;  // many tiles even at 9 kb
-    HostConfig planes_cfg = tiled_cfg;
-    planes_cfg.scan_path = ScanPath::Planes;
-
-    Session tiled{tiled_cfg};
-    Session planes{planes_cfg};
-    ASSERT_TRUE(tiled.tiled());
-    ASSERT_FALSE(planes.tiled());
-    tiled.upload_reference(ref);
-    planes.upload_reference(ref);
-
-    const HostRunReport a = tiled.align(queries[0], thresholds[0]);
-    const HostRunReport b = planes.align(queries[0], thresholds[0]);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.reverse_hits, b.reverse_hits);
-
-    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                &pool}) {
-      const auto ta = tiled.align_batch(queries, 0.7, p);
-      const auto pa = planes.align_batch(queries, 0.7, p);
-      ASSERT_EQ(ta.per_query.size(), pa.per_query.size());
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(ta.per_query[q].hits, pa.per_query[q].hits) << q;
-        EXPECT_EQ(ta.per_query[q].reverse_hits, pa.per_query[q].reverse_hits)
-            << q;
-      }
-      EXPECT_EQ(tiled.software_hits_batch(queries, thresholds, p),
-                planes.software_hits_batch(queries, thresholds, p));
-    }
-    EXPECT_EQ(tiled.software_hits(queries[1], thresholds[1], &pool),
-              planes.software_hits(queries[1], thresholds[1]));
-  }
-}
-
-TEST(TileScanSession, BothStrandPlaneCompilesOverlapOnPool) {
-  // ensure_planes builds the reverse planes on a worker while the caller
-  // builds the forward planes; results must match the serial compile and
-  // a planted reverse-strand gene must still be found.
+TEST(TileScanSession, BothStrandsPooledBatchMatchesSerial) {
+  // A pooled both-strand batch scan must match the serial one, and a
+  // planted reverse-strand gene must still be found.
   util::Xoshiro256 rng{257};
   const ProteinSequence protein = bio::random_protein(20, rng);
   const NucleotideSequence coding = random_template_coding(protein, rng);
@@ -361,7 +308,6 @@ TEST(TileScanSession, BothStrandPlaneCompilesOverlapOnPool) {
 
   HostConfig cfg;
   cfg.search_both_strands = true;
-  cfg.scan_path = ScanPath::Planes;
   util::ThreadPool pool{2};
   const std::vector<ProteinSequence> queries{protein};
 

@@ -1,12 +1,11 @@
 // Device batch scheduler differential + chaos suite (DESIGN.md §4d).
 //
 // The scheduler's contract is that packing coalesced requests into device
-// invocations, staging them through the ping/pong DMA buffers and slicing
+// invocations, modeling them through the ping/pong DMA buffers and slicing
 // the reference across PE arrays is *pure accounting*: every hit list is
-// bit-identical to the serial hw-sim path (and so to the golden model),
-// and the fault schedule a fixed seed draws is invariant under the batch
-// capacity and buffer depth.  Lives in the engine_tests binary so the
-// check.sh tsan leg covers the concurrent ping/pong staging handoff.
+// bit-identical to the golden model, and the fault schedule a fixed seed
+// draws is invariant under the buffer depth.  A serial run() is a
+// one-task invocation of the same pipeline.
 
 #include <gtest/gtest.h>
 
@@ -63,26 +62,18 @@ std::vector<Hit> golden_reverse_mapped(const Fixture& f, std::size_t q) {
 }
 
 // The core differential: packed/double-buffered/multi-PE run_many returns
-// hit lists bit-identical to the serial hw-sim run() and the golden oracle
-// — for every PE count and buffer depth, with ragged tails (11 requests
-// against capacity 4) and both strands on.
+// hit lists bit-identical to the golden oracle — for every PE count and
+// buffer depth, with ragged tails (11 requests against capacity 4) and
+// both strands on.
 TEST(DeviceScheduler, RunManyMatchesSerialAndGoldenAcrossPeAndDepth) {
   const Fixture f{931, 24000, 11, true};
   HostConfig config;
   config.search_both_strands = true;
 
-  // Serial truth through the same backend kind (clean path, so the hits
-  // are independent of the device-batch shape).
-  const std::unique_ptr<ScanBackend> serial =
-      make_backend(BackendKind::HwSim, config, f.store);
   std::vector<std::vector<Hit>> expected_fwd, expected_rev;
   for (std::size_t q = 0; q < f.requests.size(); ++q) {
-    Expected<BackendRun> run = serial->run(f.requests[q]);
-    ASSERT_TRUE(run.has_value());
-    EXPECT_EQ(run->hits, golden_forward(f, q)) << "query " << q;
-    EXPECT_EQ(run->reverse_hits, golden_reverse_mapped(f, q)) << "query " << q;
-    expected_fwd.push_back(std::move(run->hits));
-    expected_rev.push_back(std::move(run->reverse_hits));
+    expected_fwd.push_back(golden_forward(f, q));
+    expected_rev.push_back(golden_reverse_mapped(f, q));
   }
 
   for (const std::size_t pe : {1u, 2u, 4u}) {
@@ -207,6 +198,106 @@ TEST(DeviceScheduler, FaultScheduleIdenticalAtBufferDepth1And8) {
       EXPECT_EQ(hits, hits_at_depth1);
     }
   }
+}
+
+void expect_same_recovery(const RecoveryStats& a, const RecoveryStats& b) {
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.transfer_faults, b.transfer_faults);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.crc_faults, b.crc_faults);
+  EXPECT_EQ(a.readback_faults, b.readback_faults);
+  EXPECT_EQ(a.rescanned_tiles, b.rescanned_tiles);
+  EXPECT_EQ(a.spot_checks, b.spot_checks);
+  EXPECT_EQ(a.spot_check_faults, b.spot_check_faults);
+  EXPECT_EQ(a.fallbacks, b.fallbacks);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.recovery_s, b.recovery_s);
+}
+
+// A serial run() is a one-task invocation: under a fixed fault schedule,
+// Session::align and a fresh backend's run_many of the same single request
+// return identical hits, recovery accounting, cycles and fault log, and
+// the serial call is counted by the device-pipeline accounting.
+TEST(DeviceScheduler, SerialAlignIsOneTaskInvocation) {
+  HostConfig config;
+  config.search_both_strands = true;
+  config.fault.seed = 0xfab5eed6;
+  config.fault.flip_rate = 1e-4;
+  config.fault.drop_rate = 5e-3;
+  config.fault.stall_rate = 1e-2;
+  config.fault.transfer_fail_rate = 0.3;
+  config.recovery.spot_check_samples = 2;
+
+  const Fixture f{940, 20000, 1, true};
+  const BackendRequest& request = f.requests.front();
+
+  Session session{config};
+  session.upload_reference(f.reference);
+  const Expected<HostRunReport> report =
+      session.try_align(f.queries.front()->protein, request.threshold);
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(session.engine().pipeline_stats().invocations, 1u);
+  EXPECT_EQ(session.engine().pipeline_stats().tasks, 1u);
+
+  const std::unique_ptr<ScanBackend> serial =
+      make_backend(BackendKind::HwSim, config, f.store);
+  const std::unique_ptr<ScanBackend> batched =
+      make_backend(BackendKind::HwSim, config, f.store);
+  const Expected<BackendRun> one = serial->run(request);
+  const auto many = batched->run_many({&request, 1});
+  ASSERT_TRUE(one.has_value());
+  ASSERT_EQ(many.size(), 1u);
+  ASSERT_TRUE(many.front().has_value());
+  const BackendRun& packed = *many.front();
+
+  EXPECT_EQ(report->hits, golden_forward(f, 0));
+  EXPECT_EQ(report->reverse_hits, golden_reverse_mapped(f, 0));
+  EXPECT_EQ(report->hits, packed.hits);
+  EXPECT_EQ(report->reverse_hits, packed.reverse_hits);
+  EXPECT_EQ(report->kernel_s, packed.kernel_seconds);
+  expect_same_recovery(report->recovery, packed.recovery);
+  EXPECT_EQ(session.fault_log(), batched->fault_log());
+  EXPECT_FALSE(batched->fault_log().empty());
+
+  EXPECT_EQ(one->hits, packed.hits);
+  EXPECT_EQ(one->reverse_hits, packed.reverse_hits);
+  EXPECT_EQ(one->cycles, packed.cycles);
+  expect_same_recovery(one->recovery, packed.recovery);
+  EXPECT_EQ(serial->fault_log(), batched->fault_log());
+  EXPECT_EQ(serial->pipeline_stats().invocations, 1u);
+}
+
+// The LUT oracle runs through the same device pipeline: its clean hit
+// lists come from the element-by-element Accelerator evaluation, and the
+// fault/repair machinery around them still delivers golden hits.
+TEST(DeviceScheduler, LutOracleSharesTheInvocationPipeline) {
+  HostConfig config;
+  config.search_both_strands = true;
+  config.accelerator.use_lut_path = true;
+  config.fault.seed = 0xfab5eed7;
+  config.fault.flip_rate = 2e-4;
+  config.fault.transfer_fail_rate = 0.3;
+  config.device_batch.invocation_tasks = 2;
+
+  const Fixture f{941, 6000, 3, true};
+  const std::unique_ptr<ScanBackend> backend =
+      make_backend(BackendKind::HwSim, config, f.store);
+  EXPECT_FALSE(backend->supports_precomputed_hits());
+  const auto results = backend->run_many(f.requests);
+  ASSERT_EQ(results.size(), f.requests.size());
+  for (std::size_t q = 0; q < results.size(); ++q) {
+    ASSERT_TRUE(results[q].has_value()) << "query " << q;
+    EXPECT_EQ(results[q]->hits, golden_forward(f, q)) << "query " << q;
+    EXPECT_EQ(results[q]->reverse_hits, golden_reverse_mapped(f, q))
+        << "query " << q;
+  }
+  const Expected<BackendRun> serial = backend->run(f.requests.front());
+  ASSERT_TRUE(serial.has_value());
+  EXPECT_EQ(serial->hits, golden_forward(f, 0));
+  // Two packed invocations (2 + 1 tasks), then the serial one.
+  EXPECT_EQ(backend->pipeline_stats().invocations, 3u);
+  EXPECT_FALSE(backend->fault_log().empty());
 }
 
 // With integrity checking and spot checks on, every injected corruption is
@@ -381,7 +472,7 @@ TEST(DeviceScheduler, EngineExposesPipelineStats) {
 
   // Software backends run no device pipeline: stats stay all-zero.
   EngineConfig software = config;
-  software.backend = BackendKind::Planes;
+  software.backend = BackendKind::Tiled;
   software.autostart = true;
   Engine software_engine{software};
   software_engine.upload_reference(NucleotideSequence{ref});

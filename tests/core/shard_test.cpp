@@ -121,7 +121,7 @@ TEST(Shard, BoundaryStraddlingAllBackendsAllCounts) {
     plant_reverse(ref, realization(query), rc_position);
 
     for (const BackendKind kind :
-         {BackendKind::HwSim, BackendKind::Tiled, BackendKind::Planes}) {
+         {BackendKind::HwSim, BackendKind::Tiled}) {
       EngineConfig unsharded = sharded_config(kind, 1);
       unsharded.shard.shard_count = 1;
       Engine truth{unsharded};
@@ -237,10 +237,9 @@ TEST(Shard, RawReverseScanBatchMatchesUnsharded) {
     shard.shard_count = shard_count;
     shard.max_query_elements = 64;
     ReferenceStore sharded_store;
+    sharded_store.upload(packed, true);
     std::unique_ptr<ShardedBackend> sharded = make_sharded_backend(
         BackendKind::Tiled, config, sharded_store, shard);
-    sharded_store.upload(packed, true);
-    sharded->invalidate();
 
     for (const bool reverse : {false, true})
       EXPECT_EQ(sharded->scan_batch(queries, thresholds, reverse, nullptr),

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-command tier-1 verification, four times over:
+# One-command tier-1 verification in ten legs:
 #
 #   1. default Release build + full ctest — exercises the runtime-dispatched
 #      scan kernel (the widest ISA this machine supports), and
@@ -8,8 +8,7 @@
 #      dispatch path, and
 #   3. a ThreadSanitizer build running the pooled tiled-scan, thread-pool
 #      and serving-engine tests — race coverage over the tile-parallel
-#      merge, the concurrent strand-plane compile, and the engine's
-#      submit/cancel/coalesce machinery, and
+#      merge and the engine's submit/cancel/coalesce machinery, and
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
 #      retry/degrade state machine, and
@@ -19,7 +18,8 @@
 #      cannot), and
 #   6. the device batch scheduler chaos leg — the DeviceScheduler
 #      differential/fault suite (packed invocations, multi-PE slicing,
-#      depth-replay, retry/degrade at batch granularity) plus a
+#      depth-replay, retry/degrade at batch granularity, serial run() as
+#      a one-task invocation) plus a
 #      `fabp serve --backend hwsim` smoke run that must report the
 #      pipeline stats line in its metrics dump, and
 #   7. the kernel differential suites once per forced ISA the host can
@@ -42,6 +42,9 @@
 #      generation) run again under tsan, epoch reclamation under asan,
 #      and the live-swap TCP smoke (SwapDatabase mid-loadgen, zero
 #      failed requests, retired generations reclaimed).
+#
+# It ends by printing the src/ + include/ line count, the size figure the
+# ROADMAP tracks.
 #
 # Usage: tools/check.sh   (from anywhere; builds into build/, build-asan/,
 # build-tsan/ and build-ubsan/)
@@ -129,3 +132,4 @@ build-asan/tests/tenant_tests
 tools/serve_tcp_swap_smoke.sh build/tools/fabp
 
 echo "== check.sh: all green (default + asan/swar64 + tsan + ubsan/chaos + engine/swar64 + scheduler + per-isa + shard + net-chaos + tenant) =="
+echo "src/ + include/ lines: $(find src include -name '*.?pp' -print0 | xargs -0 cat | wc -l)"

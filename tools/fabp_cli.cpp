@@ -9,7 +9,7 @@
 //   fabp chaos [bases] [query-aa] [seeds] [rates...]
 //                                              fault-injection sweep vs golden
 //   fabp serve [bases] [query-aa] [requests] [workers]
-//              [--backend hwsim|tiled|planes] [--shards N] [--tcp [port]]
+//              [--backend hwsim|tiled] [--shards N] [--tcp [port]]
 //                                              engine serving demo: burst of
 //                                              concurrent requests, coalesced,
 //                                              checked against sequential;
@@ -66,7 +66,7 @@ int usage() {
       "  fabp chaos [bases] [query-aa] [seeds] [flip-rates...]\n"
       "  fabp isa\n"
       "  fabp serve [bases] [query-aa] [requests] [workers]"
-      " [--backend hwsim|tiled|planes] [--shards N] [--tcp [port]]\n"
+      " [--backend hwsim|tiled] [--shards N] [--tcp [port]]\n"
       "             [--db name=path]... [--tenant name=weight[:quota]]...\n"
       "             [--shed-depth N] [--shed-p99 MS] [--max-inflight N]\n"
       "             [--idle-timeout S] [--io-timeout S] [--drain-timeout S]\n"
@@ -82,9 +82,8 @@ int usage() {
 core::BackendKind backend_kind_from(const std::string& name) {
   if (name == "hwsim") return core::BackendKind::HwSim;
   if (name == "tiled") return core::BackendKind::Tiled;
-  if (name == "planes") return core::BackendKind::Planes;
   throw std::runtime_error{"unknown backend: " + name +
-                           " (expected hwsim, tiled or planes)"};
+                           " (expected hwsim, tiled)"};
 }
 
 /// Loads a reference as FASTA (leading '>') or raw ACGT text (whitespace
@@ -195,8 +194,7 @@ int cmd_scan(const std::string& ref_path, const std::string& query_path,
              double threshold_fraction, std::size_t threads) {
   // Pure-software database scan (no accelerator timing model): one
   // tile-fused pass over the packed database per batch, chunked over the
-  // pool.  FABP_SCAN_MODE=planes switches to the precompiled-plane path
-  // for comparison; hits are identical either way.
+  // pool.
   const auto db =
       bio::ReferenceDatabase::from_fasta(bio::read_fasta_file(ref_path));
   std::cerr << "database: " << db.record_count() << " records, "
@@ -223,18 +221,12 @@ int cmd_scan(const std::string& ref_path, const std::string& query_path,
 
   util::ThreadPool pool{threads};
   util::Timer timer;
-  std::vector<std::vector<core::Hit>> outs;
-  if (core::use_tiled_scan()) {
-    const core::TileScanner scanner{db};
-    std::cerr << "scan path: tiled (" << scanner.tile_positions()
-              << " positions/tile, " << scanner.tile_count() << " tiles, "
-              << pool.size() << " threads)\n";
-    outs = scanner.hits_batch(compiled, thresholds, &pool);
-  } else {
-    std::cerr << "scan path: planes (" << pool.size() << " threads)\n";
-    const core::BitScanReference reference{db.packed()};
-    outs = core::bitscan_hits_batch(compiled, reference, thresholds, &pool);
-  }
+  const core::TileScanner scanner{db};
+  std::cerr << "scan path: tiled (" << scanner.tile_positions()
+            << " positions/tile, " << scanner.tile_count() << " tiles, "
+            << pool.size() << " threads)\n";
+  const std::vector<std::vector<core::Hit>> outs =
+      scanner.hits_batch(compiled, thresholds, &pool);
   const double seconds = timer.seconds();
 
   for (std::size_t q = 0; q < queries.size(); ++q) {
