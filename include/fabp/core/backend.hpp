@@ -218,12 +218,6 @@ class ScanBackend {
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) = 0;
 
-  /// Forward-strand hits through the pure software path (the
-  /// Session::software_hits contract: no accelerator timing model).
-  virtual std::vector<Hit> scan_one(const CompiledQuery& query,
-                                    std::uint32_t threshold,
-                                    util::ThreadPool* pool) = 0;
-
   /// False when run() must evaluate element-by-element and ignores
   /// precomputed hit lists (the LUT oracle path).
   virtual bool supports_precomputed_hits() const noexcept { return true; }

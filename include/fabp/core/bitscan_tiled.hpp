@@ -130,7 +130,7 @@ class TileScanner {
   /// (see TilePartition) are owned whole by workers — per-run scratch and
   /// hit slots, history carried across tile edges inside the run — and
   /// stitched in run order at the merge, so the output is deterministic
-  /// and exactly the serial scan's.
+  /// and exactly the serial scan's.  A one-query hits_batch.
   std::vector<Hit> hits(const BitScanQuery& query, std::uint32_t threshold,
                         util::ThreadPool* pool = nullptr) const;
 

@@ -461,7 +461,7 @@ class Engine {
   /// ShardedBackend).  Takes the execution lock for a stable snapshot.
   DevicePipelineStats pipeline_stats() const;
 
-  /// Per-shard router view (owned ranges, health, queue depths, recovery,
+  /// Per-shard router view (owned ranges, health, batch counts, recovery,
   /// per-card pipeline stats) of the default database's active generation.
   /// Empty when shard_count == 1 (no router).  Takes the execution lock
   /// for a stable snapshot.

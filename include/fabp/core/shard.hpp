@@ -24,15 +24,18 @@
 // shard order (ascending RC position).  The halo math is worked through in
 // DESIGN.md §4e.
 //
-// Routing: each shard has its own admission queue drained by one worker
-// thread (the per-card command queue); a coalesced engine batch fans out
-// as ONE run_many/scan_batch per shard, never one per request.  The PR-4
-// health machine folds into routing: a shard whose primary backend has
-// degraded sheds its slice to a software fallback backend over the same
-// slice instead of stalling its queue, and the gathered hits stay
-// bit-identical (the fallback scans the same DRAM image).
+// Routing: each shard runs on its own one-worker util::ThreadPool (the
+// per-card command queue; a worker per card rather than one shared pool
+// keeps each card's slice warm in one cache — DESIGN.md §4e has the
+// measurement); a coalesced engine batch fans out as ONE
+// run_many/scan_batch per shard, never one per request.  The health
+// machine folds into routing: a shard whose primary backend has degraded
+// sheds its slice to a software fallback backend over the same slice
+// instead of stalling its card, and the gathered hits stay bit-identical
+// (the fallback scans the same DRAM image).
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -70,8 +73,6 @@ struct ShardStatus {
   std::size_t slice_elements = 0;  ///< owned + halo actually resident
   HealthState health = HealthState::Healthy;
   bool routed_to_fallback = false;  ///< slice shed to the software backend
-  std::size_t queue_depth = 0;      ///< jobs waiting in the admission queue
-  std::size_t peak_queue_depth = 0;
   std::size_t batches_executed = 0;  ///< fan-out jobs this shard ran
   std::size_t fallback_batches = 0;  ///< of those, served by the fallback
   std::size_t fault_events = 0;      ///< injected faults on this card
@@ -82,8 +83,8 @@ struct ShardStatus {
 /// N ScanBackend cards behind one ScanBackend face.  kind() reports the
 /// primary backend kind, so the engine and facade stay oblivious.
 /// Thread-safety contract matches every other backend: external
-/// serialization of run/run_many/scan_* (the engine's exec_mutex_); the
-/// internal shard workers only parallelize *inside* one such call.
+/// serialization of run/run_many/scan_batch (the engine's exec_mutex_);
+/// the per-card workers only parallelize *inside* one such call.
 class ShardedBackend final : public ScanBackend {
  public:
   /// `config` and `store` must outlive the backend (the engine owns both).
@@ -105,9 +106,6 @@ class ShardedBackend final : public ScanBackend {
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) override;
-  std::vector<Hit> scan_one(const CompiledQuery& query,
-                            std::uint32_t threshold,
-                            util::ThreadPool* pool) override;
   bool supports_precomputed_hits() const noexcept override;
   /// Worst health over the fleet (Degraded if any card degraded).
   HealthState health() const noexcept override;
@@ -124,9 +122,16 @@ class ShardedBackend final : public ScanBackend {
 
  private:
   struct Shard;
+  /// One card's share of a fan-out: (shard index, routed backend, whether
+  /// it is the software fallback).
+  using ShardTask = std::function<void(std::size_t, ScanBackend&, bool)>;
 
+  /// Routes every card (primary, or shed to its fallback), runs `task` on
+  /// each card's worker, waits for all of them and rethrows the first
+  /// failure.
+  void for_each_shard(const ShardTask& task);
   Expected<BackendRun> gather_request(
-      std::size_t request_index, std::size_t query_elements,
+      std::size_t request_index,
       std::vector<std::vector<Expected<BackendRun>>>& per_shard);
   void harvest_shard_stats(Shard& shard);
 

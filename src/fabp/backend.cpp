@@ -160,12 +160,6 @@ class TiledSoftwareBackend final : public ScanBackend {
         scans, thresholds, pool);
   }
 
-  std::vector<Hit> scan_one(const CompiledQuery& query,
-                            std::uint32_t threshold,
-                            util::ThreadPool* pool) override {
-    return strand_hits(query, threshold, false, pool);
-  }
-
  private:
   /// Raw hits of one strand's store (RC coordinates for the reverse one).
   std::vector<Hit> strand_hits(const CompiledQuery& query,
@@ -208,12 +202,6 @@ class HwSimBackend final : public ScanBackend {
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) override {
     return software_.scan_batch(queries, thresholds, reverse_strand, pool);
-  }
-
-  std::vector<Hit> scan_one(const CompiledQuery& query,
-                            std::uint32_t threshold,
-                            util::ThreadPool* pool) override {
-    return software_.scan_one(query, threshold, pool);
   }
 
   Expected<BackendRun> run(const BackendRequest& request) override {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "fabp/util/bitops.hpp"
 #include "fabp/util/thread_pool.hpp"
@@ -309,40 +310,7 @@ void TileScanner::range_batch(const ScanKernel& kernel,
 std::vector<Hit> TileScanner::hits(const BitScanQuery& query,
                                    std::uint32_t threshold,
                                    util::ThreadPool* pool) const {
-  std::vector<Hit> out;
-  if (query.empty() || size_ < query.size()) return out;
-  const std::size_t positions = size_ - query.size() + 1;
-  if (pool == nullptr || pool->size() <= 1 || positions <= tile_positions_) {
-    range(query, threshold, 0, positions, out);
-    return out;
-  }
-
-  // Partition the tile grid into contiguous runs (see TilePartition): each
-  // run is compiled and scored whole by one worker — its own scratch, its
-  // own cache-line-isolated hit slot, history carried across its tile
-  // edges — then the slots are stitched in run order: deterministic and
-  // bit-identical to the serial scan.
-  const std::size_t runs = scan_runs(positions, pool->size());
-  if (runs <= 1) {
-    range(query, threshold, 0, positions, out);
-    return out;
-  }
-  struct alignas(64) RunSlot {
-    std::vector<Hit> hits;
-  };
-  std::vector<RunSlot> slots(runs);
-  pool->parallel_indexed_chunks(
-      0, positions,
-      [&](std::size_t c, std::size_t lo, std::size_t hi) {
-        range(query, threshold, lo, hi, slots[c].hits);
-      },
-      tile_positions_, runs);
-  std::size_t total = 0;
-  for (const RunSlot& slot : slots) total += slot.hits.size();
-  out.reserve(total);
-  for (const RunSlot& slot : slots)
-    out.insert(out.end(), slot.hits.begin(), slot.hits.end());
-  return out;
+  return std::move(hits_batch({&query, 1}, {&threshold, 1}, pool).front());
 }
 
 std::vector<std::vector<Hit>> TileScanner::hits_batch(

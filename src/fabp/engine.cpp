@@ -673,11 +673,8 @@ HostRunReport Engine::estimate(const bio::ProteinSequence& query,
 std::vector<Hit> Engine::software_hits(const bio::ProteinSequence& query,
                                        std::uint32_t threshold,
                                        util::ThreadPool* pool) {
-  CompiledQueryPtr compiled = compiler_.compile(query);
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  std::lock_guard lock{db.exec_mutex};
-  return gen->backend->scan_one(*compiled, threshold, pool);
+  return std::move(
+      software_hits_batch({&query, 1}, {&threshold, 1}, pool).front());
 }
 
 std::vector<std::vector<Hit>> Engine::software_hits_batch(

@@ -1,16 +1,12 @@
 #include "fabp/core/shard.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <future>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "fabp/util/thread_pool.hpp"
 #include "fabp/util/timer.hpp"
 
 namespace fabp::core {
@@ -47,11 +43,11 @@ Error validate_shard_config(const ShardConfig& config) noexcept {
 }
 
 // One modeled card: its DRAM slice, its primary backend, a software
-// fallback over the same slice, and a single-threaded admission queue (the
-// card's command queue).  The queue fields are guarded by `mutex`; every
-// other field is touched only by the router with the engine's execution
-// lock held (the backend thread-safety contract), or by the worker while
-// the router is blocked on the job's future.
+// fallback over the same slice, and a one-worker pool (the card's command
+// queue).  The pool synchronizes itself; every other field is touched only
+// by the router with the engine's execution lock held (the backend
+// thread-safety contract), or by the card's worker while the router waits
+// on the fan-out.
 struct ShardedBackend::Shard {
   std::size_t index = 0;
   std::size_t owned_begin = 0;  // global window-start ownership [begin, end)
@@ -62,13 +58,6 @@ struct ShardedBackend::Shard {
   std::unique_ptr<ScanBackend> primary;
   std::unique_ptr<ScanBackend> fallback;  // software path over the same slice
 
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::packaged_task<void()>> jobs;
-  bool stopping = false;
-  std::size_t peak_queue_depth = 0;
-  std::thread worker;
-
   // Router-side lifetime accounting.
   bool routed_to_fallback = false;
   std::size_t batches_executed = 0;
@@ -76,50 +65,24 @@ struct ShardedBackend::Shard {
   std::size_t fault_log_consumed = 0;
   RecoveryStats recovery;
 
+  // Declared last so it joins before the backends its tasks use go away.
+  util::ThreadPool worker{1};
+
   std::size_t owned_elements() const noexcept {
     return owned_end - owned_begin;
   }
   std::size_t slice_elements() const noexcept { return store.forward.size(); }
 
-  std::future<void> enqueue(std::function<void()> fn) {
-    std::packaged_task<void()> task{std::move(fn)};
-    std::future<void> done = task.get_future();
-    {
-      std::lock_guard lock{mutex};
-      jobs.push_back(std::move(task));
-      peak_queue_depth = std::max(peak_queue_depth, jobs.size());
-    }
-    cv.notify_one();
-    return done;
-  }
-
-  void worker_loop() {
-    for (;;) {
-      std::packaged_task<void()> job;
-      {
-        std::unique_lock lock{mutex};
-        cv.wait(lock, [this] { return stopping || !jobs.empty(); });
-        if (jobs.empty()) return;  // stopping, queue drained
-        job = std::move(jobs.front());
-        jobs.pop_front();
-      }
-      job();  // exceptions land in the future the router holds
-    }
-  }
-
-  /// The backend this batch routes to.  A Degraded primary sheds the slice
-  /// to the software fallback instead of stalling the queue on per-request
-  /// golden recoveries (or DeviceLost errors when fallback is disallowed).
-  ScanBackend* route(bool allow_fallback, bool& used_fallback) {
-    if (fallback && allow_fallback &&
-        primary->health() == HealthState::Degraded) {
-      used_fallback = true;
-      routed_to_fallback = true;
-      ++fallback_batches;
-      return fallback.get();
-    }
-    used_fallback = false;
-    return primary.get();
+  /// Ownership filter + rebase of one slice-local forward-coordinate hit
+  /// list: keeps the hits whose window starts in the owned range and lifts
+  /// them to global coordinates.  Halo hits are each owned by the next
+  /// shard — dropping them here is the dedup, and ascending-shard
+  /// concatenation reproduces the unsharded position order exactly.
+  void append_owned(const std::vector<Hit>& local,
+                    std::vector<Hit>& out) const {
+    const auto end = hit_lower_bound(local, owned_elements());
+    for (auto it = local.begin(); it != end; ++it)
+      out.push_back(Hit{it->position + owned_begin, it->score});
   }
 };
 
@@ -162,21 +125,9 @@ ShardedBackend::ShardedBackend(BackendKind kind, const HostConfig& config,
       sh->fallback = make_backend(BackendKind::Tiled, sh->config, sh->store);
     shards_.push_back(std::move(sh));
   }
-  for (auto& sh : shards_)
-    sh->worker = std::thread{[shard_ptr = sh.get()] { shard_ptr->worker_loop(); }};
 }
 
-ShardedBackend::~ShardedBackend() {
-  for (auto& sh : shards_) {
-    {
-      std::lock_guard lock{sh->mutex};
-      sh->stopping = true;
-    }
-    sh->cv.notify_all();
-  }
-  for (auto& sh : shards_)
-    if (sh->worker.joinable()) sh->worker.join();
-}
+ShardedBackend::~ShardedBackend() = default;
 
 std::size_t ShardedBackend::shard_count() const noexcept {
   return shards_.size();
@@ -210,10 +161,43 @@ Expected<BackendRun> ShardedBackend::run(const BackendRequest& request) {
   return std::move(out.front());
 }
 
+void ShardedBackend::for_each_shard(const ShardTask& task) {
+  std::vector<std::future<void>> done;
+  done.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = *shards_[s];
+    ++sh.batches_executed;
+    // A Degraded primary sheds the slice to the software fallback instead
+    // of stalling the card on per-request golden recoveries (or DeviceLost
+    // errors when fallback is disallowed).
+    const bool used_fallback = sh.fallback &&
+                               config_.recovery.allow_software_fallback &&
+                               sh.primary->health() == HealthState::Degraded;
+    if (used_fallback) {
+      sh.routed_to_fallback = true;
+      ++sh.fallback_batches;
+    }
+    ScanBackend& target = used_fallback ? *sh.fallback : *sh.primary;
+    done.push_back(sh.worker.submit([&task, s, &target, used_fallback] {
+      task(s, target, used_fallback);
+    }));
+  }
+  // Wait for every card before surfacing any failure: the tasks reference
+  // the caller's frame.
+  std::exception_ptr first_failure;
+  for (std::future<void>& future : done) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_failure) first_failure = std::current_exception();
+    }
+  }
+  if (first_failure) std::rethrow_exception(first_failure);
+}
+
 Expected<BackendRun> ShardedBackend::gather_request(
-    std::size_t request_index, std::size_t query_elements,
+    std::size_t request_index,
     std::vector<std::vector<Expected<BackendRun>>>& per_shard) {
-  (void)query_elements;
   // First shard error fails the request (the shards see identical request
   // shapes, so the first error is the representative one).
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -224,21 +208,10 @@ Expected<BackendRun> ShardedBackend::gather_request(
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];
     const BackendRun& part = per_shard[s][request_index].value();
-    const std::size_t owned = sh.owned_elements();
-    // Ownership filter + rebase: keep hits whose window starts in the
-    // owned range (slice-local position < owned), lift them to global
-    // coordinates.  Halo hits are each owned by the next shard — dropping
-    // them here is the dedup.  Ascending-shard concatenation of sorted
-    // owned sub-lists reproduces the unsharded position order exactly; the
-    // reverse list is already mapped to slice-local *forward* coordinates
-    // by each shard's backend, so the same rule applies verbatim.
-    for (auto it = part.hits.begin(), end = hit_lower_bound(part.hits, owned);
-         it != end; ++it)
-      out.hits.push_back(Hit{it->position + sh.owned_begin, it->score});
-    for (auto it = part.reverse_hits.begin(),
-              end = hit_lower_bound(part.reverse_hits, owned);
-         it != end; ++it)
-      out.reverse_hits.push_back(Hit{it->position + sh.owned_begin, it->score});
+    // The reverse list is already mapped to slice-local *forward*
+    // coordinates by each shard's backend, so the same rule applies.
+    sh.append_owned(part.hits, out.hits);
+    sh.append_owned(part.reverse_hits, out.reverse_hits);
     // The cards run in parallel: makespan accounting is max over cards,
     // energy is summed.
     out.cycles = std::max(out.cycles, part.cycles);
@@ -339,44 +312,23 @@ std::vector<Expected<BackendRun>> ShardedBackend::run_many(
   }
   scatter_s_ += scatter_timer.seconds();
 
-  // Fan out: ONE run_many per shard through its admission queue — the
-  // hw-sim cards each pack the whole batch into device invocations over
-  // their own slice.  Wait for every card before surfacing any failure.
+  // Fan out: ONE run_many per shard — the hw-sim cards each pack the
+  // whole batch into device invocations over their own slice.
   std::vector<std::vector<Expected<BackendRun>>> shard_results(shards_.size());
   if (!routed.empty()) {
-    std::vector<std::future<void>> done;
-    done.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& sh = *shards_[s];
-      ++sh.batches_executed;
-      bool used_fallback = false;
-      ScanBackend* target =
-          sh.route(config_.recovery.allow_software_fallback, used_fallback);
-      const bool both_strands = config_.search_both_strands;
-      done.push_back(sh.enqueue([target, used_fallback, both_strands,
-                                 &batch = batches[s],
-                                 &results = shard_results[s]] {
-        results = target->run_many(batch.requests);
-        if (used_fallback) {
-          // Keep the degraded-path accounting the primary would have
-          // produced: these strand runs were served in software.
-          for (Expected<BackendRun>& result : results) {
-            if (!result) continue;
-            result->recovery.fallbacks += both_strands ? 2 : 1;
-            result->recovery.degraded = true;
-          }
-        }
-      }));
-    }
-    std::exception_ptr first_failure;
-    for (std::future<void>& future : done) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_failure) first_failure = std::current_exception();
+    const std::size_t strands = config_.search_both_strands ? 2 : 1;
+    for_each_shard([&](std::size_t s, ScanBackend& target, bool used_fallback) {
+      std::vector<Expected<BackendRun>>& results = shard_results[s];
+      results = target.run_many(batches[s].requests);
+      if (!used_fallback) return;
+      // Keep the degraded-path accounting the primary would have produced:
+      // these strand runs were served in software.
+      for (Expected<BackendRun>& result : results) {
+        if (!result) continue;
+        result->recovery.fallbacks += strands;
+        result->recovery.degraded = true;
       }
-    }
-    if (first_failure) std::rethrow_exception(first_failure);
+    });
   }
 
   util::Timer gather_timer;
@@ -388,8 +340,7 @@ std::vector<Expected<BackendRun>> ShardedBackend::run_many(
           "query exceeds shard.max_query_elements (halo too small for it)"});
       continue;
     }
-    out.push_back(gather_request(j++, requests[i].query->size(),
-                                 shard_results));
+    out.push_back(gather_request(j++, shard_results));
   }
   for (auto& sh : shards_) harvest_shard_stats(*sh);
   gather_s_ += gather_timer.seconds();
@@ -407,34 +358,12 @@ std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
       throw std::invalid_argument{
           "ShardedBackend::scan_batch: query exceeds shard.max_query_elements"};
 
-  // Fan out: one scan_batch per shard through its admission queue.
+  // Fan out: one scan_batch per shard.
   std::vector<std::vector<std::vector<Hit>>> shard_hits(shards_.size());
-  {
-    std::vector<std::future<void>> done;
-    done.reserve(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& sh = *shards_[s];
-      ++sh.batches_executed;
-      bool used_fallback = false;
-      ScanBackend* target =
-          sh.route(config_.recovery.allow_software_fallback, used_fallback);
-      done.push_back(sh.enqueue(
-          [target, queries, thresholds, reverse_strand, pool,
-           &results = shard_hits[s]] {
-            results = target->scan_batch(queries, thresholds, reverse_strand,
-                                         pool);
-          }));
-    }
-    std::exception_ptr first_failure;
-    for (std::future<void>& future : done) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_failure) first_failure = std::current_exception();
-      }
-    }
-    if (first_failure) std::rethrow_exception(first_failure);
-  }
+  for_each_shard([&](std::size_t s, ScanBackend& target, bool) {
+    shard_hits[s] =
+        target.scan_batch(queries, thresholds, reverse_strand, pool);
+  });
 
   util::Timer gather_timer;
   const std::size_t total = store_.forward.size();
@@ -442,16 +371,8 @@ std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
     const std::size_t lq = queries[q]->size();
     std::vector<Hit>& merged = out[q];
     if (!reverse_strand) {
-      // Ascending shards, owned-range filter, +owned_begin rebase: the
-      // unsharded forward list in position order.
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        Shard& sh = *shards_[s];
-        const std::vector<Hit>& local = shard_hits[s][q];
-        for (auto it = local.begin(),
-                  end = hit_lower_bound(local, sh.owned_elements());
-             it != end; ++it)
-          merged.push_back(Hit{it->position + sh.owned_begin, it->score});
-      }
+      for (std::size_t s = 0; s < shards_.size(); ++s)
+        shards_[s]->append_owned(shard_hits[s][q], merged);
     } else {
       // Raw RC coordinates ascend as forward coordinates *descend*, so the
       // globally sorted raw list is the descending-shard concatenation.
@@ -474,47 +395,6 @@ std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
   }
   gather_s_ += gather_timer.seconds();
   return out;
-}
-
-std::vector<Hit> ShardedBackend::scan_one(const CompiledQuery& query,
-                                          std::uint32_t threshold,
-                                          util::ThreadPool* pool) {
-  if (query.size() > shard_config_.max_query_elements)
-    throw std::invalid_argument{
-        "ShardedBackend::scan_one: query exceeds shard.max_query_elements"};
-  std::vector<std::vector<Hit>> shard_hits(shards_.size());
-  std::vector<std::future<void>> done;
-  done.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    bool used_fallback = false;
-    ScanBackend* target =
-        sh.route(config_.recovery.allow_software_fallback, used_fallback);
-    done.push_back(
-        sh.enqueue([target, &query, threshold, pool, &results = shard_hits[s]] {
-          results = target->scan_one(query, threshold, pool);
-        }));
-  }
-  std::exception_ptr first_failure;
-  for (std::future<void>& future : done) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_failure) first_failure = std::current_exception();
-    }
-  }
-  if (first_failure) std::rethrow_exception(first_failure);
-
-  std::vector<Hit> merged;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    const std::vector<Hit>& local = shard_hits[s];
-    for (auto it = local.begin(),
-              end = hit_lower_bound(local, sh.owned_elements());
-         it != end; ++it)
-      merged.push_back(Hit{it->position + sh.owned_begin, it->score});
-  }
-  return merged;
 }
 
 DevicePipelineStats ShardedBackend::pipeline_stats() const noexcept {
@@ -554,11 +434,6 @@ std::vector<ShardStatus> ShardedBackend::shard_status() const {
     status.slice_elements = sh->slice_elements();
     status.health = sh->primary->health();
     status.routed_to_fallback = sh->routed_to_fallback;
-    {
-      std::lock_guard lock{sh->mutex};
-      status.queue_depth = sh->jobs.size();
-      status.peak_queue_depth = sh->peak_queue_depth;
-    }
     status.batches_executed = sh->batches_executed;
     status.fallback_batches = sh->fallback_batches;
     status.fault_events = sh->primary->fault_log().size();

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -195,7 +196,7 @@ TEST(Shard, BatchPrecomputePathsMatchUnsharded) {
           << to_string(kind) << " query " << i;
     }
 
-    // software_hits / software_hits_batch (scan_one + forward scan_batch).
+    // software_hits / software_hits_batch (both a forward scan_batch).
     std::vector<std::uint32_t> thresholds;
     for (const ProteinSequence& q : queries)
       thresholds.push_back(static_cast<std::uint32_t>(q.size() * 3 / 2));
@@ -248,6 +249,51 @@ TEST(Shard, RawReverseScanBatchMatchesUnsharded) {
   }
 }
 
+// A throw from inside every card's task: the router waits for all cards,
+// rethrows the first failure and stays usable for the next batch.
+TEST(Shard, ThrowingCardDrainsAndRouterRecovers) {
+  util::Xoshiro256 rng{919};
+  const NucleotideSequence ref = bio::random_dna(5000, rng);
+  const bio::PackedNucleotides packed{ref};
+
+  std::vector<CompiledQueryPtr> queries;
+  std::vector<std::uint32_t> thresholds;
+  for (std::size_t i = 0; i < 4; ++i) {
+    queries.push_back(compile_query(bio::random_protein(5 + i, rng)));
+    thresholds.push_back(
+        static_cast<std::uint32_t>(queries.back()->size() / 2));
+  }
+
+  HostConfig config;
+  config.search_both_strands = true;
+  ReferenceStore store;
+  store.upload(packed, true);
+  std::unique_ptr<ScanBackend> unsharded =
+      make_backend(BackendKind::Tiled, config, store);
+
+  for (const std::size_t shard_count :
+       {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    ShardConfig shard;
+    shard.shard_count = shard_count;
+    shard.max_query_elements = 64;
+    ReferenceStore sharded_store;
+    sharded_store.upload(packed, true);
+    std::unique_ptr<ShardedBackend> sharded = make_sharded_backend(
+        BackendKind::Tiled, config, sharded_store, shard);
+
+    // Two thresholds for four queries: every card's TileScanner rejects
+    // the mismatched spans after the fan-out has started.
+    EXPECT_THROW(sharded->scan_batch(queries, {thresholds.data(), 2}, false,
+                                     nullptr),
+                 std::invalid_argument)
+        << "shards=" << shard_count;
+    for (const bool reverse : {false, true})
+      EXPECT_EQ(sharded->scan_batch(queries, thresholds, reverse, nullptr),
+                unsharded->scan_batch(queries, thresholds, reverse, nullptr))
+          << "shards=" << shard_count << " reverse=" << reverse;
+  }
+}
+
 // Concurrent coalesced serving through the router — the tsan leg target.
 TEST(Shard, CoalescedConcurrentSubmitMatchesSequential) {
   util::Xoshiro256 rng{717};
@@ -287,13 +333,11 @@ TEST(Shard, CoalescedConcurrentSubmitMatchesSequential) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.completed, kRequests);
 
-  // Router status after draining: every shard executed work, queues empty.
+  // Router status after draining: every shard executed work.
   const std::vector<ShardStatus> status = engine.shard_status();
   ASSERT_EQ(status.size(), 3u);
   for (const ShardStatus& shard : status) {
     EXPECT_GT(shard.batches_executed, 0u) << "shard " << shard.index;
-    EXPECT_EQ(shard.queue_depth, 0u) << "shard " << shard.index;
-    EXPECT_GE(shard.peak_queue_depth, 1u) << "shard " << shard.index;
   }
 }
 
@@ -427,7 +471,9 @@ TEST(ShardChaos, DegradedShardFallsBackToSoftware) {
         actual->hits.begin(), actual->hits.end(),
         [&](const Hit& hit) { return hit.position == planted_position; }))
         << "round " << round;
-    if (round > 0) EXPECT_GT(actual->recovery.fallbacks, 0u);
+    if (round > 0) {
+      EXPECT_GT(actual->recovery.fallbacks, 0u);
+    }
   }
 
   const std::vector<ShardStatus> status = engine.shard_status();

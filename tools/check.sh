@@ -71,7 +71,7 @@ cmake --build build-tsan -j"$jobs" \
 build-tsan/tests/core_tests --gtest_filter='TileScan*'
 build-tsan/tests/util_tests --gtest_filter='ThreadPool*'
 build-tsan/tests/engine_tests
-# Race coverage over the shard router's per-shard worker queues and the
+# Race coverage over the shard router's per-card pool fan-out and the
 # TCP server's connection threads (sharded differential + chaos + net).
 build-tsan/tests/shard_tests
 build-tsan/tests/net_tests

@@ -396,8 +396,7 @@ std::string serve_stats_text(core::Engine& engine) {
         << " health="
         << (shard.health == core::HealthState::Degraded ? "degraded"
                                                         : "healthy")
-        << (shard.routed_to_fallback ? "(fallback)" : "") << " queue="
-        << shard.queue_depth << " peak=" << shard.peak_queue_depth
+        << (shard.routed_to_fallback ? "(fallback)" : "")
         << " batches=" << shard.batches_executed << " fallback-batches="
         << shard.fallback_batches << " faults=" << shard.fault_events
         << " retries=" << shard.recovery.retries << " rescans="
