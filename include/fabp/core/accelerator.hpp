@@ -93,16 +93,8 @@ class Accelerator {
   /// Same, from a pre-encoded query.
   const FabpMapping& load_encoded(EncodedQuery query);
 
-  /// Functional + timing simulation over a packed reference.  When the
-  /// caller already holds the hit list for this (query, reference,
-  /// threshold) — e.g. Session::align_batch scores a whole batch in one
-  /// tile-fused pass — it can pass `precomputed_hits` and the
-  /// run reduces to cycle/energy accounting.  The list must be exactly
-  /// what the default path would compute; the LUT oracle path ignores it
-  /// and always evaluates element by element.
-  AcceleratorRun run(const bio::PackedNucleotides& reference,
-                     const std::vector<Hit>* precomputed_hits =
-                         nullptr) const;
+  /// Functional + timing simulation over a packed reference.
+  AcceleratorRun run(const bio::PackedNucleotides& reference) const;
 
   /// Timing-only estimate for a reference of `reference_elements` 2-bit
   /// elements with an expected hit density (hits per reference element).

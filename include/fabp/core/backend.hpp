@@ -135,16 +135,16 @@ struct BackendRun {
   RecoveryStats recovery;
 };
 
-/// One request as a backend sees it.  The precomputed lists come from a
-/// coalesced batch scan: forward_hits in forward coordinates, reverse_hits
-/// raw RC-strand positions (the backend maps them).  Null pointers mean
-/// "scan inside the run".
+/// One request as a backend sees it, with its strand hit lists from
+/// scan_batch: forward_hits in forward coordinates, reverse_hits raw
+/// RC-strand positions (the backend maps them; an empty list when only the
+/// forward strand is searched).  The backend accounts for the run over
+/// these lists; it never scans for them itself.
 struct BackendRequest {
   const CompiledQuery* query = nullptr;
   std::uint32_t threshold = 0;
   const std::vector<Hit>* forward_hits = nullptr;
   const std::vector<Hit>* reverse_hits = nullptr;
-  util::ThreadPool* pool = nullptr;  ///< chunks software scans; may be null
 };
 
 /// Cumulative device-pipeline accounting of a backend that schedules work
@@ -193,40 +193,50 @@ class ScanBackend {
   virtual BackendKind kind() const noexcept = 0;
   std::string_view name() const noexcept { return to_string(kind()); }
 
-  /// One aligned search (both strands when the config says so).  Typed
-  /// errors only — never throws for runtime failures.
-  virtual Expected<BackendRun> run(const BackendRequest& request) = 0;
+  /// One aligned search (both strands when the config says so): a
+  /// one-request run_many.  Typed errors only.
+  Expected<BackendRun> run(const BackendRequest& request);
 
   /// A coalesced batch as one call, in request order: element [i] is the
-  /// result for requests[i].  The default forwards to run() serially; the
-  /// hw-sim backend overrides it with the device batch scheduler (packed
-  /// invocations, double-buffered DMA, multi-PE slices — DESIGN.md §4d),
-  /// and its run() is a one-request run_many.
-  virtual std::vector<Expected<BackendRun>> run_many(
+  /// result for requests[i].  Device accounting plus fault detection and
+  /// repair over the given hit lists; the hw-sim backend packs the batch
+  /// into device invocations (double-buffered DMA, multi-PE slices —
+  /// DESIGN.md §4d).  The engine always passes both lists; a null list
+  /// (servebench/replay.cpp passes them for a batch of one) is filled from
+  /// this backend's own scan_batch first, and a scan that throws fails
+  /// every request typed BadArgument.
+  std::vector<Expected<BackendRun>> run_many(
       std::span<const BackendRequest> requests);
 
   /// Lifetime device-pipeline accounting (all-zero for software backends).
   virtual DevicePipelineStats pipeline_stats() const noexcept { return {}; }
 
   /// Raw hit lists for a whole batch in one pass over one strand of the
-  /// reference — the coalescing scheduler's precompute hook.  Element [q]
-  /// is exactly the strand hit list run() would compute for
-  /// (queries[q], thresholds[q]); reverse-strand lists are returned in raw
-  /// RC coordinates (run() maps them).
+  /// reference: element [q] is the golden strand hit list of (queries[q],
+  /// thresholds[q]); reverse-strand lists are in raw RC coordinates
+  /// (run_many maps them).  Reads only the immutable store, so it is safe
+  /// to call concurrently with itself and with run_many.
   virtual std::vector<std::vector<Hit>> scan_batch(
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
-      util::ThreadPool* pool) = 0;
+      util::ThreadPool* pool) const = 0;
 
-  /// False when run() must evaluate element-by-element and ignores
-  /// precomputed hit lists (the LUT oracle path).
-  virtual bool supports_precomputed_hits() const noexcept { return true; }
+  /// Every backend's run_many takes the lists scan_batch produced; kept
+  /// for servebench/replay.cpp, which still asks.
+  bool supports_precomputed_hits() const noexcept { return true; }
 
   /// Health machine position; software backends never degrade.
   virtual HealthState health() const noexcept { return HealthState::Healthy; }
 
   /// Injected fault events over this backend's lifetime (hw-sim only).
   virtual const std::vector<hw::FaultEvent>& fault_log() const noexcept;
+
+ protected:
+  /// run_many's accounting over requests whose lists are all non-null.
+  /// Mutates backend state (fault streams, health, pipeline stats): the
+  /// caller serializes calls (the engine's per-database exec_mutex).
+  virtual std::vector<Expected<BackendRun>> account(
+      std::span<const BackendRequest> requests) = 0;
 };
 
 /// Constructs a backend over `store` for `kind`.  The store and config

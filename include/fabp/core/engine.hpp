@@ -73,10 +73,10 @@ struct EngineConfig {
   /// Applied per database generation — a swap rebuilds the shard plans
   /// over the new snapshot.
   ShardConfig shard{};
-  /// Worker threads draining the queue.  Backend execution itself is
-  /// serialized per database (one modeled card each), so extra workers
-  /// only overlap claim / bookkeeping — unless multiple databases are
-  /// resident, which execute genuinely in parallel.
+  /// Worker threads draining the queue.  Each worker scans its claimed
+  /// batch without any lock, so scans overlap across workers; only the
+  /// device accounting after the scan is serialized per database (one
+  /// modeled card each).  Distinct databases account in parallel too.
   std::size_t workers = 2;
   /// Admission queue bound across all tenants; submissions beyond it are
   /// rejected with ErrorCode::QueueFull instead of growing latency
@@ -229,9 +229,10 @@ struct Database {
   std::string name;
   /// Guards the active-generation pointer and publication order.
   mutable std::mutex swap_mutex;
-  /// Serializes backend touches for this database (one modeled card per
-  /// database; backend-side mutable state is not thread-safe).  Distinct
-  /// databases execute in parallel.
+  /// Serializes run_many, the device accounting, for this database (one
+  /// modeled card per database; backend-side mutable state is not
+  /// thread-safe).  The const scan_batch runs outside it.  Distinct
+  /// databases account in parallel.
   mutable std::mutex exec_mutex;
   std::shared_ptr<Generation> active;  ///< typed pin; same control block
                                        ///< the VersionedStore tracks
@@ -276,6 +277,10 @@ struct RequestState {
   std::atomic<int> phase{static_cast<int>(RequestPhase::Pending)};
   std::promise<Expected<HostRunReport>> promise;
   std::shared_ptr<EngineCounters> counters;  // outlives the engine
+  /// Raw strand hit lists from the batch's scan_batch, taken before the
+  /// execution lock; run_many accounts over them.
+  std::vector<Hit> forward_hits;
+  std::vector<Hit> reverse_hits;
 
   /// The generation this request was admitted under.  The shared_ptr IS
   /// the epoch pin: as long as any in-flight request holds it, the
@@ -295,7 +300,8 @@ struct RequestState {
 /// Fails every already-claimed batch entry whose deadline is at or past
 /// `now` with DeadlineExceeded (bumping the expired counter) and drops it
 /// from the batch.  Called by execute_batch once it holds the execution
-/// lock — the second deadline checkpoint after the claim-time one.
+/// lock (after the lock-free scan) — the second deadline checkpoint after
+/// the claim-time one.
 void drop_expired(std::vector<std::shared_ptr<RequestState>>& batch,
                   std::chrono::steady_clock::time_point now);
 
@@ -397,16 +403,14 @@ class Engine {
   void start();
 
   // --- synchronous paths (the Session facade) ----------------------------
-  /// One aligned search on the caller's thread, exactly Session::try_align.
-  /// Optional precomputed strand hit lists come from a batch scan.  Runs
+  /// One aligned search on the caller's thread, exactly Session::try_align:
+  /// a one-query scan_batch per strand, then the accounting run.  Runs
   /// against the default database's active generation.
-  Expected<HostRunReport> align_sync(
-      const bio::ProteinSequence& query, std::uint32_t threshold,
-      const std::vector<Hit>* forward_hits = nullptr,
-      const std::vector<Hit>* reverse_hits = nullptr);
+  Expected<HostRunReport> align_sync(const bio::ProteinSequence& query,
+                                     std::uint32_t threshold);
 
-  /// Batch align on the caller's thread: one multi-query scan precomputes
-  /// every hit list, then per-query runs reduce to accounting — exactly
+  /// Batch align on the caller's thread: one multi-query scan produces
+  /// every hit list, then per-query runs account for them — exactly
   /// Session::try_align_batch.
   Expected<BatchReport> align_batch_sync(
       std::span<const bio::ProteinSequence> queries, double threshold_fraction,
@@ -479,8 +483,8 @@ class Engine {
   void worker_loop();
   void ensure_workers();
   /// Runs one claimed batch (1..max_coalesce requests, all pinned to the
-  /// same generation) on that generation's backend as a single run_many
-  /// call (the hw-sim device batch scheduler's unit).
+  /// same generation): scan_batch per strand without the lock, then one
+  /// run_many call under it (the hw-sim device batch scheduler's unit).
   void execute_batch(std::vector<StatePtr> batch);
 
   /// Looks up a resident database (nullptr when unknown).

@@ -34,6 +34,7 @@
 // instead of stalling its card, and the gathered hits stay bit-identical
 // (the fallback scans the same DRAM image).
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -82,9 +83,11 @@ struct ShardStatus {
 
 /// N ScanBackend cards behind one ScanBackend face.  kind() reports the
 /// primary backend kind, so the engine and facade stay oblivious.
-/// Thread-safety contract matches every other backend: external
-/// serialization of run/run_many/scan_batch (the engine's exec_mutex_);
-/// the per-card workers only parallelize *inside* one such call.
+/// Thread-safety contract matches every other backend: run/run_many are
+/// serialized externally (the engine's per-database exec_mutex), while
+/// scan_batch is const and may run concurrently with them and with
+/// itself.  Both queue their per-card tasks on the same card workers; the
+/// router counters they share are relaxed atomics.
 class ShardedBackend final : public ScanBackend {
  public:
   /// `config` and `store` must outlive the backend (the engine owns both).
@@ -95,9 +98,6 @@ class ShardedBackend final : public ScanBackend {
   ~ShardedBackend() override;
 
   BackendKind kind() const noexcept override { return kind_; }
-  Expected<BackendRun> run(const BackendRequest& request) override;
-  std::vector<Expected<BackendRun>> run_many(
-      std::span<const BackendRequest> requests) override;
   /// Merged cross-card view: counts summed, makespans max'ed (the cards
   /// run in parallel), tasks = requests through the busiest card — so
   /// modeled_qps() is the system throughput, not one card's.
@@ -105,8 +105,7 @@ class ShardedBackend final : public ScanBackend {
   std::vector<std::vector<Hit>> scan_batch(
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
-      util::ThreadPool* pool) override;
-  bool supports_precomputed_hits() const noexcept override;
+      util::ThreadPool* pool) const override;
   /// Worst health over the fleet (Degraded if any card degraded).
   HealthState health() const noexcept override;
   /// Union of every card's fault log, appended in gather order.
@@ -117,8 +116,18 @@ class ShardedBackend final : public ScanBackend {
   std::vector<ShardStatus> shard_status() const;
   /// Router overhead accounting: time spent splitting batches / rebasing
   /// and merging hits, outside any shard's own scan.
-  double scatter_seconds() const noexcept { return scatter_s_; }
-  double gather_seconds() const noexcept { return gather_s_; }
+  double scatter_seconds() const noexcept {
+    return scatter_s_.load(std::memory_order_relaxed);
+  }
+  double gather_seconds() const noexcept {
+    return gather_s_.load(std::memory_order_relaxed);
+  }
+
+ protected:
+  /// Scatters the given lists narrowed to each slice, runs ONE run_many
+  /// per card, and gathers the owned, rebased hits.
+  std::vector<Expected<BackendRun>> account(
+      std::span<const BackendRequest> requests) override;
 
  private:
   struct Shard;
@@ -129,7 +138,7 @@ class ShardedBackend final : public ScanBackend {
   /// Routes every card (primary, or shed to its fallback), runs `task` on
   /// each card's worker, waits for all of them and rethrows the first
   /// failure.
-  void for_each_shard(const ShardTask& task);
+  void for_each_shard(const ShardTask& task) const;
   Expected<BackendRun> gather_request(
       std::size_t request_index,
       std::vector<std::vector<Expected<BackendRun>>>& per_shard);
@@ -141,8 +150,8 @@ class ShardedBackend final : public ScanBackend {
   ShardConfig shard_config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<hw::FaultEvent> merged_fault_log_;
-  double scatter_s_ = 0.0;
-  double gather_s_ = 0.0;
+  std::atomic<double> scatter_s_{0.0};
+  mutable std::atomic<double> gather_s_{0.0};
 };
 
 /// Constructs the router (same ownership contract as make_backend).

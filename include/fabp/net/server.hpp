@@ -225,7 +225,8 @@ class WireServer {
   std::condition_variable drain_cv_;
   bool stopping_ = false;
   std::size_t active_handlers_ = 0;
-  std::vector<std::thread> connections_;
+  std::vector<std::thread> connections_;  ///< live + the last exited
+  std::thread::id last_exited_;           ///< joined by the next to exit
   std::vector<std::shared_ptr<ConnState>> conns_;  ///< live, for drain
   std::vector<double> latencies_s_;
   /// Sliding window feeding the p99 shed trigger and retry-after hints.

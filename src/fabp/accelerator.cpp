@@ -83,9 +83,7 @@ const FabpMapping& Accelerator::load_encoded(EncodedQuery query) {
   return mapping_;
 }
 
-AcceleratorRun Accelerator::run(
-    const bio::PackedNucleotides& reference,
-    const std::vector<Hit>* precomputed_hits) const {
+AcceleratorRun Accelerator::run(const bio::PackedNucleotides& reference) const {
   if (query_.empty())
     throw std::logic_error{"Accelerator: no query loaded"};
 
@@ -112,10 +110,8 @@ AcceleratorRun Accelerator::run(
     // Tile-fused scan: stream the 2-bit packed reference directly — no
     // whole-reference plane compile before the first hit, and the run's
     // working set beyond the packed store is one scan tile.
-    out.hits = precomputed_hits
-                   ? *precomputed_hits
-                   : TileScanner{reference}.hits(BitScanQuery{elements_},
-                                                 config_.threshold);
+    out.hits =
+        TileScanner{reference}.hits(BitScanQuery{elements_}, config_.threshold);
     const StreamBeatTiming timing =
         stream_beat_timing(config_.axi, config_.fault_injector, total_beats,
                            mapping_.channels, mapping_.segments);

@@ -1,11 +1,11 @@
 #include "fabp/core/backend.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
 
-#include "fabp/core/hitmerge.hpp"
 #include "fabp/hw/scheduler.hpp"
 #include "fabp/util/bitops.hpp"
 #include "fabp/util/crc32.hpp"
@@ -126,33 +126,10 @@ class TiledSoftwareBackend final : public ScanBackend {
 
   BackendKind kind() const noexcept override { return BackendKind::Tiled; }
 
-  Expected<BackendRun> run(const BackendRequest& request) override {
-    if (!store_.uploaded)
-      return Error{ErrorCode::NoReference, "Session: no reference uploaded"};
-    const CompiledQuery& query = *request.query;
-    BackendRun out;
-    util::Timer timer;
-    out.hits = request.forward_hits
-                   ? *request.forward_hits
-                   : strand_hits(query, request.threshold, false,
-                                 request.pool);
-    if (config_.search_both_strands) {
-      const std::vector<Hit> raw =
-          request.reverse_hits
-              ? *request.reverse_hits
-              : strand_hits(query, request.threshold, true, request.pool);
-      out.reverse_hits =
-          map_reverse_hits(raw, store_.forward.size(), query.size());
-    }
-    out.kernel_seconds = timer.seconds();
-    out.recovery.attempts = config_.search_both_strands ? 2 : 1;
-    return out;
-  }
-
   std::vector<std::vector<Hit>> scan_batch(
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
-      util::ThreadPool* pool) override {
+      util::ThreadPool* pool) const override {
     std::vector<BitScanQuery> scans;
     scans.reserve(queries.size());
     for (const CompiledQueryPtr& query : queries) scans.push_back(query->scan);
@@ -160,15 +137,30 @@ class TiledSoftwareBackend final : public ScanBackend {
         scans, thresholds, pool);
   }
 
- private:
-  /// Raw hits of one strand's store (RC coordinates for the reverse one).
-  std::vector<Hit> strand_hits(const CompiledQuery& query,
-                               std::uint32_t threshold, bool reverse_strand,
-                               util::ThreadPool* pool) const {
-    return TileScanner{store_.strand(reverse_strand), config_.tile}.hits(
-        query.scan, threshold, pool);
+ protected:
+  std::vector<Expected<BackendRun>> account(
+      std::span<const BackendRequest> requests) override {
+    if (!store_.uploaded)
+      return std::vector<Expected<BackendRun>>(
+          requests.size(),
+          Error{ErrorCode::NoReference, "Session: no reference uploaded"});
+    std::vector<Expected<BackendRun>> results;
+    results.reserve(requests.size());
+    for (const BackendRequest& request : requests) {
+      BackendRun out;
+      util::Timer timer;
+      out.hits = *request.forward_hits;
+      if (config_.search_both_strands)
+        out.reverse_hits = map_reverse_hits(
+            *request.reverse_hits, store_.forward.size(), request.query->size());
+      out.kernel_seconds = timer.seconds();
+      out.recovery.attempts = config_.search_both_strands ? 2 : 1;
+      results.push_back(std::move(out));
+    }
+    return results;
   }
 
+ private:
   const HostConfig& config_;
   const ReferenceStore& store_;
 };
@@ -186,45 +178,48 @@ class HwSimBackend final : public ScanBackend {
 
   BackendKind kind() const noexcept override { return BackendKind::HwSim; }
 
-  bool supports_precomputed_hits() const noexcept override {
-    // The LUT oracle path always evaluates element by element.
-    return !config_.accelerator.use_lut_path;
+  HealthState health() const noexcept override {
+    return health_.load(std::memory_order_relaxed);
   }
-
-  HealthState health() const noexcept override { return health_; }
 
   const std::vector<hw::FaultEvent>& fault_log() const noexcept override {
     return fault_log_;
   }
 
+  /// The tiled scan, or with use_lut_path the LUT oracle: element by
+  /// element through the generated comparator LUTs over the whole strand.
   std::vector<std::vector<Hit>> scan_batch(
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
-      util::ThreadPool* pool) override {
-    return software_.scan_batch(queries, thresholds, reverse_strand, pool);
+      util::ThreadPool* pool) const override {
+    if (!config_.accelerator.use_lut_path)
+      return software_.scan_batch(queries, thresholds, reverse_strand, pool);
+    std::vector<std::vector<Hit>> out;
+    out.reserve(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      AcceleratorConfig lut = config_.accelerator;
+      lut.threshold = thresholds[q];
+      lut.fault_injector = nullptr;
+      Accelerator accelerator{lut};
+      accelerator.load_encoded(queries[q]->encoded);
+      out.push_back(accelerator.run(store_.strand(reverse_strand)).hits);
+    }
+    return out;
   }
-
-  Expected<BackendRun> run(const BackendRequest& request) override {
-    return std::move(run_many({&request, 1}).front());
-  }
-
-  /// Device batch scheduler (DESIGN.md §4d): packs the coalesced requests
-  /// into fixed-capacity device invocations, commits them in order with
-  /// invocation-granular fault machinery, and deschedules per-PE hit
-  /// streams back per request.
-  std::vector<Expected<BackendRun>> run_many(
-      std::span<const BackendRequest> requests) override;
 
   DevicePipelineStats pipeline_stats() const noexcept override {
     return pipeline_;
   }
 
+ protected:
+  /// Device batch scheduler (DESIGN.md §4d): packs the coalesced requests
+  /// into fixed-capacity device invocations, commits them in order with
+  /// invocation-granular fault machinery, and hands each request's given
+  /// hit lists back through it.
+  std::vector<Expected<BackendRun>> account(
+      std::span<const BackendRequest> requests) override;
+
  private:
-  /// Clean strand hit list of one task (raw RC coordinates for the reverse
-  /// strand), built from per-PE reference slices and descheduled by
-  /// chunk-ordered concatenation.
-  std::vector<Hit> prepared_strand(const BackendRequest& request,
-                                   bool reverse_strand) const;
   bool faulty_invocation_run(std::span<const hw::ControlRecord> records,
                              std::span<const BackendRequest> requests,
                              bool reverse_strand, std::size_t channels,
@@ -262,13 +257,14 @@ class HwSimBackend final : public ScanBackend {
 
   const HostConfig& config_;
   const ReferenceStore& store_;
-  TiledSoftwareBackend software_;  // precompute + software_hits path
+  TiledSoftwareBackend software_;  // scan_batch off the LUT path
 
   // Fault-tolerance state: upload-time tile checksums (lazy, fault paths
   // only), the health machine, and the backend-lifetime fault schedule.
   std::vector<std::uint32_t> ref_crcs_;
   std::vector<std::uint32_t> rev_crcs_;
-  HealthState health_ = HealthState::Healthy;
+  /// Written by account(), read lock-free by the shard router's routing.
+  std::atomic<HealthState> health_{HealthState::Healthy};
   std::size_t consecutive_failures_ = 0;
   /// Device invocations issued.  It seeds the fault streams, so a replay
   /// with the same request sequence draws the same schedules at any
@@ -279,56 +275,6 @@ class HwSimBackend final : public ScanBackend {
 };
 
 // --- device batch scheduler (DESIGN.md §4d) --------------------------------
-
-std::vector<Hit> HwSimBackend::prepared_strand(const BackendRequest& request,
-                                               bool reverse_strand) const {
-  const CompiledQuery& query = *request.query;
-  const bio::PackedNucleotides& store = store_.strand(reverse_strand);
-  const std::size_t lq = query.encoded.size();
-  const std::size_t valid = store.size() >= lq ? store.size() - lq + 1 : 0;
-  const std::size_t pes =
-      std::max<std::size_t>(1, config_.device_batch.pe_count);
-  const std::vector<Hit>* precomputed =
-      reverse_strand ? request.reverse_hits : request.forward_hits;
-
-  if (config_.accelerator.use_lut_path) {
-    // The LUT oracle evaluates element by element through the generated
-    // comparator LUTs over the whole strand (the per-PE slices concatenate
-    // to the same list); faults, retries and timing stay the invocation's.
-    AcceleratorConfig lut = config_.accelerator;
-    lut.threshold = request.threshold;
-    lut.fault_injector = nullptr;
-    Accelerator accelerator{lut};
-    accelerator.load_encoded(query.encoded);
-    return accelerator.run(store).hits;
-  }
-
-  // PE p evaluates the alignment windows starting in its contiguous slice
-  // of the position range (the slice's element stream carries the L_q-1
-  // halo; see invocation_strand_timing).  Because the slices partition the
-  // range in ascending order, chunk-ordered concatenation of the per-PE
-  // hit streams — the descheduler — is structurally identical to the
-  // serial scan.
-  std::vector<std::vector<Hit>> chunks(pes);
-  const TileScanner scanner{store, config_.tile};
-  for (std::size_t p = 0; p < pes; ++p) {
-    const std::size_t begin = p * valid / pes;
-    const std::size_t end = (p + 1) * valid / pes;
-    if (begin >= end) continue;
-    if (precomputed) {
-      const auto lo = std::lower_bound(
-          precomputed->begin(), precomputed->end(), begin,
-          [](const Hit& h, std::size_t pos) { return h.position < pos; });
-      const auto hi = std::lower_bound(
-          lo, precomputed->end(), end,
-          [](const Hit& h, std::size_t pos) { return h.position < pos; });
-      chunks[p].assign(lo, hi);
-    } else {
-      scanner.range(query.scan, request.threshold, begin, end, chunks[p]);
-    }
-  }
-  return merge_hit_chunks(chunks);
-}
 
 bool HwSimBackend::faulty_invocation_run(
     std::span<const hw::ControlRecord> records,
@@ -580,13 +526,15 @@ void HwSimBackend::commit_invocation(
   }
 
   // Clean per-task strand hit lists: what the card delivers before any
-  // injected fault perturbs them.
+  // injected fault perturbs them.  The per-PE slices partition the
+  // position range in ascending order, so descheduling the per-PE hit
+  // streams by chunk-ordered concatenation gives back the sorted list.
   std::vector<std::vector<Hit>> fwd(n), rev(n);
   std::size_t fwd_hits = 0, rev_hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const BackendRequest& request = requests[invocation.records[i].task];
-    fwd[i] = prepared_strand(request, false);
-    if (config_.search_both_strands) rev[i] = prepared_strand(request, true);
+    fwd[i] = *request.forward_hits;
+    if (config_.search_both_strands) rev[i] = *request.reverse_hits;
     fwd_hits += fwd[i].size();
     rev_hits += rev[i].size();
   }
@@ -606,7 +554,7 @@ void HwSimBackend::commit_invocation(
   bool failed = false;
   const bool chaos = config_.fault.enabled() ||
                      config_.recovery.spot_check_samples > 0 ||
-                     health_ != HealthState::Healthy;
+                     health() != HealthState::Healthy;
 
   if (!chaos) {
     // Clean fast path: prepared hits are the delivered hits; only the
@@ -624,7 +572,7 @@ void HwSimBackend::commit_invocation(
     const auto strand = [&](bool reverse_strand,
                             std::vector<std::vector<Hit>>& hits,
                             InvocationStrandTiming& timing) -> bool {
-      if (health_ == HealthState::Degraded) {
+      if (health() == HealthState::Degraded) {
         if (!config_.recovery.allow_software_fallback) {
           error = Error{ErrorCode::DeviceLost,
                         "session degraded and software fallback disabled", 0};
@@ -643,7 +591,7 @@ void HwSimBackend::commit_invocation(
       ++consecutive_failures_;
       if (consecutive_failures_ >=
           std::max<std::size_t>(1, config_.recovery.degrade_after))
-        health_ = HealthState::Degraded;
+        health_.store(HealthState::Degraded, std::memory_order_relaxed);
       if (config_.recovery.allow_software_fallback) {
         // Failed attempts never touched the hit lists, so the prepared
         // clean hits serve the fallback.
@@ -660,7 +608,7 @@ void HwSimBackend::commit_invocation(
     else if (config_.search_both_strands && !strand(true, rev, rev_timing))
       failed = true;
   }
-  stats.degraded = health_ == HealthState::Degraded;
+  stats.degraded = health() == HealthState::Degraded;
 
   // DMA leg of the invocation: control records + packed queries over PCIe,
   // then the on-card AXI burst that stages the ping/pong buffer.
@@ -718,7 +666,7 @@ void HwSimBackend::commit_invocation(
       clock;
 }
 
-std::vector<Expected<BackendRun>> HwSimBackend::run_many(
+std::vector<Expected<BackendRun>> HwSimBackend::account(
     std::span<const BackendRequest> requests) {
   std::vector<Expected<BackendRun>> results;
   if (requests.empty()) return results;
@@ -779,13 +727,39 @@ const std::vector<hw::FaultEvent>& ScanBackend::fault_log() const noexcept {
   return kEmpty;
 }
 
+Expected<BackendRun> ScanBackend::run(const BackendRequest& request) {
+  return std::move(run_many({&request, 1}).front());
+}
+
 std::vector<Expected<BackendRun>> ScanBackend::run_many(
     std::span<const BackendRequest> requests) {
-  std::vector<Expected<BackendRun>> results;
-  results.reserve(requests.size());
-  for (const BackendRequest& request : requests)
-    results.push_back(run(request));
-  return results;
+  std::vector<BackendRequest> filled{requests.begin(), requests.end()};
+  std::vector<std::vector<Hit>> lists[2];
+  for (const bool reverse_strand : {false, true}) {
+    const auto slot = [reverse_strand](BackendRequest& request)
+        -> const std::vector<Hit>*& {
+      return reverse_strand ? request.reverse_hits : request.forward_hits;
+    };
+    if (std::all_of(filled.begin(), filled.end(),
+                    [&](BackendRequest& r) { return slot(r) != nullptr; }))
+      continue;
+    std::vector<CompiledQueryPtr> queries;
+    std::vector<std::uint32_t> thresholds;
+    for (const BackendRequest& request : filled) {
+      queries.emplace_back(CompiledQueryPtr{}, request.query);  // non-owning
+      thresholds.push_back(request.threshold);
+    }
+    try {
+      lists[reverse_strand] =
+          scan_batch(queries, thresholds, reverse_strand, nullptr);
+    } catch (const std::exception& e) {
+      return std::vector<Expected<BackendRun>>(
+          requests.size(), Error{ErrorCode::BadArgument, e.what()});
+    }
+    for (std::size_t i = 0; i < filled.size(); ++i)
+      if (slot(filled[i]) == nullptr) slot(filled[i]) = &lists[reverse_strand][i];
+  }
+  return account(filled);
 }
 
 void ReferenceStore::upload(bio::PackedNucleotides packed, bool both_strands) {

@@ -14,6 +14,38 @@ using detail::RequestPhase;
 using detail::RequestState;
 using detail::TenantQueue;
 
+namespace {
+
+/// Raw strand hit lists of one batch (reverse: one empty list per query
+/// when only the forward strand is searched).
+struct StrandHits {
+  std::vector<std::vector<Hit>> forward;
+  std::vector<std::vector<Hit>> reverse;
+};
+
+/// The one place the engine's hits come from: scan_batch on the
+/// generation's primary backend, per strand, whatever its health (every
+/// backend's scan_batch returns the golden lists).  Reads only the
+/// immutable snapshot, so callers run it before taking the execution lock.
+/// A scan that throws comes back typed BadArgument.
+Expected<StrandHits> scan_strands(const Generation& gen, bool both_strands,
+                                  std::span<const CompiledQueryPtr> queries,
+                                  std::span<const std::uint32_t> thresholds,
+                                  util::ThreadPool* pool) {
+  StrandHits out;
+  try {
+    out.forward = gen.backend->scan_batch(queries, thresholds, false, pool);
+    out.reverse = both_strands ? gen.backend->scan_batch(queries, thresholds,
+                                                         true, pool)
+                               : std::vector<std::vector<Hit>>(queries.size());
+  } catch (const std::exception& e) {
+    return Error{ErrorCode::BadArgument, e.what()};
+  }
+  return out;
+}
+
+}  // namespace
+
 bool Ticket::cancel() {
   if (!state_) return false;
   if (!state_->claim(RequestPhase::Cancelled)) return false;
@@ -310,6 +342,15 @@ Ticket Engine::submit(const bio::ProteinSequence& query,
     fail(ErrorCode::BadArgument, e.what(), false);
     return ticket;
   }
+  // Refused here so a batch's lock-free scan never meets a query the
+  // shard router would refuse (it would lose boundary hits to the halo).
+  if (config_.shard.shard_count > 1 &&
+      state->query->size() > config_.shard.max_query_elements) {
+    fail(ErrorCode::BadArgument,
+         "query exceeds shard.max_query_elements (halo too small for it)",
+         false);
+    return ticket;
+  }
   if (options.timeout_s > 0.0) {
     state->has_deadline = true;
     state->deadline = std::chrono::steady_clock::now() +
@@ -473,6 +514,8 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
       state.tenant->latency.record(latency_ms);
       db.latency.record(latency_ms);
     }
+    state.forward_hits = {};  // the outcome carries its own copies
+    state.reverse_hits = {};
     state.promise.set_value(std::move(outcome));
     // Settle = unpin.  The batch-local `gen` keeps the snapshot alive for
     // the remainder of this run; releasing the request's own pin here
@@ -480,6 +523,39 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
     // settles, rather than when the caller destroys the Ticket.
     state.generation.reset();
   };
+
+  // One multi-query scan of each strand produces every request's hit
+  // list, a batch of one included, before the execution lock: the scan
+  // reads only the pinned snapshot, so concurrent batches scan in
+  // parallel and the lock covers device accounting alone.
+  std::vector<CompiledQueryPtr> queries;
+  std::vector<std::uint32_t> thresholds;
+  queries.reserve(batch.size());
+  thresholds.reserve(batch.size());
+  for (const StatePtr& state : batch) {
+    queries.push_back(state->query);
+    thresholds.push_back(state->threshold);
+  }
+  Expected<StrandHits> scanned = scan_strands(
+      *gen, config_.host.search_both_strands, queries, thresholds, nullptr);
+  if (!scanned) {
+    for (const StatePtr& state : batch) fulfil(*state, scanned.error());
+    return;
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i]->forward_hits = std::move(scanned->forward[i]);
+    batch[i]->reverse_hits = std::move(scanned->reverse[i]);
+  }
+  if (batch.size() >= 2) {
+    counters_->coalesced_batches.fetch_add(1, std::memory_order_relaxed);
+    counters_->coalesced_requests.fetch_add(batch.size(),
+                                            std::memory_order_relaxed);
+    std::size_t prev = counters_->largest_batch.load(std::memory_order_relaxed);
+    while (prev < batch.size() &&
+           !counters_->largest_batch.compare_exchange_weak(
+               prev, batch.size(), std::memory_order_relaxed)) {
+    }
+  }
 
   std::lock_guard exec_lock{db.exec_mutex};
 
@@ -491,59 +567,18 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
   detail::drop_expired(batch, std::chrono::steady_clock::now());
   if (batch.empty()) return;
 
+  // The whole claimed batch goes to the backend as one run_many call over
+  // the scanned lists: the hw-sim backend packs it into device invocations
+  // and pipelines them (double-buffered DMA + multi-PE, DESIGN.md §4d);
+  // software backends account per request.  Outcomes stay per request,
+  // bit-identical to sequential align_sync calls.
   ScanBackend& backend = route_backend(db, *gen);
-
-  // Coalesced path: one multi-query scan of each strand produces every
-  // request's hit list, and the per-request backend runs reduce to
-  // accounting — the same precompute contract align_batch_sync uses, so
-  // the results are bit-identical to sequential align_sync calls.
-  std::vector<std::vector<Hit>> forward, reverse;
-  bool precomputed = false;
-  if (batch.size() >= 2 && gen->store.uploaded &&
-      backend.supports_precomputed_hits()) {
-    std::vector<CompiledQueryPtr> queries;
-    std::vector<std::uint32_t> thresholds;
-    queries.reserve(batch.size());
-    thresholds.reserve(batch.size());
-    for (const StatePtr& state : batch) {
-      queries.push_back(state->query);
-      thresholds.push_back(state->threshold);
-    }
-    try {
-      forward = backend.scan_batch(queries, thresholds, false, nullptr);
-      if (config_.host.search_both_strands)
-        reverse = backend.scan_batch(queries, thresholds, true, nullptr);
-      precomputed = true;
-      counters_->coalesced_batches.fetch_add(1, std::memory_order_relaxed);
-      counters_->coalesced_requests.fetch_add(batch.size(),
-                                              std::memory_order_relaxed);
-      std::size_t prev =
-          counters_->largest_batch.load(std::memory_order_relaxed);
-      while (prev < batch.size() &&
-             !counters_->largest_batch.compare_exchange_weak(
-                 prev, batch.size(), std::memory_order_relaxed)) {
-      }
-    } catch (const std::exception&) {
-      precomputed = false;  // fall back to per-request scans
-    }
-  }
-
-  // The whole claimed batch goes to the backend as one run_many call: the
-  // hw-sim backend packs it into device invocations and pipelines them
-  // (double-buffered DMA + multi-PE, DESIGN.md §4d); software backends
-  // keep the serial default.  Outcomes stay per request.
   std::vector<BackendRequest> requests;
   requests.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    BackendRequest request;
-    request.query = batch[i]->query.get();
-    request.threshold = batch[i]->threshold;
-    request.forward_hits = precomputed ? &forward[i] : nullptr;
-    request.reverse_hits = precomputed && config_.host.search_both_strands
-                               ? &reverse[i]
-                               : nullptr;
-    requests.push_back(request);
-  }
+  for (const StatePtr& state : batch)
+    requests.push_back(BackendRequest{state->query.get(), state->threshold,
+                                      &state->forward_hits,
+                                      &state->reverse_hits});
 
   std::vector<Expected<BackendRun>> runs;
   try {
@@ -577,22 +612,21 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
   }
 }
 
-Expected<HostRunReport> Engine::align_sync(
-    const bio::ProteinSequence& query, std::uint32_t threshold,
-    const std::vector<Hit>* forward_hits,
-    const std::vector<Hit>* reverse_hits) {
+Expected<HostRunReport> Engine::align_sync(const bio::ProteinSequence& query,
+                                           std::uint32_t threshold) {
   // Compile failures (unencodable residues) propagate as the exceptions
   // the pre-refactor Session::align threw.
-  CompiledQueryPtr compiled = compiler_.compile(query);
+  const CompiledQueryPtr compiled = compiler_.compile(query);
   Database& db = *default_db_;
   const std::shared_ptr<Generation> gen = pin_active(db);
+  Expected<StrandHits> scanned =
+      scan_strands(*gen, config_.host.search_both_strands, {&compiled, 1},
+                   {&threshold, 1}, nullptr);
+  if (!scanned) return scanned.error();
   std::lock_guard lock{db.exec_mutex};
-  BackendRequest request;
-  request.query = compiled.get();
-  request.threshold = threshold;
-  request.forward_hits = forward_hits;
-  request.reverse_hits = reverse_hits;
-  Expected<BackendRun> run = gen->backend->run(request);
+  Expected<BackendRun> run = gen->backend->run(
+      BackendRequest{compiled.get(), threshold, &scanned->forward.front(),
+                     &scanned->reverse.front()});
   if (!run) return run.error();
   HostRunReport report =
       finalize_run(config_.host, *compiled, std::move(run).value(),
@@ -622,30 +656,19 @@ Expected<BatchReport> Engine::align_batch_sync(
         compiled.back()->threshold_for_fraction(threshold_fraction));
   }
 
-  std::lock_guard lock{db.exec_mutex};
-
   // One multi-query pass over the reference produces every hit list up
   // front — each freshly compiled tile is scored against the whole batch
   // while hot in cache.  The per-query runs below then reduce to
-  // cycle/energy accounting.  The LUT oracle path keeps its own
-  // evaluation.
-  std::vector<std::vector<Hit>> forward, reverse;
-  const bool precompute = gen->backend->supports_precomputed_hits();
-  if (precompute) {
-    forward = gen->backend->scan_batch(compiled, thresholds, false, pool);
-    if (config_.host.search_both_strands)
-      reverse = gen->backend->scan_batch(compiled, thresholds, true, pool);
-  }
+  // cycle/energy accounting.
+  Expected<StrandHits> scanned = scan_strands(
+      *gen, config_.host.search_both_strands, compiled, thresholds, pool);
+  if (!scanned) return scanned.error();
 
+  std::lock_guard lock{db.exec_mutex};
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    BackendRequest request;
-    request.query = compiled[i].get();
-    request.threshold = thresholds[i];
-    request.forward_hits = precompute ? &forward[i] : nullptr;
-    request.reverse_hits =
-        precompute && config_.host.search_both_strands ? &reverse[i] : nullptr;
-    request.pool = pool;
-    Expected<BackendRun> run = gen->backend->run(request);
+    Expected<BackendRun> run = gen->backend->run(
+        BackendRequest{compiled[i].get(), thresholds[i], &scanned->forward[i],
+                       &scanned->reverse[i]});
     if (!run) return run.error();
     HostRunReport report = finalize_run(
         config_.host, *compiled[i], std::move(run).value(),
@@ -684,10 +707,8 @@ std::vector<std::vector<Hit>> Engine::software_hits_batch(
   compiled.reserve(queries.size());
   for (const bio::ProteinSequence& query : queries)
     compiled.push_back(compiler_.compile(query));
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  std::lock_guard lock{db.exec_mutex};
-  return gen->backend->scan_batch(compiled, thresholds, false, pool);
+  return pin_active(*default_db_)->backend->scan_batch(compiled, thresholds,
+                                                       false, pool);
 }
 
 EngineStats Engine::stats() const noexcept {

@@ -1,6 +1,7 @@
 #include "fabp/core/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <future>
 #include <stdexcept>
@@ -44,10 +45,10 @@ Error validate_shard_config(const ShardConfig& config) noexcept {
 
 // One modeled card: its DRAM slice, its primary backend, a software
 // fallback over the same slice, and a one-worker pool (the card's command
-// queue).  The pool synchronizes itself; every other field is touched only
-// by the router with the engine's execution lock held (the backend
-// thread-safety contract), or by the card's worker while the router waits
-// on the fan-out.
+// queue).  The pool synchronizes itself; the routing counters are relaxed
+// atomics, since scan_batch fans out without the engine's execution lock;
+// the rest is touched only by account() with that lock held, or by the
+// card's worker while account() waits on the fan-out.
 struct ShardedBackend::Shard {
   std::size_t index = 0;
   std::size_t owned_begin = 0;  // global window-start ownership [begin, end)
@@ -59,9 +60,9 @@ struct ShardedBackend::Shard {
   std::unique_ptr<ScanBackend> fallback;  // software path over the same slice
 
   // Router-side lifetime accounting.
-  bool routed_to_fallback = false;
-  std::size_t batches_executed = 0;
-  std::size_t fallback_batches = 0;
+  std::atomic<bool> routed_to_fallback{false};
+  std::atomic<std::size_t> batches_executed{0};
+  std::atomic<std::size_t> fallback_batches{0};
   std::size_t fault_log_consumed = 0;
   RecoveryStats recovery;
 
@@ -133,10 +134,6 @@ std::size_t ShardedBackend::shard_count() const noexcept {
   return shards_.size();
 }
 
-bool ShardedBackend::supports_precomputed_hits() const noexcept {
-  return shards_.front()->primary->supports_precomputed_hits();
-}
-
 HealthState ShardedBackend::health() const noexcept {
   for (const auto& sh : shards_)
     if (sh->primary->health() == HealthState::Degraded)
@@ -156,17 +153,12 @@ void ShardedBackend::harvest_shard_stats(Shard& shard) {
   shard.fault_log_consumed = log.size();
 }
 
-Expected<BackendRun> ShardedBackend::run(const BackendRequest& request) {
-  std::vector<Expected<BackendRun>> out = run_many({&request, 1});
-  return std::move(out.front());
-}
-
-void ShardedBackend::for_each_shard(const ShardTask& task) {
+void ShardedBackend::for_each_shard(const ShardTask& task) const {
   std::vector<std::future<void>> done;
   done.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];
-    ++sh.batches_executed;
+    sh.batches_executed.fetch_add(1, std::memory_order_relaxed);
     // A Degraded primary sheds the slice to the software fallback instead
     // of stalling the card on per-request golden recoveries (or DeviceLost
     // errors when fallback is disallowed).
@@ -174,8 +166,8 @@ void ShardedBackend::for_each_shard(const ShardTask& task) {
                                config_.recovery.allow_software_fallback &&
                                sh.primary->health() == HealthState::Degraded;
     if (used_fallback) {
-      sh.routed_to_fallback = true;
-      ++sh.fallback_batches;
+      sh.routed_to_fallback.store(true, std::memory_order_relaxed);
+      sh.fallback_batches.fetch_add(1, std::memory_order_relaxed);
     }
     ScanBackend& target = used_fallback ? *sh.fallback : *sh.primary;
     done.push_back(sh.worker.submit([&task, s, &target, used_fallback] {
@@ -224,36 +216,30 @@ Expected<BackendRun> ShardedBackend::gather_request(
   return out;
 }
 
-std::vector<Expected<BackendRun>> ShardedBackend::run_many(
+std::vector<Expected<BackendRun>> ShardedBackend::account(
     std::span<const BackendRequest> requests) {
   std::vector<Expected<BackendRun>> out;
   out.reserve(requests.size());
   if (requests.empty()) return out;
-  if (!store_.uploaded) {
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      out.push_back(Error{ErrorCode::NoReference,
-                          "Session: no reference uploaded"});
-    return out;
-  }
+  if (!store_.uploaded)
+    return std::vector<Expected<BackendRun>>(
+        requests.size(),
+        Error{ErrorCode::NoReference, "Session: no reference uploaded"});
+  // The lists come from scan_batch, which refuses a query longer than the
+  // halo supports (it would lose boundary hits); refuse it here too.
+  for (const BackendRequest& request : requests)
+    if (request.query->size() > shard_config_.max_query_elements)
+      return std::vector<Expected<BackendRun>>(
+          requests.size(),
+          Error{ErrorCode::BadArgument,
+                "query exceeds shard.max_query_elements (halo too small)"});
 
   util::Timer scatter_timer;
   const std::size_t total = store_.forward.size();
 
-  // Admission check: a query longer than the halo supports would lose
-  // boundary hits silently — fail it typed without touching any card.
-  std::vector<std::size_t> routed;  // original indices that fan out
-  routed.reserve(requests.size());
-  std::vector<bool> oversized(requests.size(), false);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].query->size() > shard_config_.max_query_elements)
-      oversized[i] = true;
-    else
-      routed.push_back(i);
-  }
-
-  // Scatter: one request list per shard, precomputed hit lists narrowed to
+  // Scatter: one request list per shard, the given hit lists narrowed to
   // each slice (exactly what that shard's own scan would produce, so the
-  // precompute contract holds card-locally).
+  // given-hits contract holds card-locally).
   struct ShardBatch {
     std::vector<std::vector<Hit>> forward_arena;
     std::vector<std::vector<Hit>> reverse_arena;
@@ -265,94 +251,75 @@ std::vector<Expected<BackendRun>> ShardedBackend::run_many(
     ShardBatch& batch = batches[s];
     const std::size_t slice_begin = sh.owned_begin;
     const std::size_t slice_end = slice_begin + sh.slice_elements();
-    batch.forward_arena.resize(routed.size());
-    batch.reverse_arena.resize(routed.size());
-    batch.requests.reserve(routed.size());
-    for (std::size_t j = 0; j < routed.size(); ++j) {
-      const BackendRequest& original = requests[routed[j]];
+    batch.forward_arena.resize(requests.size());
+    batch.reverse_arena.resize(requests.size());
+    batch.requests.reserve(requests.size());
+    for (std::size_t j = 0; j < requests.size(); ++j) {
+      const BackendRequest& original = requests[j];
       const std::size_t lq = original.query->size();
-      BackendRequest local;
-      local.query = original.query;
-      local.threshold = original.threshold;
-      local.pool = original.pool;
-      if (original.forward_hits != nullptr) {
-        // Slice-local forward list: global positions in [begin, end - lq],
-        // rebased by -begin.  (Positions past end - lq cannot start a
-        // window inside the slice and never appear slice-locally.)
-        const std::vector<Hit>& global = *original.forward_hits;
-        std::vector<Hit>& local_hits = batch.forward_arena[j];
-        const std::size_t last =
-            slice_end - slice_begin >= lq ? slice_end - lq + 1 : slice_begin;
-        for (auto it = hit_lower_bound(global, slice_begin),
-                  end = hit_lower_bound(global, last);
+      // Slice-local forward list: global positions in [begin, end - lq],
+      // rebased by -begin.  (Positions past end - lq cannot start a
+      // window inside the slice and never appear slice-locally.)
+      const std::vector<Hit>& forward = *original.forward_hits;
+      std::vector<Hit>& local_forward = batch.forward_arena[j];
+      const std::size_t last =
+          slice_end - slice_begin >= lq ? slice_end - lq + 1 : slice_begin;
+      for (auto it = hit_lower_bound(forward, slice_begin),
+                end = hit_lower_bound(forward, last);
+           it != end; ++it)
+        local_forward.push_back(Hit{it->position - slice_begin, it->score});
+      // Raw RC coordinates: the global raw position q maps to forward
+      // start f = S - lq - q; the slice sees windows with f in
+      // [begin, end - lq], i.e. q in [S - end, S - lq - begin], shifted
+      // by -(S - end) into the slice's own RC frame.  The global list is
+      // ascending in q, so the kept subrange stays ascending locally.
+      const std::vector<Hit>& reverse = *original.reverse_hits;
+      std::vector<Hit>& local_reverse = batch.reverse_arena[j];
+      if (slice_end - slice_begin >= lq && total >= slice_end) {
+        const std::size_t shift = total - slice_end;
+        const std::size_t hi = total - lq - slice_begin;  // inclusive
+        for (auto it = hit_lower_bound(reverse, shift),
+                  end = hit_lower_bound(reverse, hi + 1);
              it != end; ++it)
-          local_hits.push_back(Hit{it->position - slice_begin, it->score});
-        local.forward_hits = &local_hits;
+          local_reverse.push_back(Hit{it->position - shift, it->score});
       }
-      if (original.reverse_hits != nullptr) {
-        // Raw RC coordinates: the global raw position q maps to forward
-        // start f = S - lq - q; the slice sees windows with f in
-        // [begin, end - lq], i.e. q in [S - end, S - lq - begin], shifted
-        // by -(S - end) into the slice's own RC frame.  The global list is
-        // ascending in q, so the kept subrange stays ascending locally.
-        const std::vector<Hit>& global = *original.reverse_hits;
-        std::vector<Hit>& local_hits = batch.reverse_arena[j];
-        if (slice_end - slice_begin >= lq && total >= slice_end) {
-          const std::size_t shift = total - slice_end;
-          const std::size_t hi = total - lq - slice_begin;  // inclusive
-          for (auto it = hit_lower_bound(global, shift),
-                    end = hit_lower_bound(global, hi + 1);
-               it != end; ++it)
-            local_hits.push_back(Hit{it->position - shift, it->score});
-        }
-        local.reverse_hits = &local_hits;
-      }
-      batch.requests.push_back(local);
+      batch.requests.push_back(BackendRequest{
+          original.query, original.threshold, &local_forward, &local_reverse});
     }
   }
-  scatter_s_ += scatter_timer.seconds();
+  scatter_s_.fetch_add(scatter_timer.seconds(), std::memory_order_relaxed);
 
   // Fan out: ONE run_many per shard — the hw-sim cards each pack the
   // whole batch into device invocations over their own slice.
   std::vector<std::vector<Expected<BackendRun>>> shard_results(shards_.size());
-  if (!routed.empty()) {
-    const std::size_t strands = config_.search_both_strands ? 2 : 1;
-    for_each_shard([&](std::size_t s, ScanBackend& target, bool used_fallback) {
-      std::vector<Expected<BackendRun>>& results = shard_results[s];
-      results = target.run_many(batches[s].requests);
-      if (!used_fallback) return;
-      // Keep the degraded-path accounting the primary would have produced:
-      // these strand runs were served in software.
-      for (Expected<BackendRun>& result : results) {
-        if (!result) continue;
-        result->recovery.fallbacks += strands;
-        result->recovery.degraded = true;
-      }
-    });
-  }
+  const std::size_t strands = config_.search_both_strands ? 2 : 1;
+  for_each_shard([&](std::size_t s, ScanBackend& target, bool used_fallback) {
+    std::vector<Expected<BackendRun>>& results = shard_results[s];
+    results = target.run_many(batches[s].requests);
+    if (!used_fallback) return;
+    // Keep the degraded-path accounting the primary would have produced:
+    // these strand runs were served in software.
+    for (Expected<BackendRun>& result : results) {
+      if (!result) continue;
+      result->recovery.fallbacks += strands;
+      result->recovery.degraded = true;
+    }
+  });
 
   util::Timer gather_timer;
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (oversized[i]) {
-      out.push_back(Error{
-          ErrorCode::BadArgument,
-          "query exceeds shard.max_query_elements (halo too small for it)"});
-      continue;
-    }
-    out.push_back(gather_request(j++, shard_results));
-  }
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    out.push_back(gather_request(i, shard_results));
   for (auto& sh : shards_) harvest_shard_stats(*sh);
-  gather_s_ += gather_timer.seconds();
+  gather_s_.fetch_add(gather_timer.seconds(), std::memory_order_relaxed);
   return out;
 }
 
 std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
     std::span<const CompiledQueryPtr> queries,
     std::span<const std::uint32_t> thresholds, bool reverse_strand,
-    util::ThreadPool* pool) {
+    util::ThreadPool* pool) const {
   std::vector<std::vector<Hit>> out(queries.size());
-  if (queries.empty() || !store_.uploaded) return out;
+  if (queries.empty() || store_.strand(reverse_strand).size() == 0) return out;
   for (const CompiledQueryPtr& query : queries)
     if (query->size() > shard_config_.max_query_elements)
       throw std::invalid_argument{
@@ -393,7 +360,7 @@ std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
       }
     }
   }
-  gather_s_ += gather_timer.seconds();
+  gather_s_.fetch_add(gather_timer.seconds(), std::memory_order_relaxed);
   return out;
 }
 
@@ -433,9 +400,12 @@ std::vector<ShardStatus> ShardedBackend::shard_status() const {
     status.owned_end = sh->owned_end;
     status.slice_elements = sh->slice_elements();
     status.health = sh->primary->health();
-    status.routed_to_fallback = sh->routed_to_fallback;
-    status.batches_executed = sh->batches_executed;
-    status.fallback_batches = sh->fallback_batches;
+    status.routed_to_fallback =
+        sh->routed_to_fallback.load(std::memory_order_relaxed);
+    status.batches_executed =
+        sh->batches_executed.load(std::memory_order_relaxed);
+    status.fallback_batches =
+        sh->fallback_batches.load(std::memory_order_relaxed);
     status.fault_events = sh->primary->fault_log().size();
     status.recovery = sh->recovery;
     status.pipeline = sh->primary->pipeline_stats();

@@ -678,13 +678,26 @@ void WireServer::handle_connection(Socket conn,
     state->pending.clear();
   }
   if (reset_on_close) arm_reset(conn.fd());
+  std::thread exited;
   {
     std::lock_guard lock{mutex_};
     conns_.erase(std::remove(conns_.begin(), conns_.end(), state),
                  conns_.end());
     --active_handlers_;
+    // Reap the handler that exited before this one (it did its last work
+    // under this lock); this one is reaped by the next to exit, or by
+    // shutdown().  So a reconnecting client never piles up thread stacks.
+    const auto it = std::find_if(
+        connections_.begin(), connections_.end(),
+        [this](const std::thread& t) { return t.get_id() == last_exited_; });
+    if (it != connections_.end()) {
+      exited = std::move(*it);
+      connections_.erase(it);
+    }
+    last_exited_ = std::this_thread::get_id();
   }
   drain_cv_.notify_all();
+  if (exited.joinable()) exited.join();
 }
 
 }  // namespace fabp::net

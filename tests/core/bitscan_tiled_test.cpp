@@ -353,10 +353,14 @@ TEST(TileScan, PartitionIdentityAcrossBackends) {
       store.upload(bio::PackedNucleotides{ref}, config.search_both_strands);
       const std::unique_ptr<ScanBackend> backend =
           make_backend(kind, config, store);
+      EXPECT_EQ(
+          backend->scan_batch({&query, 1}, {&threshold, 1}, false, &pool)
+              .front(),
+          expected)
+          << to_string(kind) << " partition=" << static_cast<int>(partition);
       BackendRequest request;
       request.query = query.get();
       request.threshold = threshold;
-      request.pool = &pool;
       Expected<BackendRun> run = backend->run(request);
       ASSERT_TRUE(run.has_value()) << to_string(kind);
       EXPECT_EQ(run->hits, expected)

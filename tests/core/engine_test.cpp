@@ -30,16 +30,23 @@ std::uint32_t half_threshold(const ProteinSequence& query) {
 
 // The engine's core determinism contract: results of coalesced concurrent
 // submission are hit-for-hit identical to sequential Session::align of the
-// same queries — for every backend kind, both strands on.
+// same queries — for every backend kind and the hw-sim LUT oracle, both
+// strands on.
 TEST(Engine, CoalescedEqualsSequentialAllBackends) {
   util::Xoshiro256 rng{911};
   const NucleotideSequence ref = bio::random_dna(30000, rng);
   const std::vector<ProteinSequence> queries = make_queries(48, rng);
 
-  for (const BackendKind kind :
-       {BackendKind::HwSim, BackendKind::Tiled}) {
+  struct Case {
+    BackendKind kind;
+    bool lut;
+  };
+  for (const auto [kind, lut] :
+       {Case{BackendKind::HwSim, false}, Case{BackendKind::Tiled, false},
+        Case{BackendKind::HwSim, true}}) {
     EngineConfig config;
     config.host.search_both_strands = true;
+    config.host.accelerator.use_lut_path = lut;
     config.backend = kind;
     config.workers = 2;
 

@@ -283,7 +283,6 @@ TEST(DeviceScheduler, LutOracleSharesTheInvocationPipeline) {
   const Fixture f{941, 6000, 3, true};
   const std::unique_ptr<ScanBackend> backend =
       make_backend(BackendKind::HwSim, config, f.store);
-  EXPECT_FALSE(backend->supports_precomputed_hits());
   const auto results = backend->run_many(f.requests);
   ASSERT_EQ(results.size(), f.requests.size());
   for (std::size_t q = 0; q < results.size(); ++q) {

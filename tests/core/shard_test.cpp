@@ -294,6 +294,67 @@ TEST(Shard, ThrowingCardDrainsAndRouterRecovers) {
   }
 }
 
+// scan_batch is const and takes no lock: two scanning threads and one
+// run_many caller share a 4-card hw-sim router's card workers and routing
+// counters at once — a tsan leg target for the scan-outside-the-lock
+// contract.
+TEST(Shard, ConcurrentScanBatchWithRunMany) {
+  util::Xoshiro256 rng{626};
+  const bio::PackedNucleotides packed{bio::random_dna(12000, rng)};
+  std::vector<CompiledQueryPtr> queries;
+  std::vector<std::uint32_t> thresholds;
+  for (std::size_t i = 0; i < 4; ++i) {
+    queries.push_back(compile_query(bio::random_protein(6 + i, rng)));
+    thresholds.push_back(
+        static_cast<std::uint32_t>(queries.back()->size() / 2));
+  }
+
+  HostConfig config;
+  config.search_both_strands = true;
+  ReferenceStore store;
+  store.upload(packed, true);
+  const std::unique_ptr<ScanBackend> unsharded =
+      make_backend(BackendKind::HwSim, config, store);
+  const auto forward = unsharded->scan_batch(queries, thresholds, false, nullptr);
+  const auto reverse = unsharded->scan_batch(queries, thresholds, true, nullptr);
+  std::vector<BackendRequest> requests;
+  for (std::size_t q = 0; q < queries.size(); ++q)
+    requests.push_back(BackendRequest{queries[q].get(), thresholds[q],
+                                      &forward[q], &reverse[q]});
+  const auto expected = unsharded->run_many(requests);
+
+  ShardConfig shard;
+  shard.shard_count = 4;
+  shard.max_query_elements = 64;
+  ReferenceStore sharded_store;
+  sharded_store.upload(packed, true);
+  const std::unique_ptr<ShardedBackend> sharded = make_sharded_backend(
+      BackendKind::HwSim, config, sharded_store, shard);
+
+  constexpr std::size_t kRounds = 20;
+  std::vector<std::thread> scanners;
+  for (const bool rc : {false, true})
+    scanners.emplace_back([&, rc] {
+      for (std::size_t r = 0; r < kRounds; ++r)
+        EXPECT_EQ(sharded->scan_batch(queries, thresholds, rc, nullptr),
+                  rc ? reverse : forward);
+    });
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const auto runs = sharded->run_many(requests);
+    EXPECT_EQ(runs.size(), expected.size());
+    for (std::size_t q = 0; q < runs.size() && q < expected.size(); ++q) {
+      EXPECT_TRUE(runs[q].has_value()) << "query " << q;
+      if (!runs[q]) continue;
+      EXPECT_EQ(runs[q]->hits, expected[q]->hits) << "query " << q;
+      EXPECT_EQ(runs[q]->reverse_hits, expected[q]->reverse_hits)
+          << "query " << q;
+    }
+  }
+  for (std::thread& scanner : scanners) scanner.join();
+  for (const ShardStatus& status : sharded->shard_status())
+    EXPECT_EQ(status.batches_executed, 3 * kRounds) << "shard " << status.index;
+}
+
 // Concurrent coalesced serving through the router — the tsan leg target.
 TEST(Shard, CoalescedConcurrentSubmitMatchesSequential) {
   util::Xoshiro256 rng{717};
@@ -360,6 +421,50 @@ TEST(Shard, OversizedQueryIsTypedBadArgument) {
   // A query that fits still works.
   const ProteinSequence small = bio::random_protein(8, rng);
   EXPECT_TRUE(engine.align_sync(small, 10).has_value());
+}
+
+// An oversized query in a coalesced burst fails alone, typed at submit,
+// so the burst's lock-free scan never meets a query the router refuses;
+// every other request matches align_sync.
+TEST(Shard, OversizedQueryInCoalescedBurstFailsAlone) {
+  util::Xoshiro256 rng{819};
+  const NucleotideSequence ref = bio::random_dna(8000, rng);
+  EngineConfig config = sharded_config(BackendKind::HwSim, 3);
+  config.autostart = false;  // queue the whole burst, then coalesce it
+  Engine engine{config};
+  engine.upload_reference(NucleotideSequence{ref});
+
+  constexpr std::size_t kOversized = 3;
+  std::vector<ProteinSequence> queries;
+  for (std::size_t i = 0; i < 8; ++i)
+    queries.push_back(bio::random_protein(i == kOversized ? 30 : 6 + i, rng));
+  const auto threshold = [](const ProteinSequence& q) {
+    return static_cast<std::uint32_t>(q.size() * 3 / 2);
+  };
+  std::vector<Ticket> tickets;
+  for (const ProteinSequence& q : queries)
+    tickets.push_back(engine.submit(q, threshold(q)));
+  engine.start();
+
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    Expected<HostRunReport> outcome = tickets[i].wait();
+    if (i == kOversized) {
+      ASSERT_FALSE(outcome.has_value());
+      EXPECT_EQ(outcome.error().code, ErrorCode::BadArgument);
+      continue;
+    }
+    ASSERT_TRUE(outcome.has_value()) << "request " << i;
+    Expected<HostRunReport> expected =
+        engine.align_sync(queries[i], threshold(queries[i]));
+    ASSERT_TRUE(expected.has_value()) << "request " << i;
+    EXPECT_EQ(outcome->hits, expected->hits) << "request " << i;
+    EXPECT_EQ(outcome->reverse_hits, expected->reverse_hits)
+        << "request " << i;
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, queries.size() - 1);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_GE(stats.largest_batch, 2u);
 }
 
 TEST(Shard, ConfigValidation) {

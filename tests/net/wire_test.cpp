@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "fabp/bio/generate.hpp"
@@ -347,6 +349,40 @@ TEST(Server, ShutdownDrainsWithIdleConnectionOpen) {
   fx->server.shutdown();
   fx.reset();  // joins serve(); hangs here = drain bug
   SUCCEED();
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+std::size_t vm_size_kib() {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  return 0;
+}
+
+// Exited connection handlers are reaped as they go: a client that
+// reconnects for every request (net::Client does on each retry) must not
+// leave a thread stack mapped per connection until shutdown.
+TEST(Server, ReconnectCyclesKeepVirtualSizeFlat) {
+  ServerFixture fx;
+  const auto cycle = [&fx] {
+    Socket conn = connect_local(fx.server.port());
+    AlignRequest request;
+    request.id = 1;
+    request.threshold = 20;
+    request.protein = "MKWVTFISLL";
+    ASSERT_TRUE(write_frame(conn.fd(), encode(request)));
+    std::string payload;
+    ASSERT_TRUE(read_frame(conn.fd(), payload));
+  };
+  for (int i = 0; i < 20; ++i) cycle();  // settle allocator arenas
+  const std::size_t before = vm_size_kib();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 200; ++i) cycle();
+  // An unjoined handler keeps its stack (8 MiB by default) mapped, so 200
+  // leaked handlers would add ~1.6 GiB.  The bound leaves room for the
+  // sanitizer allocators' quarantine (~100 MiB over this loop under asan).
+  EXPECT_LT(vm_size_kib(), before + 384 * 1024);
 }
 
 TEST(Server, OversizedFramePrefixDropsConnection) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-command tier-1 verification in ten legs:
+# One-command tier-1 verification in eleven legs:
 #
 #   1. default Release build + full ctest — exercises the runtime-dispatched
 #      scan kernel (the widest ISA this machine supports), and
@@ -41,7 +41,12 @@
 #      admission, hot swap under load (hit-for-hit vs the admitted
 #      generation) run again under tsan, epoch reclamation under asan,
 #      and the live-swap TCP smoke (SwapDatabase mid-loadgen, zero
-#      failed requests, retired generations reclaimed).
+#      failed requests, retired generations reclaimed), and
+#  11. the servebench leg — 5 s traced runs of the hit_heavy and
+#      swap_churn serving workloads (`servebench/run.py --trace 1`), which
+#      fail on any wrong hit list.  Their layer replay drives
+#      ScanBackend::run_many directly, null hit lists for a batch of one
+#      included, so a backend-contract change that breaks it fails here.
 #
 # It ends by printing the src/ + include/ line count, the size figure the
 # ROADMAP tracks.
@@ -131,5 +136,11 @@ cmake --build build-asan -j"$jobs" --target tenant_tests
 build-asan/tests/tenant_tests
 tools/serve_tcp_swap_smoke.sh build/tools/fabp
 
-echo "== check.sh: all green (default + asan/swar64 + tsan + ubsan/chaos + engine/swar64 + scheduler + per-isa + shard + net-chaos + tenant) =="
+echo "== check.sh: servebench leg (traced hit_heavy + swap_churn runs) =="
+for workload in hit_heavy swap_churn; do
+  python3 servebench/run.py --workload "$workload" --seed 1 --seconds 5 \
+    --trace 1
+done
+
+echo "== check.sh: all green (default + asan/swar64 + tsan + ubsan/chaos + engine/swar64 + scheduler + per-isa + shard + net-chaos + tenant + servebench) =="
 echo "src/ + include/ lines: $(find src include -name '*.?pp' -print0 | xargs -0 cat | wc -l)"
