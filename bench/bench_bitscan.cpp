@@ -1,24 +1,23 @@
-// E9 — software scan engines: the scalar golden oracle vs the bit-sliced
-// engine at every lane width the host can run (64-lane SWAR, 256-lane
-// AVX2, 512-lane AVX-512), plus the thread-pool scan and a multi-query
-// batch sweep (sequential per-query scans vs one batched pass that keeps
-// each block of reference planes hot across the whole batch).  Every
+// E9 — software scan engines: the scalar golden oracle vs the tiled
+// bit-sliced scan at every lane width the host can run (64-lane SWAR,
+// 256-lane AVX2, 512-lane AVX-512), plus the thread-pool scan and a
+// multi-query batch sweep (sequential per-query scans vs one batched pass
+// that scores every query against each freshly compiled tile).  Every
 // engine and every batch lane must produce identical hit lists (checked
-// here, not just in the unit tests).  Alongside the console tables the
-// harness writes BENCH_bitscan.json so CI and scripts can track the
-// speedups without scraping text.
+// here, not just in the unit tests); the harness exits 1 on any mismatch.
+// Alongside the console tables it writes BENCH_bitscan.json so CI and
+// scripts can track the speedups without scraping text.
 //
 //   bench_bitscan [bases] [query_residues] [reps] [json_path]
 //                 [batch_bases] [batch_residues] [tiled_bases]
 //
 // Defaults: 4,000,000 bases, 20 residues, best-of-3, BENCH_bitscan.json.
-// The batch sweep defaults to its own 48 Mbp x 6 aa configuration: plane
-// amortisation pays off in the memory-bound regime (reference planes much
-// larger than L2, thin per-block compute), which a 4 Mbp reference on a
-// big-L3 server never enters.  The tiled section defaults to a cold
-// 256 Mbp reference — large enough that the precompiled path's
-// whole-reference plane build and ~1.5 B/base re-stream are both far out
-// of cache, the regime the tile-fused path exists for.
+// The batch sweep defaults to its own 48 Mbp x 6 aa configuration, the
+// memory-bound regime (thin per-block compute) where sharing one pass
+// over the reference across queries could pay, which a 4 Mbp reference
+// on a big-L3 server never enters.  The tiled section defaults to a cold
+// 256 Mbp reference, far out of cache, to measure the 0.25 B/base packed
+// stream against the machine's DRAM ceiling.
 
 #include <sys/resource.h>
 
@@ -92,12 +91,8 @@ struct TiledSection {
   std::size_t reference_bases = 0;
   std::size_t tile_positions = 0;
   std::size_t scratch_bytes = 0;
-  double cold_tiled_s = 0.0;          // fused compile+scan, nothing reused
-  double cold_planes_compile_s = 0.0; // BitScanReference build
-  double cold_planes_scan_s = 0.0;    // scan of the prebuilt planes
-  double fused_speedup = 0.0;         // (compile+scan) / tiled
-  long tiled_rss_delta_kb = 0;        // peak-RSS growth during tiled scan
-  long planes_rss_delta_kb = 0;       // peak-RSS growth during plane build
+  double cold_tiled_s = 0.0;    // fused compile+scan, nothing reused
+  long tiled_rss_delta_kb = 0;  // peak-RSS growth during tiled scan
   std::vector<ThreadSweepResult> thread_sweep;
   std::vector<TileSweepResult> tile_sweep;
 };
@@ -279,14 +274,7 @@ void write_json(const std::string& path, std::size_t bases,
      << "    \"tile_positions\": " << tiled.tile_positions << ",\n"
      << "    \"scratch_bytes\": " << tiled.scratch_bytes << ",\n"
      << "    \"cold_tiled_seconds\": " << tiled.cold_tiled_s << ",\n"
-     << "    \"cold_planes_compile_seconds\": "
-     << tiled.cold_planes_compile_s << ",\n"
-     << "    \"cold_planes_scan_seconds\": " << tiled.cold_planes_scan_s
-     << ",\n"
-     << "    \"fused_speedup_vs_planes\": " << tiled.fused_speedup << ",\n"
      << "    \"tiled_rss_delta_kb\": " << tiled.tiled_rss_delta_kb << ",\n"
-     << "    \"planes_rss_delta_kb\": " << tiled.planes_rss_delta_kb
-     << ",\n"
      << "    \"thread_sweep\": [\n";
   for (std::size_t i = 0; i < tiled.thread_sweep.size(); ++i) {
     const ThreadSweepResult& t = tiled.thread_sweep[i];
@@ -373,12 +361,8 @@ int main(int argc, char** argv) {
             << env.affinity_cpus << " schedulable, governor "
             << env.governor << "\n\n";
 
-  // Reference compilation is part of the bit-sliced engines' setup cost —
-  // report it, but time the scans against a prebuilt BitScanReference
-  // (the reuse model of Session::software_hits).
-  util::Timer compile_timer;
-  const core::BitScanReference compiled_ref{reference};
-  const double compile_s = compile_timer.seconds();
+  const bio::PackedNucleotides packed{reference};
+  const core::TileScanner scanner{packed};
   const core::BitScanQuery compiled_query{elements};
 
   const std::size_t hw_threads =
@@ -407,8 +391,7 @@ int main(int argc, char** argv) {
     std::vector<core::Hit> hits;
     const double s = best_of(reps, hits, [&] {
       std::vector<core::Hit> out;
-      kernel->range(compiled_query, compiled_ref, threshold, 0, positions,
-                    out);
+      scanner.range(*kernel, compiled_query, threshold, 0, positions, out);
       return out;
     });
     mismatch |= hits != scalar_hits;
@@ -420,8 +403,7 @@ int main(int argc, char** argv) {
   // Thread-pool scan through whatever kernel the dispatcher picked.
   std::vector<core::Hit> threaded;
   const double threaded_s = best_of(reps, threaded, [&] {
-    return core::bitscan_hits_parallel(compiled_query, compiled_ref,
-                                       threshold, pool);
+    return scanner.hits(compiled_query, threshold, &pool);
   });
   mismatch |= threaded != scalar_hits;
   results.push_back({std::string{core::active_scan_kernel().name} +
@@ -442,8 +424,6 @@ int main(int argc, char** argv) {
         .cell(r.hits);
   }
   table.print(std::cout);
-  std::cout << "\n  reference compile (12 planes): "
-            << util::time_text(compile_s) << " (amortised across queries)\n";
 
   // Zero-fault Session overhead: with every fault rate zero, align() must
   // take the clean fast path — its cost over a direct tiled scan is launch
@@ -451,8 +431,6 @@ int main(int argc, char** argv) {
   // perf-neutral (acceptance: under 2%).
   FaultSection fault;
   {
-    const bio::PackedNucleotides packed{reference};
-    const core::TileScanner scanner{packed};
     std::vector<core::Hit> direct_hits;
     fault.direct_s = best_of(reps, direct_hits, [&] {
       return scanner.hits(compiled_query, threshold);
@@ -480,16 +458,14 @@ int main(int argc, char** argv) {
     fault_table.print(std::cout);
   }
 
-  // Batch sweep: B distinct queries against one compiled reference,
-  // sequential per-query scans vs one batched pass per kernel.  The
-  // batched pass amortises reference-plane traffic: every cached block is
-  // scored against all B queries before the scan moves on.  This pays in
-  // the memory-bound regime — planes much larger than L2 with thin
-  // per-block compute — so the sweep uses its own (large-reference,
-  // short-query) configuration.
-  const bio::NucleotideSequence batch_reference =
-      bio::random_dna(batch_bases, rng);
-  const core::BitScanReference batch_ref{batch_reference};
+  // Batch sweep: B distinct queries against one reference, sequential
+  // per-query scans vs one batched pass per kernel.  The batched pass
+  // compiles each tile once and scores all B queries against it before
+  // moving on, instead of re-streaming and re-compiling the reference per
+  // query.  The sweep uses its own (large-reference, short-query)
+  // configuration, where per-block compute is thinnest.
+  const bio::PackedNucleotides batch_packed{bio::random_dna(batch_bases, rng)};
+  const core::TileScanner batch_scanner{batch_packed};
   std::vector<core::BitScanQuery> batch_queries;
   std::vector<std::vector<core::BackElement>> batch_elements;
   std::vector<std::uint32_t> batch_thresholds;
@@ -517,16 +493,16 @@ int main(int argc, char** argv) {
       const double seq_s = best_of(reps, sequential, [&] {
         HitLists outs(batch);
         for (std::size_t q = 0; q < batch; ++q)
-          kernel->range(batch_queries[q], batch_ref, batch_thresholds[q], 0,
-                        batch_positions, outs[q]);
+          batch_scanner.range(*kernel, batch_queries[q], batch_thresholds[q],
+                              0, batch_positions, outs[q]);
         return outs;
       });
       HitLists batched;
       const double bat_s = best_of(reps, batched, [&] {
         HitLists outs(batch);
-        kernel->range_batch(batch_queries.data(), batch_thresholds.data(),
-                            batch, batch_ref, 0, batch_positions,
-                            outs.data());
+        batch_scanner.range_batch(*kernel, batch_queries.data(),
+                                  batch_thresholds.data(), batch, 0,
+                                  batch_positions, outs.data());
         return outs;
       });
       mismatch |= batched != sequential;
@@ -542,13 +518,10 @@ int main(int argc, char** argv) {
   batch_table.print(std::cout);
 
   // ------------------------------------------------------------------
-  // Tile-fused compile+scan vs the precompiled-plane path, cold: one
-  // query arrives against a reference nothing has been built for yet.
-  // The planes path must first compile 12 whole-reference planes
-  // (~1.5 B/base written, then re-streamed by the scan); the tiled path
-  // streams the 0.25 B/base packed words once, compiling and scoring one
-  // L2-resident tile at a time.  Peak-RSS deltas make the footprint gap
-  // visible: the tiled scan's working set is per-thread scratch only.
+  // Tile-fused compile+scan, cold: one query arrives against a reference
+  // nothing has been built for.  The scan streams the 0.25 B/base packed
+  // words once, compiling and scoring one L2-resident tile at a time; the
+  // peak-RSS delta shows its working set is per-thread scratch only.
   TiledSection tiled;
   {
     bio::NucleotideSequence tiled_reference =
@@ -563,24 +536,27 @@ int main(int argc, char** argv) {
     const bio::PackedNucleotides tiled_packed{tiled_reference};
     tiled_reference = bio::NucleotideSequence{};  // keep only 0.25 B/base
 
-    const core::TileScanner scanner{tiled_packed};
+    const core::TileScanner cold_scanner{tiled_packed};
     tiled.reference_bases = tiled_bases;
-    tiled.tile_positions = scanner.tile_positions();
-    tiled.scratch_bytes = scanner.scratch_bytes(elements.size());
+    tiled.tile_positions = cold_scanner.tile_positions();
+    tiled.scratch_bytes = cold_scanner.scratch_bytes(elements.size());
 
-    std::cout << "\n  tile-fused vs precompiled planes, cold "
-              << tiled_bases / 1'000'000 << " Mbp x " << residues
-              << " aa (tile " << tiled.tile_positions << " positions, "
-              << tiled.scratch_bytes / 1024 << " KiB scratch/thread)\n\n";
+    std::cout << "\n  tile-fused scan, cold " << tiled_bases / 1'000'000
+              << " Mbp x " << residues << " aa (tile "
+              << tiled.tile_positions << " positions, "
+              << tiled.scratch_bytes / 1024 << " KiB scratch/thread)\n";
 
     const long rss_0 = peak_rss_kb();
     std::vector<core::Hit> tiled_hits;
     {
       util::Timer timer;
-      tiled_hits = scanner.hits(compiled_query, threshold);
+      tiled_hits = cold_scanner.hits(compiled_query, threshold);
       tiled.cold_tiled_s = timer.seconds();
     }
     tiled.tiled_rss_delta_kb = peak_rss_kb() - rss_0;
+    std::cout << "  1 thread: " << util::time_text(tiled.cold_tiled_s)
+              << ", peak-RSS delta " << tiled.tiled_rss_delta_kb / 1024
+              << " MiB\n";
 
     // Thread sweep over the tiled path (whole-tile chunks, deterministic
     // merge).  Records the pool's actual width; on a machine with fewer
@@ -591,7 +567,7 @@ int main(int argc, char** argv) {
       util::ThreadPool sweep_pool{request};
       std::vector<core::Hit> pooled;
       const double s = best_of(reps, pooled, [&] {
-        return scanner.hits(compiled_query, threshold, &sweep_pool);
+        return cold_scanner.hits(compiled_query, threshold, &sweep_pool);
       });
       mismatch |= pooled != tiled_hits;
       tiled.thread_sweep.push_back(
@@ -602,8 +578,8 @@ int main(int argc, char** argv) {
     }
 
     // Tile-size sweep: too small re-pays per-tile entry/exit overhead,
-    // too large spills the compiled planes out of L2 and the fused path
-    // degenerates toward the precompiled path's traffic pattern.
+    // too large spills the compiled planes out of L2, so the scan writes
+    // and re-reads them through DRAM.
     for (std::size_t tile : {std::size_t{32} * 1024, std::size_t{128} * 1024,
                              std::size_t{512} * 1024,
                              std::size_t{2048} * 1024}) {
@@ -616,44 +592,6 @@ int main(int argc, char** argv) {
       tiled.tile_sweep.push_back(
           {swept.tile_positions(), swept.scratch_bytes(elements.size()), s});
     }
-
-    // Cold precompiled path: whole-reference plane build, then the scan.
-    const long rss_1 = peak_rss_kb();
-    std::vector<core::Hit> plane_path_hits;
-    {
-      util::Timer compile;
-      const core::BitScanReference planes{tiled_packed};
-      tiled.cold_planes_compile_s = compile.seconds();
-      tiled.planes_rss_delta_kb = peak_rss_kb() - rss_1;
-      util::Timer scan;
-      core::bitscan_range(compiled_query, planes, threshold, 0,
-                          tiled_packed.size() - elements.size() + 1,
-                          plane_path_hits);
-      tiled.cold_planes_scan_s = scan.seconds();
-    }
-    mismatch |= plane_path_hits != tiled_hits;
-    tiled.fused_speedup =
-        (tiled.cold_planes_compile_s + tiled.cold_planes_scan_s) /
-        tiled.cold_tiled_s;
-
-    util::Table tiled_table{{"path", "compile", "scan", "total", "speedup",
-                             "peak-RSS delta"}};
-    tiled_table.row()
-        .cell("planes (precompiled)")
-        .cell(util::time_text(tiled.cold_planes_compile_s))
-        .cell(util::time_text(tiled.cold_planes_scan_s))
-        .cell(util::time_text(tiled.cold_planes_compile_s +
-                              tiled.cold_planes_scan_s))
-        .cell(util::ratio_text(1.0))
-        .cell(std::to_string(tiled.planes_rss_delta_kb / 1024) + " MiB");
-    tiled_table.row()
-        .cell("tiled (fused)")
-        .cell("-")
-        .cell(util::time_text(tiled.cold_tiled_s))
-        .cell(util::time_text(tiled.cold_tiled_s))
-        .cell(util::ratio_text(tiled.fused_speedup))
-        .cell(std::to_string(tiled.tiled_rss_delta_kb / 1024) + " MiB");
-    tiled_table.print(std::cout);
 
     std::cout << "\n";
     util::Table sweep_table{{"tiled threads", "time", "speedup vs 1T"}};

@@ -15,7 +15,7 @@
 #include "fabp/bio/generate.hpp"
 #include "fabp/blast/tblastn.hpp"
 #include "fabp/core/accelerator.hpp"
-#include "fabp/core/bitscan.hpp"
+#include "fabp/core/bitscan_tiled.hpp"
 #include "fabp/blast/seg.hpp"
 #include "fabp/core/comparator.hpp"
 #include "fabp/core/instance.hpp"
@@ -80,24 +80,17 @@ void BM_GoldenScan(benchmark::State& state) {
 BENCHMARK(BM_GoldenScan);
 
 void BM_BitScanScan(benchmark::State& state) {
-  // Same workload as BM_GoldenScan through the bit-sliced engine, scanning
-  // a prebuilt BitScanReference (the Session reuse model).
+  // Same workload as BM_GoldenScan through the bit-sliced engine: the
+  // tiled scan compiles and scores the packed reference tile by tile.
   const auto elements = core::back_translate(bio::random_protein(50, rng()));
   const core::BitScanQuery query{elements};
-  const core::BitScanReference ref{bio::random_dna(1 << 16, rng())};
+  const bio::PackedNucleotides packed{bio::random_dna(1 << 16, rng())};
+  const core::TileScanner scanner{packed};
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::bitscan_hits(query, ref, 140));
+    benchmark::DoNotOptimize(scanner.hits(query, 140));
   state.SetBytesProcessed(state.iterations() * (1 << 16) / 4);
 }
 BENCHMARK(BM_BitScanScan);
-
-void BM_BitScanCompileReference(benchmark::State& state) {
-  const bio::PackedNucleotides packed{bio::random_dna(1 << 16, rng())};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::BitScanReference{packed});
-  state.SetBytesProcessed(state.iterations() * (1 << 16) / 4);
-}
-BENCHMARK(BM_BitScanCompileReference);
 
 void BM_Pop36Netlist(benchmark::State& state) {
   hw::Netlist nl;

@@ -1,24 +1,26 @@
 #pragma once
-// Bit-sliced software scan engine: scores 64 candidate alignment positions
+// Bit-sliced software scan kernels: score 64 candidate alignment positions
 // per machine word instead of one element comparison per inner-loop step.
 //
 // The trick: every query element, whatever its type, is a *fixed predicate
-// on (ref[j], ref[j-1], ref[j-2])* — so over a whole reference it compiles
-// to one match bitplane (bit j = "this element matches at reference index
-// j"), built from the fabp::bio::NucleotideBitplanes occurrence / history
-// planes with a handful of AND/OR/NOT word ops.  Only 12 distinct
-// predicates exist (4 Type I exacts, 4 Type II conditions, 4 Type III
-// functions), so a reference is "compiled" once into at most 12 planes and
-// any query scans against them.
+// on (ref[j], ref[j-1], ref[j-2])* — so over a span of reference it
+// compiles to one match bitplane (bit j = "this element matches at
+// reference index j"), built from the 2-bit codes with a handful of
+// AND/OR/NOT word ops.  Only 12 distinct predicates exist (4 Type I
+// exacts, 4 Type II conditions, 4 Type III functions), so any query scans
+// against at most 12 planes.  TileScanner (core/bitscan_tiled.hpp)
+// compiles those planes one L2-resident tile at a time from the packed
+// reference and hands each tile to a kernel as a PlaneView; nothing is
+// built for the whole reference.
 //
-// Scanning then works a block of N positions at a time (N = the lane width
-// of the selected kernel): for query element i, fetch N bits of its kind's
-// plane at bit offset (block_base + i) and add them into vertical
-// (bit-sliced SWAR) counters; after all elements, a borrow-propagation
-// compare against the threshold yields an N-bit hit mask, and Hit records
-// are materialised only for set bits.  The result is bit-for-bit identical
-// to the scalar golden_hits oracle (locked down by the differential tests
-// in tests/core/bitscan_test.cpp and tests/core/bitscan_kernels_test.cpp).
+// A kernel works a block of N positions at a time (N = its lane width):
+// for query element i, fetch N bits of its kind's plane at bit offset
+// (block_base + i) and add them into vertical (bit-sliced SWAR) counters;
+// after all elements, a borrow-propagation compare against the threshold
+// yields an N-bit hit mask, and Hit records are materialised only for set
+// bits.  The result is bit-for-bit identical to the scalar golden_hits
+// oracle (locked down by the differential tests in
+// tests/core/bitscan_test.cpp and tests/core/bitscan_kernels_test.cpp).
 //
 // The block loop is ISA-dispatched: the same vertical-counter algorithm is
 // instantiated at 64 lanes (portable uint64_t SWAR), 256 lanes (AVX2) and
@@ -35,11 +37,9 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
-#include "fabp/bio/bitplanes.hpp"
 #include "fabp/core/golden.hpp"
 
 namespace fabp::core {
@@ -63,10 +63,8 @@ inline constexpr std::size_t kScanGuardWords = 8;
 /// Non-owning view of the 12 compiled element-kind planes the scan kernels
 /// consume: bit j of planes[kind] answers "does an element of `kind` match
 /// at position j", for j in [0, size).  Each plane must stay readable for
-/// kScanGuardWords words past its last data word.  A BitScanReference
-/// converts implicitly; the tiled scanner builds views over per-tile
-/// scratch buffers instead, which is what lets one kernel implementation
-/// serve both the precompiled and the tile-fused paths.
+/// kScanGuardWords words past its last data word.  The tiled scanner
+/// builds one view per tile over its per-thread scratch buffer.
 struct PlaneView {
   std::array<const std::uint64_t*, kElementKindCount> planes{};
   std::size_t size = 0;  // positions described by the planes
@@ -74,43 +72,6 @@ struct PlaneView {
   const std::uint64_t* plane(std::size_t kind) const noexcept {
     return planes[kind];
   }
-};
-
-/// A reference compiled for bit-sliced scanning: one match bitplane per
-/// element kind, padded with zero guard words sized for the widest kernel's
-/// unaligned fetches (an AVX-512 fetch reads up to 8 words past the last
-/// data word).  Building it is O(12 * size / 64) word ops; reuse it across
-/// queries (the planes depend only on the reference).
-class BitScanReference {
- public:
-  BitScanReference() = default;
-  explicit BitScanReference(const bio::NucleotideBitplanes& planes);
-  explicit BitScanReference(const bio::PackedNucleotides& packed)
-      : BitScanReference{bio::NucleotideBitplanes{packed}} {}
-  explicit BitScanReference(const bio::NucleotideSequence& seq)
-      : BitScanReference{bio::NucleotideBitplanes{seq}} {}
-
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  /// Plane words for `kind` (padded_word_count words, last one zero).
-  const std::uint64_t* plane(std::size_t kind) const noexcept {
-    return planes_[kind].data();
-  }
-
-  /// The kernels' view of the compiled planes.
-  PlaneView view() const noexcept {
-    PlaneView v;
-    for (std::size_t k = 0; k < kElementKindCount; ++k)
-      v.planes[k] = planes_[k].data();
-    v.size = size_;
-    return v;
-  }
-  operator PlaneView() const noexcept { return view(); }  // NOLINT(google-explicit-constructor)
-
- private:
-  std::size_t size_ = 0;
-  std::array<std::vector<std::uint64_t>, kElementKindCount> planes_;
 };
 
 /// A query compiled to per-element plane indices.  Elements at offsets 0
@@ -131,31 +92,6 @@ class BitScanQuery {
  private:
   std::vector<std::uint8_t> kinds_;
 };
-
-/// All hits with score >= threshold, identical (contents and order) to
-/// golden_hits on the same inputs.
-std::vector<Hit> bitscan_hits(const BitScanQuery& query,
-                              const BitScanReference& reference,
-                              std::uint32_t threshold);
-
-/// Appends hits whose position lies in [begin, end) — the building block
-/// of the threaded scan (positions are clamped to the valid range).
-void bitscan_range(const BitScanQuery& query,
-                   const BitScanReference& reference, std::uint32_t threshold,
-                   std::size_t begin, std::size_t end, std::vector<Hit>& out);
-
-/// Convenience one-shot form (compiles query and reference internally).
-std::vector<Hit> bitscan_hits(const std::vector<BackElement>& query,
-                              const bio::NucleotideSequence& reference,
-                              std::uint32_t threshold);
-
-/// Multicore scan: reference positions are chunked over the pool; chunks
-/// are merged in chunk order, so the output is deterministic and exactly
-/// equal to the single-threaded scan.
-std::vector<Hit> bitscan_hits_parallel(const BitScanQuery& query,
-                                       const BitScanReference& reference,
-                                       std::uint32_t threshold,
-                                       util::ThreadPool& pool);
 
 // ---------------------------------------------------------------------------
 // ISA-dispatched scan kernels.
@@ -179,10 +115,8 @@ inline constexpr std::array<ScanIsa, kScanIsaCount> kAllScanIsas{
 /// One scan implementation: the per-block inner loop (plane fetch → SWAR
 /// counter add → borrow-propagate threshold compare) at a fixed lane
 /// width, plus its multi-query batch form.  Kernels operate on a PlaneView
-/// (a BitScanReference converts implicitly), so the same instantiation
-/// scores whole precompiled references and tile-scratch planes alike.  All
-/// kernels produce output bit-for-bit identical to golden_hits (contents
-/// and order).
+/// (one compiled tile).  All kernels produce output bit-for-bit identical
+/// to golden_hits (contents and order).
 struct ScanKernel {
   ScanIsa isa;
   const char* name;     // "scalar" | "swar64" | "avx2" | "avx512" |
@@ -190,7 +124,7 @@ struct ScanKernel {
   unsigned lanes;       // positions scored per block (1, 64, 256, 512)
 
   /// Appends hits with position in [begin, end), clamped to the valid
-  /// range — same contract as bitscan_range.
+  /// range of `reference`.
   void (*range)(const BitScanQuery& query, const PlaneView& reference,
                 std::uint32_t threshold, std::size_t begin, std::size_t end,
                 std::vector<Hit>& out);
@@ -213,25 +147,9 @@ const ScanKernel* scan_kernel_for(ScanIsa isa) noexcept;
 /// "avx512vpopcnt"); returns false on unknown names.
 bool scan_isa_from_name(std::string_view name, ScanIsa& out) noexcept;
 
-/// The kernel every bitscan_* entry point dispatches to: the widest ISA
-/// the host supports, unless FABP_FORCE_ISA selects an available narrower
-/// one.  Resolved once on first use.
+/// The kernel every TileScanner entry point without an explicit kernel
+/// dispatches to: the widest ISA the host supports, unless FABP_FORCE_ISA
+/// selects an available narrower one.  Resolved once on first use.
 const ScanKernel& active_scan_kernel() noexcept;
-
-// ---------------------------------------------------------------------------
-// Multi-query batch scanning.
-
-/// Scans every query of a batch against the reference in one pass over the
-/// reference planes: each cached block of plane words is scored against
-/// all queries before moving on, so plane traffic is amortised across the
-/// batch instead of re-streamed per query.  outs[q] is exactly
-/// bitscan_hits(queries[q], reference, thresholds[q]) — contents and
-/// order.  thresholds.size() must equal queries.size().  With a pool the
-/// position range is chunked over threads and merged deterministically in
-/// chunk order, like bitscan_hits_parallel.
-std::vector<std::vector<Hit>> bitscan_hits_batch(
-    std::span<const BitScanQuery> queries, const BitScanReference& reference,
-    std::span<const std::uint32_t> thresholds,
-    util::ThreadPool* pool = nullptr);
 
 }  // namespace fabp::core

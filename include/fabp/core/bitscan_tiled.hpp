@@ -1,28 +1,26 @@
 #pragma once
 // Tile-fused compile+scan: stream the 2-bit packed reference, not
-// precompiled match planes.
+// precompiled match planes — the one software scan path.
 //
-// The precompiled path (BitScanReference) trades DRAM capacity and
-// bandwidth for reuse: 12 whole-reference match planes (~1.5 B/base) are
-// built once from the 0.25 B/base packed store and re-streamed per scan —
-// ~6x the DRAM traffic of FabP's hardware regime, plus a full-reference
-// compile before the first hit.  The tiled path instead walks the packed
-// words in L2-resident tiles: for each tile it compiles the 12
-// element-kind planes into a reusable per-thread scratch buffer (the same
-// SWAR bit-compaction NucleotideBitplanes uses, fused with the
-// BitScanReference plane formulas into one pass, with the prev1/prev2
-// history bits carried across tile edges), immediately scores the tile
-// with the ISA-dispatched ScanKernel, then discards the scratch and moves
-// on.  A scan therefore streams 0.25 B/base from DRAM, needs no upfront
-// compile, and its working set beyond the packed store is O(tile) per
-// thread — independent of the reference size.
+// Building the 12 match planes for a whole reference would cost ~1.5
+// B/base of DRAM, ~6x the 0.25 B/base packed store FabP's hardware
+// streams, plus a full-reference compile before the first hit.  The
+// scanner instead walks the packed words in L2-resident tiles: for each
+// tile it compiles the 12 element-kind planes into a reusable per-thread
+// scratch buffer (a SWAR bit-compaction of the packed codes fused with
+// the plane formulas into one pass, with the prev1/prev2 history bits
+// carried across tile edges), immediately scores the tile with the
+// ISA-dispatched ScanKernel, then discards the scratch and moves on.  A
+// scan therefore streams 0.25 B/base from DRAM, needs no upfront compile,
+// and its working set beyond the packed store is O(tile) per thread —
+// independent of the reference size.
 //
-// Output is bit-for-bit identical (contents and order) to golden_hits and
-// to the precompiled-plane path under every kernel: tiles are scored in
-// position order and per-position scores are exact, so tiling never
-// reorders or perturbs hits (locked down by tests/core/
-// bitscan_tiled_test.cpp, including tile-edge history and multi-record
-// databases).
+// Output is bit-for-bit identical (contents and order) to golden_hits
+// under every kernel: tiles are scored in position order and
+// per-position scores are exact, so tiling never reorders or perturbs
+// hits (locked down by tests/core/bitscan_tiled_test.cpp, including
+// tile-edge history and multi-record databases, and by the kernel
+// differentials in tests/core/bitscan_kernels_test.cpp).
 
 #include <cstdint>
 #include <span>
@@ -34,38 +32,12 @@
 
 namespace fabp::core {
 
-/// How a pooled scan splits its tiles across workers.  Either way every
-/// run is a contiguous, tile-aligned span owned by exactly one worker:
-/// the worker compiles and scores the run's tiles in its own scratch,
-/// carries the prev1/prev2 history across tile edges within the run, and
-/// appends hits to a cache-line-isolated per-run slot — no shared-line
-/// writes, no per-tile task dispatch.
-enum class TilePartition {
-  Auto,      ///< Static when tiles >> workers, Stealing otherwise.
-  Static,    ///< min(workers, tiles) runs — one dispatch per worker, the
-             ///< fast path when every worker owns many whole tiles.
-  Stealing,  ///< finer runs (a few per worker) drained through the pool
-             ///< queue, so stragglers rebalance at run granularity.
-};
-
 struct TileScanConfig {
   /// Candidate positions scored per tile; rounded up to a whole number of
   /// 64-element words (minimum one word).  The default keeps one tile's 12
   /// compiled planes (12 * 2048 words = 192 KiB) plus its packed input
   /// (32 KiB) L2-resident.
   std::size_t tile_positions = 128 * 1024;
-
-  /// Software-prefetch distance in packed reference words: while tile k is
-  /// being compiled, the packed words this far ahead of the compile cursor
-  /// are prefetched (and the head of tile k+1 is prefetched while tile k
-  /// is being scored), hiding the DRAM latency of the 0.25 B/base stream
-  /// behind the plane compile + kernel compute.  0 disables prefetching.
-  /// The default (64 words = 512 B = 8 cache lines ahead) covers typical
-  /// DRAM latency at the compile loop's consumption rate.
-  std::size_t prefetch_distance = 64;
-
-  /// Pooled-scan partition policy (serial scans ignore it).
-  TilePartition partition = TilePartition::Auto;
 };
 
 /// Fused tile compile+scan over a 2-bit packed reference.  Non-owning: the
@@ -79,7 +51,7 @@ class TileScanner {
                        TileScanConfig config = {});
   /// Scans the database's concatenated guarded store — one fused pass over
   /// a whole multi-record database (record mapping via db.locate /
-  /// annotate_hits, exactly as for the precompiled path).
+  /// annotate_hits).
   explicit TileScanner(const bio::ReferenceDatabase& database,
                        TileScanConfig config = {});
 
@@ -91,11 +63,16 @@ class TileScanner {
   std::size_t tile_count() const noexcept;
 
   /// Contiguous tile runs a pooled scan over `positions` candidate
-  /// positions splits into for `workers` threads under the configured
-  /// partition policy: min(tiles, workers) for Static, a few runs per
-  /// worker for Stealing, and Auto picks Static once every worker owns
-  /// enough whole tiles that imbalance is bounded by a small fraction of
-  /// a run.  Exposed so tests and the bench can pin the layout.
+  /// positions splits into for `workers` threads.  Every run is a
+  /// tile-aligned span owned by exactly one worker, which compiles and
+  /// scores its tiles in its own scratch, carries the prev1/prev2 history
+  /// across tile edges within the run, and appends hits to a
+  /// cache-line-isolated per-run slot.  Once every worker owns enough
+  /// whole tiles that imbalance is bounded by a small fraction of a run,
+  /// the layout is static: min(tiles, workers) runs, one dispatch per
+  /// worker.  Otherwise it steals: a few runs per worker drained through
+  /// the pool queue, so stragglers rebalance at run granularity.  Exposed
+  /// so tests can pin the layout.
   std::size_t scan_runs(std::size_t positions,
                         std::size_t workers) const noexcept;
 
@@ -125,12 +102,11 @@ class TileScanner {
                    std::size_t begin, std::size_t end,
                    std::vector<Hit>* outs) const;
 
-  /// All hits with score >= threshold — identical to bitscan_hits /
-  /// golden_hits on the same inputs.  With a pool, contiguous tile runs
-  /// (see TilePartition) are owned whole by workers — per-run scratch and
-  /// hit slots, history carried across tile edges inside the run — and
-  /// stitched in run order at the merge, so the output is deterministic
-  /// and exactly the serial scan's.  A one-query hits_batch.
+  /// All hits with score >= threshold — identical to golden_hits on the
+  /// same inputs.  With a pool, the scan splits into contiguous tile runs
+  /// (see scan_runs) stitched in run order at the merge, so the output is
+  /// deterministic and exactly the serial scan's.  A one-query
+  /// hits_batch.
   std::vector<Hit> hits(const BitScanQuery& query, std::uint32_t threshold,
                         util::ThreadPool* pool = nullptr) const;
 
@@ -145,8 +121,6 @@ class TileScanner {
   std::span<const std::uint64_t> words_;  // 2-bit packed reference words
   std::size_t size_ = 0;                  // reference elements
   std::size_t tile_positions_ = 0;        // multiple of 64
-  std::size_t prefetch_distance_ = 0;     // packed words; 0 = off
-  TilePartition partition_ = TilePartition::Auto;
 };
 
 }  // namespace fabp::core

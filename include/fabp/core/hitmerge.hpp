@@ -1,16 +1,15 @@
 #pragma once
-// Chunk-ordered hit merging — the one deterministic-merge idiom every
-// parallel scan path shares.
+// Chunk-ordered hit merging — the deterministic-merge step of the golden
+// oracle's pooled scan.
 //
-// All pooled scans (golden oracle, precompiled planes, tile-fused) follow
-// the same recipe: split the position range into indexed chunks, let each
-// worker append its hits into a private per-chunk slot, then concatenate
+// A pooled scan splits the position range into indexed chunks, lets each
+// worker append its hits into a private per-chunk slot, then concatenates
 // the slots *in chunk index order*.  Because the chunk layout is a pure
 // function of (range, pool size, granule), the merged output is
 // structurally identical — contents and ordering — to the serial scan,
-// independent of worker scheduling.  These helpers are that concatenation
-// step, deduplicated out of golden.cpp / bitscan.cpp / bitscan_tiled.cpp
-// (the merge-order contract is pinned by tests/core/hitmerge_test.cpp).
+// independent of worker scheduling.  TileScanner stitches its per-run
+// slots by the same rule.  The merge-order contract is pinned by
+// tests/core/hitmerge_test.cpp.
 
 #include <cstddef>
 #include <span>
@@ -38,23 +37,6 @@ inline std::vector<Hit> merge_hit_chunks(
   std::vector<Hit> out;
   merge_hit_chunks_into(chunks, out);
   return out;
-}
-
-/// Multi-query form: chunks[c][q] holds chunk c's hits for query q; the
-/// result's element [q] is the chunk-ordered concatenation over c —
-/// exactly what the single-query form produces per query.
-inline std::vector<std::vector<Hit>> merge_hit_chunks_batch(
-    std::span<const std::vector<std::vector<Hit>>> chunks,
-    std::size_t query_count) {
-  std::vector<std::vector<Hit>> outs(query_count);
-  for (std::size_t q = 0; q < query_count; ++q) {
-    std::size_t total = 0;
-    for (const auto& chunk : chunks) total += chunk[q].size();
-    outs[q].reserve(total);
-    for (const auto& chunk : chunks)
-      outs[q].insert(outs[q].end(), chunk[q].begin(), chunk[q].end());
-  }
-  return outs;
 }
 
 }  // namespace fabp::core

@@ -35,7 +35,6 @@
 #include "fabp/util/timer.hpp"
 
 #include "fabp/bio/alphabet.hpp"
-#include "fabp/bio/bitplanes.hpp"
 #include "fabp/bio/codon.hpp"
 #include "fabp/bio/codon_usage.hpp"
 #include "fabp/bio/database.hpp"

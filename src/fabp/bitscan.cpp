@@ -1,11 +1,8 @@
 #include "fabp/core/bitscan.hpp"
 
-#include <algorithm>
 #include <cstdlib>
-#include <stdexcept>
 
 #include "bitscan_kernel_impl.hpp"
-#include "fabp/core/hitmerge.hpp"
 #include "fabp/util/cpuid.hpp"
 
 namespace fabp::core {
@@ -16,12 +13,6 @@ namespace {
 // needs to substitute a degenerate kind for missing history.
 constexpr std::uint8_t kKindAorG = 4 + static_cast<std::uint8_t>(Condition::AorG);
 constexpr std::uint8_t kKindAny = 8 + static_cast<std::uint8_t>(Function::AnyD);
-
-// Chunk granule for the pooled precompiled-plane scans: one default scan
-// tile's worth of positions, so no worker is handed a sliver whose
-// dispatch cost exceeds its compute (and so chunk layout matches the
-// tiled path's whole-tile chunks).
-constexpr std::size_t kParallelScanGranule = 128 * 1024;
 
 }  // namespace
 
@@ -35,45 +26,6 @@ std::size_t element_kind(const BackElement& element) noexcept {
       return 8 + static_cast<std::size_t>(element.func);
   }
   return kKindAny;
-}
-
-BitScanReference::BitScanReference(const bio::NucleotideBitplanes& planes) {
-  size_ = planes.size();
-  const std::size_t words = planes.word_count();
-  const std::size_t padded = words + kScanGuardWords;
-  for (auto& plane : planes_) plane.assign(padded, 0);
-
-  const auto eq_a = planes.occurrence(bio::Nucleotide::A);
-  const auto eq_c = planes.occurrence(bio::Nucleotide::C);
-  const auto eq_g = planes.occurrence(bio::Nucleotide::G);
-  const auto eq_u = planes.occurrence(bio::Nucleotide::U);
-  const auto lsb = planes.lsb();
-  const auto msb = planes.msb();
-  const auto p1m = planes.prev1_msb();
-  const auto p2m = planes.prev2_msb();
-  const auto p2l = planes.prev2_lsb();
-  const auto valid = planes.valid();
-
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t v = valid[w];
-    // Type I: occurrence planes verbatim.
-    planes_[0][w] = eq_a[w];
-    planes_[1][w] = eq_c[w];
-    planes_[2][w] = eq_g[w];
-    planes_[3][w] = eq_u[w];
-    // Type II conditions on the 2-bit code: U/C = LSB set, A/G = LSB
-    // clear, G-bar, A/C = MSB clear.
-    planes_[4][w] = lsb[w];
-    planes_[5][w] = v & ~lsb[w];
-    planes_[6][w] = v & ~eq_g[w];
-    planes_[7][w] = v & ~msb[w];
-    // Type III: select per position between the S=1 and S=0 match sets
-    // with the history plane (BackElement::matches, vectorised).
-    planes_[8][w] = (p1m[w] & eq_a[w]) | (v & ~p1m[w] & ~lsb[w]);  // Stop3
-    planes_[9][w] = v & ~(p2m[w] & lsb[w]);                        // Leu3
-    planes_[10][w] = p2l[w] | (v & ~lsb[w]);                       // Arg3
-    planes_[11][w] = v;                                            // D
-  }
 }
 
 BitScanQuery::BitScanQuery(const std::vector<BackElement>& query) {
@@ -156,92 +108,6 @@ const ScanKernel& active_scan_kernel() noexcept {
     return scan_kernel_for(ScanIsa::Swar64);  // always present
   }();
   return *chosen;
-}
-
-// ---------------------------------------------------------------------------
-// Entry points (all funnel into the active kernel).
-
-void bitscan_range(const BitScanQuery& query,
-                   const BitScanReference& reference, std::uint32_t threshold,
-                   std::size_t begin, std::size_t end, std::vector<Hit>& out) {
-  active_scan_kernel().range(query, reference, threshold, begin, end, out);
-}
-
-std::vector<Hit> bitscan_hits(const BitScanQuery& query,
-                              const BitScanReference& reference,
-                              std::uint32_t threshold) {
-  std::vector<Hit> hits;
-  if (query.empty() || reference.size() < query.size()) return hits;
-  bitscan_range(query, reference, threshold, 0,
-                reference.size() - query.size() + 1, hits);
-  return hits;
-}
-
-std::vector<Hit> bitscan_hits(const std::vector<BackElement>& query,
-                              const bio::NucleotideSequence& reference,
-                              std::uint32_t threshold) {
-  return bitscan_hits(BitScanQuery{query}, BitScanReference{reference},
-                      threshold);
-}
-
-std::vector<Hit> bitscan_hits_parallel(const BitScanQuery& query,
-                                       const BitScanReference& reference,
-                                       std::uint32_t threshold,
-                                       util::ThreadPool& pool) {
-  if (query.empty() || reference.size() < query.size()) return {};
-  const std::size_t positions = reference.size() - query.size() + 1;
-
-  std::vector<std::vector<Hit>> chunks(
-      pool.chunk_count(positions, kParallelScanGranule));
-  pool.parallel_indexed_chunks(
-      0, positions,
-      [&](std::size_t c, std::size_t lo, std::size_t hi) {
-        bitscan_range(query, reference, threshold, lo, hi, chunks[c]);
-      },
-      kParallelScanGranule);
-  return merge_hit_chunks(chunks);
-}
-
-std::vector<std::vector<Hit>> bitscan_hits_batch(
-    std::span<const BitScanQuery> queries, const BitScanReference& reference,
-    std::span<const std::uint32_t> thresholds, util::ThreadPool* pool) {
-  if (queries.size() != thresholds.size())
-    throw std::invalid_argument{
-        "bitscan_hits_batch: one threshold per query required"};
-  std::vector<std::vector<Hit>> outs(queries.size());
-  if (queries.empty()) return outs;
-
-  // The shared position range spans the longest-scanning query; each
-  // query is clamped inside the kernel.
-  std::size_t positions = 0;
-  for (const BitScanQuery& query : queries)
-    if (!query.empty() && reference.size() >= query.size())
-      positions =
-          std::max(positions, reference.size() - query.size() + 1);
-  if (positions == 0) return outs;
-
-  const ScanKernel& kernel = active_scan_kernel();
-  if (pool == nullptr) {
-    kernel.range_batch(queries.data(), thresholds.data(), queries.size(),
-                       reference, 0, positions, outs.data());
-    return outs;
-  }
-
-  // Chunk positions over the pool; every chunk scans all queries (block
-  // caching still applies within the chunk), then per-query results are
-  // merged in chunk order — deterministic and identical to the serial
-  // batch, which is itself identical to per-query bitscan_hits.
-  std::vector<std::vector<std::vector<Hit>>> chunks(
-      pool->chunk_count(positions, kParallelScanGranule),
-      std::vector<std::vector<Hit>>(queries.size()));
-  pool->parallel_indexed_chunks(
-      0, positions,
-      [&](std::size_t c, std::size_t lo, std::size_t hi) {
-        kernel.range_batch(queries.data(), thresholds.data(), queries.size(),
-                           reference, lo, hi, chunks[c].data());
-      },
-      kParallelScanGranule);
-  return merge_hit_chunks_batch(chunks, queries.size());
 }
 
 }  // namespace fabp::core

@@ -14,15 +14,24 @@ namespace {
 using util::ceil_div;
 using util::compress_even_bits;
 
-// Stealing mode splits the scan into this many runs per worker: fine
-// enough that one slow worker sheds load through the queue, coarse enough
-// that dispatch and scratch setup stay amortised over many tiles.
+// The stealing layout splits the scan into this many runs per worker:
+// fine enough that one slow worker sheds load through the queue, coarse
+// enough that dispatch and scratch setup stay amortised over many tiles.
 constexpr std::size_t kStealingRunsPerWorker = 4;
 
-// Auto picks the static partition once every worker owns at least this
+// scan_runs picks the static layout once every worker owns at least this
 // many whole tiles — the end-of-scan imbalance is then bounded by one
 // tile per run, a small fraction of each worker's share.
 constexpr std::size_t kStaticTilesPerWorker = 8;
+
+// Software-prefetch distance in packed reference words: while a tile is
+// being compiled, the packed words this far ahead of the compile cursor
+// are prefetched (and the head of the next tile is prefetched while a
+// tile is being scored), hiding the DRAM latency of the 0.25 B/base
+// stream behind the plane compile + kernel compute.  64 words = 512 B =
+// 8 cache lines ahead covers typical DRAM latency at the compile loop's
+// consumption rate.
+constexpr std::size_t kPrefetchWords = 64;
 
 // Read-prefetch into a streaming cache level; a no-op compiler-side when
 // the builtin is unavailable (the hardware prefetcher still works).
@@ -37,8 +46,8 @@ inline void prefetch_ro(const void* p) noexcept {
 // One tile's compiled planes: a single allocation holding all 12 kind
 // planes at a fixed stride, reused across every tile of a scan.  Plane k
 // lives at buffer[k * stride .. k * stride + stride); words past the
-// tile's data are kept zero so kernel guard fetches read zeros exactly
-// like BitScanReference's padding.
+// tile's data are kept zero so kernel guard fetches read zeros (the
+// kScanGuardWords padding every PlaneView promises).
 struct TileScratch {
   std::vector<std::uint64_t> buffer;
   std::size_t stride = 0;
@@ -78,8 +87,9 @@ CodeWord code_word(std::span<const std::uint64_t> packed,
 
 // Compiles the 12 element-kind planes for global words
 // [first_word, first_word + data_words) into scratch indices
-// [0, data_words), fusing the NucleotideBitplanes SWAR compaction and the
-// BitScanReference plane formulas into one pass over the packed words.
+// [0, data_words), fusing the SWAR compaction of the 2-bit codes into
+// lsb/msb bitplanes and the 12 plane formulas into one pass over the
+// packed words.
 // The prev1/prev2 history bits are seeded from `entry` — the code word of
 // first_word - 1, which the caller either carries over from the previous
 // tile of its run or (at a run boundary) re-derives from the packed store
@@ -88,14 +98,13 @@ CodeWord code_word(std::span<const std::uint64_t> packed,
 // the guard padding kernel fetches rely on.
 //
 // Returns the code word observed at global word `capture_w` (the entry
-// history of the run's next tile); pass SIZE_MAX on the last tile.  With
-// prefetch_words != 0 the packed words that far ahead of the compile
-// cursor are software-prefetched, one line per 4 plane words.
+// history of the run's next tile); pass SIZE_MAX on the last tile.  The
+// packed words kPrefetchWords ahead of the compile cursor are
+// software-prefetched, one line per 4 plane words.
 CodeWord compile_tile(std::span<const std::uint64_t> packed,
                       std::size_t ref_size, std::size_t first_word,
                       std::size_t data_words, std::size_t capture_w,
-                      CodeWord entry, std::size_t prefetch_words,
-                      TileScratch& scratch) {
+                      CodeWord entry, TileScratch& scratch) {
   const std::size_t word_count = ceil_div(ref_size, 64);
   const unsigned tail = static_cast<unsigned>(ref_size & 63);
 
@@ -105,11 +114,11 @@ CodeWord compile_tile(std::span<const std::uint64_t> packed,
   const std::size_t stride = scratch.stride;
   for (std::size_t i = 0; i < data_words; ++i) {
     const std::size_t w = first_word + i;
-    if (prefetch_words != 0 && (i & 3) == 0) {
+    if ((i & 3) == 0) {
       // The loop consumes 2 packed words per iteration; touch the line
-      // `prefetch_words` packed words ahead once per 4 iterations (one
+      // kPrefetchWords packed words ahead once per 4 iterations (one
       // 64-byte line = 8 words).
-      const std::size_t ahead = 2 * w + prefetch_words;
+      const std::size_t ahead = 2 * w + kPrefetchWords;
       if (ahead < packed.size()) prefetch_ro(packed.data() + ahead);
     }
     const CodeWord c = code_word(packed, w);
@@ -135,7 +144,8 @@ CodeWord compile_tile(std::span<const std::uint64_t> packed,
     p[5 * stride + i] = valid & ~lsb;
     p[6 * stride + i] = valid & ~eq_g;
     p[7 * stride + i] = valid & ~msb;
-    // Type III: history-dependent selects (see BitScanReference).
+    // Type III: history-dependent selects between the S=1 and S=0 match
+    // sets (BackElement::matches, vectorised).
     p[8 * stride + i] = (p1m & eq_a) | (valid & ~p1m & ~lsb);  // Stop3
     p[9 * stride + i] = valid & ~(p2m & lsb);                  // Leu3
     p[10 * stride + i] = p2l | (valid & ~lsb);                 // Arg3
@@ -161,10 +171,7 @@ std::size_t stride_for(std::size_t tile_positions, std::size_t qlen) noexcept {
 
 TileScanner::TileScanner(const bio::PackedNucleotides& packed,
                          TileScanConfig config)
-    : words_{packed.words()},
-      size_{packed.size()},
-      prefetch_distance_{config.prefetch_distance},
-      partition_{config.partition} {
+    : words_{packed.words()}, size_{packed.size()} {
   tile_positions_ = std::max<std::size_t>(config.tile_positions, 1);
   tile_positions_ = 64 * ceil_div(tile_positions_, 64);
 }
@@ -181,14 +188,6 @@ std::size_t TileScanner::scan_runs(std::size_t positions,
                                    std::size_t workers) const noexcept {
   if (positions == 0 || workers <= 1 || tile_positions_ == 0) return 1;
   const std::size_t tiles = ceil_div(positions, tile_positions_);
-  switch (partition_) {
-    case TilePartition::Static:
-      return std::min(tiles, workers);
-    case TilePartition::Stealing:
-      return std::min(tiles, workers * kStealingRunsPerWorker);
-    case TilePartition::Auto:
-      break;
-  }
   return tiles >= workers * kStaticTilesPerWorker
              ? std::min(tiles, workers)
              : std::min(tiles, workers * kStealingRunsPerWorker);
@@ -227,7 +226,7 @@ void TileScanner::range_batch(const ScanKernel& kernel,
                               std::size_t end, std::vector<Hit>* outs) const {
   // Clamp to the widest scannable span and find the overhang-defining
   // query; queries the preamble rejects are skipped by prepare_query
-  // inside the kernel exactly as on the precompiled path.
+  // inside the kernel.
   std::size_t max_qlen = 0;
   std::size_t scan_end = begin;
   for (std::size_t q = 0; q < count; ++q) {
@@ -278,15 +277,15 @@ void TileScanner::range_batch(const ScanKernel& kernel,
         last_tile ? static_cast<std::size_t>(-1) : (tile_end >> 6) - 1;
     const CodeWord next_entry =
         compile_tile(words_, size_, first_word, data_words, capture_w, entry,
-                     prefetch_distance_, scratch);
+                     scratch);
 
     // While this tile is being *scored* the packed stream sits idle; pull
     // the head of the next tile's packed words in so the next compile
     // does not stall on DRAM.
-    if (prefetch_distance_ != 0 && !last_tile) {
+    if (!last_tile) {
       const std::size_t next_first = 2 * (tile_end >> 6);
       const std::size_t limit =
-          std::min(words_.size(), next_first + prefetch_distance_);
+          std::min(words_.size(), next_first + kPrefetchWords);
       for (std::size_t a = next_first; a < limit; a += 8)
         prefetch_ro(words_.data() + a);
     }
@@ -328,13 +327,8 @@ std::vector<std::vector<Hit>> TileScanner::hits_batch(
       positions = std::max(positions, size_ - query.size() + 1);
   if (positions == 0) return outs;
 
-  if (pool == nullptr || pool->size() <= 1 || positions <= tile_positions_) {
-    range_batch(queries.data(), thresholds.data(), queries.size(), 0,
-                positions, outs.data());
-    return outs;
-  }
-
-  const std::size_t runs = scan_runs(positions, pool->size());
+  const std::size_t runs =
+      pool == nullptr ? 1 : scan_runs(positions, pool->size());
   if (runs <= 1) {
     range_batch(queries.data(), thresholds.data(), queries.size(), 0,
                 positions, outs.data());

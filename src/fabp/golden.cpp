@@ -1,6 +1,6 @@
 #include "fabp/core/golden.hpp"
 
-#include "fabp/core/bitscan.hpp"
+#include "fabp/core/bitscan_tiled.hpp"
 #include "fabp/core/comparator.hpp"
 #include "fabp/core/hitmerge.hpp"
 
@@ -80,9 +80,11 @@ std::vector<Hit> golden_hits_parallel(const std::vector<BackElement>& query,
 std::vector<Hit> align_protein(const bio::ProteinSequence& protein,
                                const bio::NucleotideSequence& ref,
                                std::uint32_t threshold) {
-  // Default software path: the bit-sliced engine (differentially pinned to
-  // the scalar golden_hits oracle above).
-  return bitscan_hits(back_translate(protein), ref, threshold);
+  // Default software path: the tiled scan (differentially pinned to the
+  // scalar golden_hits oracle above).
+  const bio::PackedNucleotides packed{ref};
+  return TileScanner{packed}.hits(BitScanQuery{back_translate(protein)},
+                                  threshold);
 }
 
 }  // namespace fabp::core

@@ -10,7 +10,9 @@
 // so the compressor pairing, the odd-tail path, the reduced-threshold
 // borrow compare and the abandon-block decision are all proven bit-exact
 // against the scalar golden oracle on every build machine, not just
-// Ice-Lake-class hosts.
+// Ice-Lake-class hosts.  The instantiations are wrapped as a ScanKernel
+// and driven through TileScanner, the same entry every production kernel
+// runs behind, at the default tile and at a small one.
 
 #include <bit>
 #include <gtest/gtest.h>
@@ -18,11 +20,16 @@
 #include "../../src/fabp/bitscan_kernel_impl.hpp"
 #include "fabp/bio/generate.hpp"
 #include "fabp/core/bitscan.hpp"
+#include "fabp/core/bitscan_tiled.hpp"
+#include "scan_test_util.hpp"
 
 namespace fabp::core {
 namespace {
 
 using bio::NucleotideSequence;
+using scan_test::kernel_hits;
+using scan_test::kTiles;
+using scan_test::random_elements;
 
 // The swar64 substrate with the carry-save extensions: csa() is the
 // two-instruction portable full adder (the VPTERNLOGQ 0x96/0xE8 pair the
@@ -54,38 +61,24 @@ struct CsaSwar64Traits {
   }
 };
 
-std::vector<BackElement> random_elements(std::size_t n,
-                                         util::Xoshiro256& rng) {
-  std::vector<BackElement> q;
-  q.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (rng.next() % 3) {
-      case 0:
-        q.push_back(BackElement::make_exact(bio::nucleotide_from_code(
-            static_cast<std::uint8_t>(rng.next() % 4))));
-        break;
-      case 1:
-        q.push_back(BackElement::make_conditional(
-            static_cast<Condition>(rng.next() % 4)));
-        break;
-      default:
-        q.push_back(BackElement::make_dependent(
-            static_cast<Function>(rng.next() % 4)));
-        break;
-    }
-  }
-  return q;
-}
+const ScanKernel kCsa64{ScanIsa::Swar64, "csa64", 64,
+                        &detail::scan_range_t<CsaSwar64Traits, true>,
+                        &detail::scan_batch_t<CsaSwar64Traits, true>};
 
+// Full scan of `ref` through the CSA kernel at every kTiles size; fails
+// the test unless every tile size agrees, and returns the common list.
 std::vector<Hit> csa_hits(const BitScanQuery& query,
-                          const BitScanReference& reference,
+                          const NucleotideSequence& ref,
                           std::uint32_t threshold) {
-  std::vector<Hit> hits;
-  if (query.empty() || reference.size() < query.size()) return hits;
-  detail::scan_range_t<CsaSwar64Traits, true>(
-      query, reference, threshold, 0, reference.size() - query.size() + 1,
-      hits);
-  return hits;
+  const bio::PackedNucleotides packed{ref};
+  std::vector<std::vector<Hit>> per_tile;
+  for (std::size_t tile : kTiles)
+    per_tile.push_back(kernel_hits(
+        kCsa64, TileScanner{packed, {.tile_positions = tile}}, query,
+        threshold));
+  for (std::size_t i = 1; i < per_tile.size(); ++i)
+    EXPECT_EQ(per_tile[i], per_tile[0]) << "tile=" << kTiles[i];
+  return per_tile[0];
 }
 
 TEST(ScanCsa, MatchesGoldenOnRandomCases) {
@@ -95,11 +88,8 @@ TEST(ScanCsa, MatchesGoldenOnRandomCases) {
     const NucleotideSequence ref =
         bio::random_dna(query.size() + rng.next() % 1500, rng);
     const BitScanQuery compiled{query};
-    const BitScanReference reference{ref};
-    for (std::uint32_t t :
-         {0u, static_cast<std::uint32_t>(query.size() / 2),
-          static_cast<std::uint32_t>(query.size())}) {
-      EXPECT_EQ(csa_hits(compiled, reference, t), golden_hits(query, ref, t))
+    for (std::uint32_t t : scan_test::probe_thresholds(query.size())) {
+      EXPECT_EQ(csa_hits(compiled, ref, t), golden_hits(query, ref, t))
           << "trial=" << trial << " t=" << t;
     }
   }
@@ -115,10 +105,8 @@ TEST(ScanCsa, OddAndEvenQueryLengthsAgree) {
   for (std::size_t qlen : {1u, 2u, 3u, 4u, 15u, 16u, 17u, 31u, 32u, 33u}) {
     const auto query = random_elements(qlen, rng);
     const BitScanQuery compiled{query};
-    const BitScanReference reference{ref};
-    for (std::uint32_t t : {0u, static_cast<std::uint32_t>(qlen / 2),
-                            static_cast<std::uint32_t>(qlen)}) {
-      EXPECT_EQ(csa_hits(compiled, reference, t), golden_hits(query, ref, t))
+    for (std::uint32_t t : scan_test::probe_thresholds(qlen)) {
+      EXPECT_EQ(csa_hits(compiled, ref, t), golden_hits(query, ref, t))
           << "qlen=" << qlen << " t=" << t;
     }
   }
@@ -153,13 +141,12 @@ TEST(ScanCsa, HighThresholdsExerciseTheEarlyExit) {
   for (std::size_t i = 0; i < exact.size(); ++i) ref[2000 + i] = exact[i];
 
   const BitScanQuery compiled{query};
-  const BitScanReference reference{ref};
   for (std::uint32_t t :
        {static_cast<std::uint32_t>(qlen * 3 / 4),
         static_cast<std::uint32_t>(qlen - 1),
         static_cast<std::uint32_t>(qlen)}) {
     const auto golden = golden_hits(query, ref, t);
-    EXPECT_EQ(csa_hits(compiled, reference, t), golden) << "t=" << t;
+    EXPECT_EQ(csa_hits(compiled, ref, t), golden) << "t=" << t;
     EXPECT_FALSE(golden.empty()) << "planted gene missing at t=" << t;
   }
 }
@@ -172,9 +159,8 @@ TEST(ScanCsa, BlockBoundaryAndGuardWordSizes) {
         320u, 511u, 512u, 513u, 1023u, 1024u, 1025u}) {
     const NucleotideSequence ref = bio::random_dna(size, rng);
     const BitScanQuery compiled{query};
-    const BitScanReference reference{ref};
     for (std::uint32_t t : {0u, 6u, 12u}) {
-      EXPECT_EQ(csa_hits(compiled, reference, t), golden_hits(query, ref, t))
+      EXPECT_EQ(csa_hits(compiled, ref, t), golden_hits(query, ref, t))
           << "size=" << size << " t=" << t;
     }
   }
@@ -183,7 +169,7 @@ TEST(ScanCsa, BlockBoundaryAndGuardWordSizes) {
 TEST(ScanCsa, BatchMatchesPerQueryScans) {
   util::Xoshiro256 rng{431};
   const NucleotideSequence ref = bio::random_dna(3000, rng);
-  const BitScanReference reference{ref};
+  const bio::PackedNucleotides packed{ref};
 
   std::vector<BitScanQuery> queries;
   std::vector<std::uint32_t> thresholds;
@@ -195,12 +181,15 @@ TEST(ScanCsa, BatchMatchesPerQueryScans) {
         static_cast<std::uint32_t>(rng.next() % (raw.back().size() + 2)));
   }
 
-  std::vector<std::vector<Hit>> outs(queries.size());
-  detail::scan_batch_t<CsaSwar64Traits, true>(
-      queries.data(), thresholds.data(), queries.size(), reference, 0,
-      ref.size(), outs.data());
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    EXPECT_EQ(outs[q], golden_hits(raw[q], ref, thresholds[q])) << "q=" << q;
+  for (std::size_t tile : kTiles) {
+    const TileScanner scanner{packed, {.tile_positions = tile}};
+    std::vector<std::vector<Hit>> outs(queries.size());
+    scanner.range_batch(kCsa64, queries.data(), thresholds.data(),
+                        queries.size(), 0, ref.size(), outs.data());
+    for (std::size_t q = 0; q < queries.size(); ++q)
+      EXPECT_EQ(outs[q], golden_hits(raw[q], ref, thresholds[q]))
+          << "tile=" << tile << " q=" << q;
+  }
 }
 
 }  // namespace

@@ -1,64 +1,33 @@
 // Differential coverage of the ISA-dispatched scan kernels: every kernel
 // reachable on the host (scalar, swar64 and — CPU permitting — avx2,
-// avx512) must produce output bit-for-bit identical to the golden scalar
-// oracle on the same inputs, for single-query ranges and for multi-query
-// batches, including block-boundary, guard-word and size < 64 edge cases.
-// tools/check.sh additionally runs the whole suite under
-// FABP_FORCE_ISA=swar64 so the env-override dispatch path is exercised
-// end to end.
+// avx512, avx512vpopcnt) must produce output bit-for-bit identical to the
+// golden scalar oracle on the same inputs, for single-query ranges and
+// for multi-query batches, including block-boundary, guard-word and
+// size < 64 edge cases.  Each kernel runs through TileScanner twice: with
+// the default tile (these references fit one tile, so the kernel sees
+// whole-reference planes and their guard words) and with a small tile (so
+// blocks are cut at tile edges).  tools/check.sh additionally runs the
+// whole suite under each forced FABP_FORCE_ISA so the env-override
+// dispatch path is exercised end to end.
 
 #include <gtest/gtest.h>
 
 #include "fabp/bio/generate.hpp"
 #include "fabp/core/bitscan.hpp"
+#include "fabp/core/bitscan_tiled.hpp"
+#include "fabp/util/thread_pool.hpp"
+#include "scan_test_util.hpp"
 
 namespace fabp::core {
 namespace {
 
 using bio::NucleotideSequence;
 using bio::ProteinSequence;
-
-std::vector<BackElement> random_elements(std::size_t n,
-                                         util::Xoshiro256& rng) {
-  std::vector<BackElement> q;
-  q.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (rng.next() % 3) {
-      case 0:
-        q.push_back(BackElement::make_exact(bio::nucleotide_from_code(
-            static_cast<std::uint8_t>(rng.next() % 4))));
-        break;
-      case 1:
-        q.push_back(BackElement::make_conditional(
-            static_cast<Condition>(rng.next() % 4)));
-        break;
-      default:
-        q.push_back(BackElement::make_dependent(
-            static_cast<Function>(rng.next() % 4)));
-        break;
-    }
-  }
-  return q;
-}
-
-std::vector<const ScanKernel*> reachable_kernels() {
-  std::vector<const ScanKernel*> kernels;
-  for (ScanIsa isa : kAllScanIsas)
-    if (const ScanKernel* kernel = scan_kernel_for(isa))
-      kernels.push_back(kernel);
-  return kernels;
-}
-
-std::vector<Hit> kernel_hits(const ScanKernel& kernel,
-                             const BitScanQuery& query,
-                             const BitScanReference& reference,
-                             std::uint32_t threshold) {
-  std::vector<Hit> hits;
-  if (query.empty() || reference.size() < query.size()) return hits;
-  kernel.range(query, reference, threshold, 0,
-               reference.size() - query.size() + 1, hits);
-  return hits;
-}
+using scan_test::kernel_hits;
+using scan_test::kTiles;
+using scan_test::probe_thresholds;
+using scan_test::random_elements;
+using scan_test::reachable_kernels;
 
 TEST(ScanKernels, PortableKernelsAlwaysReachable) {
   EXPECT_NE(scan_kernel_for(ScanIsa::Scalar), nullptr);
@@ -96,14 +65,16 @@ TEST(ScanKernels, EveryKernelMatchesGoldenOnRandomCases) {
     const NucleotideSequence ref =
         bio::random_dna(query.size() + rng.next() % 1500, rng);
     const BitScanQuery compiled{query};
-    const BitScanReference reference{ref};
-    for (std::uint32_t t :
-         {0u, static_cast<std::uint32_t>(query.size() / 2),
-          static_cast<std::uint32_t>(query.size())}) {
+    const bio::PackedNucleotides packed{ref};
+    for (std::uint32_t t : probe_thresholds(query.size())) {
       const auto golden = golden_hits(query, ref, t);
-      for (const ScanKernel* kernel : kernels)
-        EXPECT_EQ(kernel_hits(*kernel, compiled, reference, t), golden)
-            << kernel->name << " trial=" << trial << " t=" << t;
+      for (std::size_t tile : kTiles) {
+        const TileScanner scanner{packed, {.tile_positions = tile}};
+        for (const ScanKernel* kernel : kernels)
+          EXPECT_EQ(kernel_hits(*kernel, scanner, compiled, t), golden)
+              << kernel->name << " tile=" << tile << " trial=" << trial
+              << " t=" << t;
+      }
     }
   }
 }
@@ -115,17 +86,21 @@ TEST(ScanKernels, BlockBoundaryAndGuardWordSizes) {
   util::Xoshiro256 rng{311};
   const auto kernels = reachable_kernels();
   const auto query = random_elements(12, rng);
+  const BitScanQuery compiled{query};
   for (std::size_t size :
        {12u, 13u, 63u, 64u, 65u, 75u, 127u, 128u, 129u, 255u, 256u, 257u,
         320u, 511u, 512u, 513u, 575u, 576u, 1023u, 1024u, 1025u}) {
     const NucleotideSequence ref = bio::random_dna(size, rng);
-    const BitScanQuery compiled{query};
-    const BitScanReference reference{ref};
+    const bio::PackedNucleotides packed{ref};
     for (std::uint32_t t : {0u, 6u, 12u}) {
       const auto golden = golden_hits(query, ref, t);
-      for (const ScanKernel* kernel : kernels)
-        EXPECT_EQ(kernel_hits(*kernel, compiled, reference, t), golden)
-            << kernel->name << " size=" << size << " t=" << t;
+      for (std::size_t tile : kTiles) {
+        const TileScanner scanner{packed, {.tile_positions = tile}};
+        for (const ScanKernel* kernel : kernels)
+          EXPECT_EQ(kernel_hits(*kernel, scanner, compiled, t), golden)
+              << kernel->name << " tile=" << tile << " size=" << size
+              << " t=" << t;
+      }
     }
   }
 }
@@ -135,14 +110,15 @@ TEST(ScanKernels, TinyReferencesUnderOneWord) {
   util::Xoshiro256 rng{313};
   for (std::size_t qlen : {1u, 2u, 5u}) {
     const auto query = random_elements(qlen, rng);
+    const BitScanQuery compiled{query};
     for (std::size_t size = qlen; size < 64; size += 7) {
       const NucleotideSequence ref = bio::random_dna(size, rng);
-      const BitScanQuery compiled{query};
-      const BitScanReference reference{ref};
+      const bio::PackedNucleotides packed{ref};
+      const TileScanner scanner{packed};
       for (std::uint32_t t : {0u, static_cast<std::uint32_t>(qlen)}) {
         const auto golden = golden_hits(query, ref, t);
         for (const ScanKernel* kernel : reachable_kernels())
-          EXPECT_EQ(kernel_hits(*kernel, compiled, reference, t), golden)
+          EXPECT_EQ(kernel_hits(*kernel, scanner, compiled, t), golden)
               << kernel->name << " qlen=" << qlen << " size=" << size
               << " t=" << t;
       }
@@ -157,15 +133,19 @@ TEST(ScanKernels, RangeSplitsAgreeAcrossKernels) {
   const auto query = random_elements(10, rng);
   const NucleotideSequence ref = bio::random_dna(1400, rng);
   const BitScanQuery compiled{query};
-  const BitScanReference reference{ref};
+  const bio::PackedNucleotides packed{ref};
   const auto golden = golden_hits(query, ref, 5);
   const std::size_t positions = ref.size() - query.size() + 1;
-  for (const ScanKernel* kernel : reachable_kernels()) {
-    for (std::size_t split : {1u, 63u, 64u, 255u, 257u, 512u, 700u}) {
-      std::vector<Hit> stitched;
-      kernel->range(compiled, reference, 5, 0, split, stitched);
-      kernel->range(compiled, reference, 5, split, positions, stitched);
-      EXPECT_EQ(stitched, golden) << kernel->name << " split=" << split;
+  for (std::size_t tile : kTiles) {
+    const TileScanner scanner{packed, {.tile_positions = tile}};
+    for (const ScanKernel* kernel : reachable_kernels()) {
+      for (std::size_t split : {1u, 63u, 64u, 255u, 257u, 512u, 700u}) {
+        std::vector<Hit> stitched;
+        scanner.range(*kernel, compiled, 5, 0, split, stitched);
+        scanner.range(*kernel, compiled, 5, split, positions, stitched);
+        EXPECT_EQ(stitched, golden)
+            << kernel->name << " tile=" << tile << " split=" << split;
+      }
     }
   }
 }
@@ -174,7 +154,7 @@ TEST(ScanKernels, BatchMatchesPerQueryScans) {
   util::Xoshiro256 rng{331};
   const auto kernels = reachable_kernels();
   const NucleotideSequence ref = bio::random_dna(3000, rng);
-  const BitScanReference reference{ref};
+  const bio::PackedNucleotides packed{ref};
 
   std::vector<BitScanQuery> queries;
   std::vector<std::uint32_t> thresholds;
@@ -186,20 +166,24 @@ TEST(ScanKernels, BatchMatchesPerQueryScans) {
         static_cast<std::uint32_t>(rng.next() % (raw.back().size() + 2)));
   }
 
-  for (const ScanKernel* kernel : kernels) {
-    std::vector<std::vector<Hit>> outs(queries.size());
-    kernel->range_batch(queries.data(), thresholds.data(), queries.size(),
-                        reference, 0, ref.size(), outs.data());
-    for (std::size_t q = 0; q < queries.size(); ++q)
-      EXPECT_EQ(outs[q], golden_hits(raw[q], ref, thresholds[q]))
-          << kernel->name << " q=" << q;
+  for (std::size_t tile : kTiles) {
+    const TileScanner scanner{packed, {.tile_positions = tile}};
+    for (const ScanKernel* kernel : kernels) {
+      std::vector<std::vector<Hit>> outs(queries.size());
+      scanner.range_batch(*kernel, queries.data(), thresholds.data(),
+                          queries.size(), 0, ref.size(), outs.data());
+      for (std::size_t q = 0; q < queries.size(); ++q)
+        EXPECT_EQ(outs[q], golden_hits(raw[q], ref, thresholds[q]))
+            << kernel->name << " tile=" << tile << " q=" << q;
+    }
   }
 }
 
 TEST(ScanKernels, BatchDispatchSerialAndPooledAreIdentical) {
   util::Xoshiro256 rng{337};
   const NucleotideSequence ref = bio::random_dna(4000, rng);
-  const BitScanReference reference{ref};
+  const bio::PackedNucleotides packed{ref};
+  const TileScanner scanner{packed, {.tile_positions = 256}};
 
   std::vector<BitScanQuery> queries;
   std::vector<std::uint32_t> thresholds;
@@ -212,14 +196,13 @@ TEST(ScanKernels, BatchDispatchSerialAndPooledAreIdentical) {
         static_cast<std::uint32_t>(elements.size() * 3 / 4);
     queries.emplace_back(elements);
     thresholds.push_back(threshold);
-    expected.push_back(bitscan_hits(queries.back(), reference, threshold));
+    expected.push_back(golden_hits(elements, ref, threshold));
   }
 
-  EXPECT_EQ(bitscan_hits_batch(queries, reference, thresholds), expected);
+  EXPECT_EQ(scanner.hits_batch(queries, thresholds), expected);
   for (std::size_t threads : {1u, 2u, 5u}) {
     util::ThreadPool pool{threads};
-    EXPECT_EQ(bitscan_hits_batch(queries, reference, thresholds, &pool),
-              expected)
+    EXPECT_EQ(scanner.hits_batch(queries, thresholds, &pool), expected)
         << threads;
   }
 }
@@ -227,7 +210,8 @@ TEST(ScanKernels, BatchDispatchSerialAndPooledAreIdentical) {
 TEST(ScanKernels, BatchHandlesDegenerateQueries) {
   util::Xoshiro256 rng{347};
   const NucleotideSequence ref = bio::random_dna(200, rng);
-  const BitScanReference reference{ref};
+  const bio::PackedNucleotides packed{ref};
+  const TileScanner scanner{packed};
 
   const auto longq = random_elements(ref.size() + 10, rng);  // > reference
   const auto shortq = random_elements(8, rng);
@@ -238,18 +222,20 @@ TEST(ScanKernels, BatchHandlesDegenerateQueries) {
   queries.emplace_back(shortq);  // normal
   const std::vector<std::uint32_t> thresholds{0, 0, 9, 4};
 
-  const auto outs = bitscan_hits_batch(queries, reference, thresholds);
-  ASSERT_EQ(outs.size(), 4u);
-  EXPECT_TRUE(outs[0].empty());
-  EXPECT_TRUE(outs[1].empty());
-  EXPECT_TRUE(outs[2].empty());
-  EXPECT_EQ(outs[3], golden_hits(shortq, ref, 4));
+  for (const ScanKernel* kernel : reachable_kernels()) {
+    std::vector<std::vector<Hit>> outs(queries.size());
+    scanner.range_batch(*kernel, queries.data(), thresholds.data(),
+                        queries.size(), 0, ref.size(), outs.data());
+    EXPECT_TRUE(outs[0].empty()) << kernel->name;
+    EXPECT_TRUE(outs[1].empty()) << kernel->name;
+    EXPECT_TRUE(outs[2].empty()) << kernel->name;
+    EXPECT_EQ(outs[3], golden_hits(shortq, ref, 4)) << kernel->name;
+  }
 
   EXPECT_THROW(
-      bitscan_hits_batch(queries, reference,
-                         std::vector<std::uint32_t>{0, 0}),
+      scanner.hits_batch(queries, std::vector<std::uint32_t>{0, 0}),
       std::invalid_argument);
-  EXPECT_TRUE(bitscan_hits_batch({}, reference, {}).empty());
+  EXPECT_TRUE(scanner.hits_batch({}, {}).empty());
 }
 
 TEST(ScanKernels, WideKernelsImplyCpuSupport) {

@@ -1,10 +1,10 @@
 // Differential coverage of the tile-fused compile+scan path: TileScanner
 // must produce output bit-for-bit identical (contents AND order) to the
-// golden scalar oracle and to the precompiled-plane path, under every
-// kernel reachable on the host, at tile-boundary sizes, with Type III
-// history spanning tile edges, over multi-record databases, and with the
-// pooled tile-parallel merge.  All tests are named TileScan* so the
-// thread-sanitizer leg of tools/check.sh can select them by filter.
+// golden scalar oracle under every kernel reachable on the host, at
+// tile-boundary sizes, with Type III history spanning tile edges, over
+// multi-record databases, and with the pooled tile-parallel merge in both
+// run layouts.  All tests are named TileScan* so the thread-sanitizer leg
+// of tools/check.sh can select them by filter.
 
 #include <gtest/gtest.h>
 
@@ -14,66 +14,18 @@
 #include "fabp/core/bitscan.hpp"
 #include "fabp/core/bitscan_tiled.hpp"
 #include "fabp/util/thread_pool.hpp"
+#include "scan_test_util.hpp"
 
 namespace fabp::core {
 namespace {
 
 using bio::NucleotideSequence;
+using scan_test::kernel_hits;
+using scan_test::probe_thresholds;
+using scan_test::random_elements;
+using scan_test::reachable_kernels;
 
-std::vector<BackElement> random_elements(std::size_t n,
-                                         util::Xoshiro256& rng) {
-  std::vector<BackElement> q;
-  q.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (rng.next() % 3) {
-      case 0:
-        q.push_back(BackElement::make_exact(bio::nucleotide_from_code(
-            static_cast<std::uint8_t>(rng.next() % 4))));
-        break;
-      case 1:
-        q.push_back(BackElement::make_conditional(
-            static_cast<Condition>(rng.next() % 4)));
-        break;
-      default:
-        q.push_back(BackElement::make_dependent(
-            static_cast<Function>(rng.next() % 4)));
-        break;
-    }
-  }
-  return q;
-}
-
-std::vector<const ScanKernel*> reachable_kernels() {
-  std::vector<const ScanKernel*> kernels;
-  for (ScanIsa isa : kAllScanIsas)
-    if (const ScanKernel* kernel = scan_kernel_for(isa))
-      kernels.push_back(kernel);
-  return kernels;
-}
-
-std::vector<Hit> plane_hits(const ScanKernel& kernel,
-                            const BitScanQuery& query,
-                            const BitScanReference& reference,
-                            std::uint32_t threshold) {
-  std::vector<Hit> hits;
-  if (query.empty() || reference.size() < query.size()) return hits;
-  kernel.range(query, reference, threshold, 0,
-               reference.size() - query.size() + 1, hits);
-  return hits;
-}
-
-std::vector<Hit> tiled_hits(const ScanKernel& kernel,
-                            const TileScanner& scanner,
-                            const BitScanQuery& query,
-                            std::uint32_t threshold) {
-  std::vector<Hit> hits;
-  if (query.empty() || scanner.size() < query.size()) return hits;
-  scanner.range(kernel, query, threshold, 0,
-                scanner.size() - query.size() + 1, hits);
-  return hits;
-}
-
-TEST(TileScan, MatchesGoldenAndPlanesOnRandomCases) {
+TEST(TileScan, MatchesGoldenOnRandomCases) {
   util::Xoshiro256 rng{401};
   const auto kernels = reachable_kernels();
   ASSERT_GE(kernels.size(), 2u);
@@ -83,19 +35,13 @@ TEST(TileScan, MatchesGoldenAndPlanesOnRandomCases) {
         bio::random_dna(raw.size() + rng.next() % 2000, rng);
     const bio::PackedNucleotides packed{ref};
     const BitScanQuery query{raw};
-    const BitScanReference reference{packed};
     // Small tiles so even these references span several tile edges.
     const TileScanner scanner{packed, {.tile_positions = 256}};
-    for (std::uint32_t t :
-         {0u, static_cast<std::uint32_t>(raw.size() / 2),
-          static_cast<std::uint32_t>(raw.size())}) {
+    for (std::uint32_t t : probe_thresholds(raw.size())) {
       const auto golden = golden_hits(raw, ref, t);
-      for (const ScanKernel* kernel : kernels) {
-        EXPECT_EQ(plane_hits(*kernel, query, reference, t), golden)
+      for (const ScanKernel* kernel : kernels)
+        EXPECT_EQ(kernel_hits(*kernel, scanner, query, t), golden)
             << kernel->name << " trial=" << trial << " t=" << t;
-        EXPECT_EQ(tiled_hits(*kernel, scanner, query, t), golden)
-            << kernel->name << " trial=" << trial << " t=" << t;
-      }
     }
   }
 }
@@ -119,7 +65,7 @@ TEST(TileScan, TileBoundarySizes) {
       for (std::uint32_t t : {0u, 5u, 11u}) {
         const auto golden = golden_hits(raw, ref, t);
         for (const ScanKernel* kernel : kernels)
-          EXPECT_EQ(tiled_hits(*kernel, scanner, query, t), golden)
+          EXPECT_EQ(kernel_hits(*kernel, scanner, query, t), golden)
               << kernel->name << " tile=" << tile << " size=" << size
               << " t=" << t;
       }
@@ -175,11 +121,11 @@ TEST(TileScan, RangeClampsAndSplitsLikeKernelRange) {
   }
 }
 
-TEST(TileScan, MultiRecordDatabaseMatchesPlanesPath) {
+TEST(TileScan, MultiRecordDatabaseMatchesGolden) {
   // A multi-record database concatenates records with guard separators in
-  // one packed store; the tiled scan over that store must equal the
-  // precompiled-plane scan over the same store, so record mapping
-  // (locate/annotate) sees identical global hit positions.
+  // one packed store; the tiled scan over that store must equal the oracle
+  // over the same store, so record mapping (locate/annotate) sees exact
+  // global hit positions.
   util::Xoshiro256 rng{431};
   bio::ReferenceDatabase db;
   db.add("r0", bio::random_dna(700, rng));
@@ -187,13 +133,12 @@ TEST(TileScan, MultiRecordDatabaseMatchesPlanesPath) {
   db.add("r2", bio::random_dna(1300, rng));
   const auto raw = random_elements(14, rng);
   const BitScanQuery query{raw};
-  const BitScanReference reference{db.packed()};
+  const NucleotideSequence store = db.concatenated();
   const TileScanner scanner{db, {.tile_positions = 256}};
   EXPECT_EQ(scanner.size(), db.packed().size());
-  for (std::uint32_t t : {0u, 7u, 14u}) {
-    const auto planes = bitscan_hits(query, reference, t);
-    EXPECT_EQ(scanner.hits(query, t), planes) << "t=" << t;
-  }
+  for (std::uint32_t t : {0u, 7u, 14u})
+    EXPECT_EQ(scanner.hits(query, t), golden_hits(raw, store, t))
+        << "t=" << t;
 }
 
 TEST(TileScan, ParallelMergeMatchesSerial) {
@@ -242,35 +187,19 @@ TEST(TileScan, BatchMatchesPerQueryIncludingDegenerates) {
                std::invalid_argument);
 }
 
-TEST(TileScan, PrefetchDistanceNeverChangesHits) {
-  // Prefetching is a pure latency hint: every distance — off, shorter than
-  // a tile, the default, and far past the next tile — must yield the exact
-  // serial and pooled hit lists.
-  util::Xoshiro256 rng{449};
-  const auto raw = random_elements(13, rng);
-  const NucleotideSequence ref = bio::random_dna(30'000, rng);
-  const bio::PackedNucleotides packed{ref};
-  const BitScanQuery query{raw};
-  const auto golden = golden_hits(raw, ref, 6);
-  util::ThreadPool pool{3};
-  for (std::size_t distance : {0u, 8u, 64u, 1024u}) {
-    const TileScanner scanner{
-        packed, {.tile_positions = 512, .prefetch_distance = distance}};
-    EXPECT_EQ(scanner.hits(query, 6), golden) << "distance=" << distance;
-    EXPECT_EQ(scanner.hits(query, 6, &pool), golden)
-        << "distance=" << distance;
-  }
-}
-
-TEST(TileScan, PartitionPoliciesAgreeWithSerial) {
-  // Static, Stealing and Auto runs must all stitch to the serial scan's
-  // exact hit list, single-query and batch, at pool widths that divide the
-  // tile count unevenly.
+TEST(TileScan, RunLayoutsAgreeWithSerial) {
+  // Both pooled run layouts must stitch to the serial scan's exact hit
+  // list, single-query and batch.  scan_runs picks the static layout once
+  // every worker owns at least 8 whole tiles and the stealing layout
+  // otherwise, so the tile count decides which one each width reaches:
+  // 79 tiles are static at widths 2 and 5, 10 tiles steal at both, and
+  // widths 2 and 5 divide neither tile count evenly.
   util::Xoshiro256 rng{457};
   const auto raw = random_elements(10, rng);
   const NucleotideSequence ref = bio::random_dna(40'000, rng);
   const bio::PackedNucleotides packed{ref};
   const BitScanQuery query{raw};
+  const std::size_t positions = ref.size() - raw.size() + 1;
 
   std::vector<BitScanQuery> queries;
   std::vector<std::vector<BackElement>> raws;
@@ -281,57 +210,52 @@ TEST(TileScan, PartitionPoliciesAgreeWithSerial) {
     thresholds.push_back(static_cast<std::uint32_t>(raws.back().size() / 2));
   }
 
-  for (TilePartition partition :
-       {TilePartition::Auto, TilePartition::Static, TilePartition::Stealing}) {
+  for (const bool stealing : {false, true}) {
     const TileScanner scanner{
-        packed, {.tile_positions = 512, .partition = partition}};
+        packed, {.tile_positions = stealing ? 4096u : 512u}};
     const auto serial = scanner.hits(query, 5);
     EXPECT_EQ(serial, golden_hits(raw, ref, 5));
     const auto serial_batch = scanner.hits_batch(queries, thresholds);
     for (std::size_t width : {2u, 5u}) {
+      const std::size_t runs = scanner.scan_runs(positions, width);
+      if (stealing)
+        EXPECT_GT(runs, width) << "width=" << width;
+      else
+        EXPECT_EQ(runs, width) << "width=" << width;
       util::ThreadPool pool{width};
       EXPECT_EQ(scanner.hits(query, 5, &pool), serial)
-          << "partition=" << static_cast<int>(partition)
-          << " width=" << width;
+          << "runs=" << runs << " width=" << width;
       EXPECT_EQ(scanner.hits_batch(queries, thresholds, &pool), serial_batch)
-          << "partition=" << static_cast<int>(partition)
-          << " width=" << width;
+          << "runs=" << runs << " width=" << width;
     }
   }
 }
 
-TEST(TileScan, ScanRunsFollowPartitionPolicy) {
+TEST(TileScan, ScanRunsPickLayoutFromTilesPerWorker) {
   util::Xoshiro256 rng{461};
   const bio::PackedNucleotides packed{bio::random_dna(64 * 100, rng)};
   const std::size_t positions = packed.size();  // 100 tiles of 64
-  auto runs = [&](TilePartition p, std::size_t workers) {
-    const TileScanner scanner{packed,
-                              {.tile_positions = 64, .partition = p}};
-    return scanner.scan_runs(positions, workers);
-  };
+  const TileScanner scanner{packed, {.tile_positions = 64}};
   // Serial or empty scans are always one run.
-  EXPECT_EQ(runs(TilePartition::Static, 1), 1u);
-  EXPECT_EQ(runs(TilePartition::Stealing, 0), 1u);
-  // Static: one run per worker, capped by the tile count.
-  EXPECT_EQ(runs(TilePartition::Static, 4), 4u);
-  EXPECT_EQ(runs(TilePartition::Static, 300), 100u);
-  // Stealing: a few runs per worker, capped by the tile count.
-  EXPECT_EQ(runs(TilePartition::Stealing, 4), 16u);
-  EXPECT_EQ(runs(TilePartition::Stealing, 64), 100u);
-  // Auto: static once every worker owns many whole tiles (100 tiles over
-  // 4 workers = 25 each), stealing-grained when workers are tile-starved.
-  EXPECT_EQ(runs(TilePartition::Auto, 4), 4u);
-  EXPECT_EQ(runs(TilePartition::Auto, 32), 100u);
+  EXPECT_EQ(scanner.scan_runs(positions, 1), 1u);
+  EXPECT_EQ(scanner.scan_runs(positions, 0), 1u);
+  EXPECT_EQ(scanner.scan_runs(0, 4), 1u);
+  // Static — one run per worker — while every worker owns at least 8
+  // whole tiles: 100 tiles over 4 workers, and over 12 (8.3 each).
+  EXPECT_EQ(scanner.scan_runs(positions, 4), 4u);
+  EXPECT_EQ(scanner.scan_runs(positions, 12), 12u);
+  // Stealing — 4 runs per worker, capped by the tile count — once the
+  // workers are tile-starved: 13 workers own 7.7 tiles each.
+  EXPECT_EQ(scanner.scan_runs(positions, 13), 52u);
+  EXPECT_EQ(scanner.scan_runs(positions, 32), 100u);
   // Never more runs than tiles, even for sub-tile scans.
-  const TileScanner scanner{
-      packed, {.tile_positions = 64, .partition = TilePartition::Stealing}};
   EXPECT_EQ(scanner.scan_runs(30, 8), 1u);
 }
 
-TEST(TileScan, PartitionIdentityAcrossBackends) {
-  // The partition knob rides HostConfig::tile into every backend; both
-  // kinds must return identical hits whichever policy is set,
-  // pooled or not.
+TEST(TileScan, RunLayoutIdentityAcrossBackends) {
+  // HostConfig::tile rides into every backend; both kinds must return
+  // identical hits in either run layout, pooled or not.  With a 4-wide
+  // pool, 49 tiles of 512 run static and 25 tiles of 1024 steal.
   util::Xoshiro256 rng{463};
   const NucleotideSequence ref = bio::random_dna(25'000, rng);
   const bio::ProteinSequence protein = bio::random_protein(9, rng);
@@ -340,31 +264,32 @@ TEST(TileScan, PartitionIdentityAcrossBackends) {
       static_cast<std::uint32_t>(query->size() / 2);
   const std::vector<Hit> expected =
       golden_hits(query->elements, ref, threshold);
+  const std::size_t positions = ref.size() - query->size() + 1;
 
   util::ThreadPool pool{4};
   for (const BackendKind kind :
        {BackendKind::HwSim, BackendKind::Tiled}) {
-    for (TilePartition partition :
-         {TilePartition::Static, TilePartition::Stealing}) {
+    for (const std::size_t tile : {512u, 1024u}) {
       HostConfig config;
-      config.tile.tile_positions = 1024;
-      config.tile.partition = partition;
+      config.tile.tile_positions = tile;
       ReferenceStore store;
       store.upload(bio::PackedNucleotides{ref}, config.search_both_strands);
+      EXPECT_EQ(TileScanner(store.strand(false), config.tile)
+                    .scan_runs(positions, pool.size()),
+                tile == 512 ? 4u : 16u);
       const std::unique_ptr<ScanBackend> backend =
           make_backend(kind, config, store);
       EXPECT_EQ(
           backend->scan_batch({&query, 1}, {&threshold, 1}, false, &pool)
               .front(),
           expected)
-          << to_string(kind) << " partition=" << static_cast<int>(partition);
+          << to_string(kind) << " tile=" << tile;
       BackendRequest request;
       request.query = query.get();
       request.threshold = threshold;
       Expected<BackendRun> run = backend->run(request);
       ASSERT_TRUE(run.has_value()) << to_string(kind);
-      EXPECT_EQ(run->hits, expected)
-          << to_string(kind) << " partition=" << static_cast<int>(partition);
+      EXPECT_EQ(run->hits, expected) << to_string(kind) << " tile=" << tile;
     }
   }
 }

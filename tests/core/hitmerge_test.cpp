@@ -40,28 +40,13 @@ TEST(HitMerge, ConcatenatesInChunkOrderWithoutSorting) {
   EXPECT_EQ(out, expected_with_prefix);
 }
 
-TEST(HitMerge, BatchTransposesChunkMajorToQueryMajor) {
-  // chunks[c][q] -> out[q] = concat over c.
-  const std::vector<std::vector<std::vector<Hit>>> chunks{
-      {{{10, 1}}, {{20, 2}, {21, 3}}},
-      {{{90, 4}}, {}},
-  };
-  const auto merged = merge_hit_chunks_batch(chunks, 2);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0], (std::vector<Hit>{{10, 1}, {90, 4}}));
-  EXPECT_EQ(merged[1], (std::vector<Hit>{{20, 2}, {21, 3}}));
-}
-
 TEST(HitMerge, EmptyInputs) {
   EXPECT_TRUE(merge_hit_chunks({}).empty());
-  const auto batch = merge_hit_chunks_batch({}, 3);
-  ASSERT_EQ(batch.size(), 3u);
-  for (const auto& q : batch) EXPECT_TRUE(q.empty());
 }
 
-// Regression for the three refactored merge sites: the parallel scans
-// (golden, bitscan planes, tiled) must still produce exactly the serial
-// scan's output — contents AND order — now that they share the helper.
+// The parallel scans (golden through the helper, tiled through its
+// per-run slots) must produce exactly the serial scan's output —
+// contents AND order.
 TEST(HitMerge, ParallelScansStillMatchSerialOrder) {
   util::Xoshiro256 rng{814};
   const bio::NucleotideSequence ref = bio::random_dna(40000, rng);
@@ -76,9 +61,8 @@ TEST(HitMerge, ParallelScansStillMatchSerialOrder) {
 
   const bio::PackedNucleotides packed{ref};
   const BitScanQuery compiled{query};
-  const BitScanReference planes{packed};
-  EXPECT_EQ(bitscan_hits_parallel(compiled, planes, threshold, pool), serial);
-  EXPECT_EQ(TileScanner{packed}.hits(compiled, threshold, &pool), serial);
+  const TileScanner scanner{packed, {.tile_positions = 1024}};
+  EXPECT_EQ(scanner.hits(compiled, threshold, &pool), serial);
 }
 
 }  // namespace

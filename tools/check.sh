@@ -25,8 +25,10 @@
 #   7. the kernel differential suites once per forced ISA the host can
 #      actually run (swar64|avx2|avx512|avx512vpopcnt, probed via
 #      `fabp isa`; unsupported ISAs are skipped) — every SIMD kernel is
-#      held to the scalar oracle through the same env-override path users
-#      would pin it with, and
+#      held, through TileScanner, to the scalar oracle, the encoded-query
+#      oracle and the accelerator's LUT path via the same env-override
+#      path users would pin it with — plus a small bench_bitscan run,
+#      which exits 1 on any hit mismatch between its engines, and
 #   8. the shard router leg — the sharded-vs-unsharded differential, the
 #      shard chaos/fault-isolation suite and the TCP serve smoke
 #      (spawn server, loadgen over localhost, SIGTERM, clean drain), and
@@ -57,6 +59,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs="$(nproc 2>/dev/null || echo 2)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== check.sh: default build =="
 cmake -B build -S .
@@ -105,11 +109,14 @@ for isa in swar64 avx2 avx512 avx512vpopcnt; do
   if build/tools/fabp isa | grep -qx "$isa"; then
     echo "-- FABP_FORCE_ISA=$isa"
     FABP_FORCE_ISA="$isa" build/tests/core_tests \
-        --gtest_filter='ScanKernels*:ScanCsa*:TileScan*'
+        --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
   else
     echo "-- $isa not reachable on this host, skipped"
   fi
 done
+echo "-- bench_bitscan smoke"
+build/bench/bench_bitscan 400000 20 1 "$tmp/bb.json" 2000000 6 4000000 \
+    >/dev/null
 
 echo "== check.sh: shard router leg =="
 build/tests/shard_tests
