@@ -28,6 +28,17 @@
 // Determinism contract: the hits of a coalesced request are bit-for-bit
 // the hits of Session::align on the same query/threshold and generation
 // (pinned by the engine differential tests for all three backends).
+//
+// Scan pool: the engine owns one util::ThreadPool, one worker per CPU in
+// the process affinity mask (util::schedulable_cpus()), started beside
+// the engine workers so a sync-only Session spawns no thread.  Every
+// async batch scans on it: TileScanner splits each strand scan into tile
+// runs (TileScanner::scan_runs), and a sharded generation's card workers
+// run their slices' tile runs on the same pool.  Deadlock rule: a
+// scan-pool task never waits on the scan pool.  Only engine workers and
+// card workers wait on it; the chaos splices and the null-list fill in
+// ScanBackend::run_many stay serial.  On a 1-CPU mask the pool has one
+// worker and every scan runs in place on its caller.
 
 #include <atomic>
 #include <chrono>
@@ -45,6 +56,7 @@
 
 #include "fabp/core/backend.hpp"
 #include "fabp/core/shard.hpp"
+#include "fabp/util/thread_pool.hpp"
 
 namespace fabp::core {
 
@@ -73,10 +85,11 @@ struct EngineConfig {
   /// Applied per database generation — a swap rebuilds the shard plans
   /// over the new snapshot.
   ShardConfig shard{};
-  /// Worker threads draining the queue.  Each worker scans its claimed
-  /// batch without any lock, so scans overlap across workers; only the
-  /// device accounting after the scan is serialized per database (one
-  /// modeled card each).  Distinct databases account in parallel too.
+  /// Worker threads draining the queue.  A worker claims a batch, hands
+  /// its scan to the engine's scan pool (sized by the affinity mask, not
+  /// by this knob) and waits for it without any lock, then accounts and
+  /// fulfils.  Only the device accounting is serialized per database (one
+  /// modeled card each); distinct databases account in parallel.
   std::size_t workers = 2;
   /// Admission queue bound across all tenants; submissions beyond it are
   /// rejected with ErrorCode::QueueFull instead of growing latency
@@ -474,7 +487,8 @@ class Engine {
     return config_.shard.shard_count > 1 ? config_.shard.shard_count : 1;
   }
   /// Router scatter/gather wall time of the active generation (0 when
-  /// unsharded).  Execution-lock stable like pipeline_stats().
+  /// unsharded).  Two relaxed atomics: takes no execution lock, so a
+  /// stats scrape never waits behind a running batch.
   double shard_overhead_seconds() const;
 
  private:
@@ -483,8 +497,10 @@ class Engine {
   void worker_loop();
   void ensure_workers();
   /// Runs one claimed batch (1..max_coalesce requests, all pinned to the
-  /// same generation): scan_batch per strand without the lock, then one
-  /// run_many call under it (the hw-sim device batch scheduler's unit).
+  /// same generation): scan_batch per strand on the scan pool without the
+  /// lock, then one run_many call under it (the hw-sim device batch
+  /// scheduler's unit), then fulfils.  The calling worker only waits on
+  /// the scan.
   void execute_batch(std::vector<StatePtr> batch);
 
   /// Looks up a resident database (nullptr when unknown).
@@ -525,6 +541,8 @@ class Engine {
   /// here so an idle tenant cannot bank credit and burst.
   double virtual_time_ = 0.0;
   std::vector<std::thread> workers_;
+  /// The scan pool (see the header comment); started with the workers.
+  std::unique_ptr<util::ThreadPool> scan_pool_;
   bool workers_started_ = false;
   bool stopping_ = false;
 };

@@ -24,15 +24,20 @@
 // shard order (ascending RC position).  The halo math is worked through in
 // DESIGN.md §4e.
 //
-// Routing: each shard runs on its own one-worker util::ThreadPool (the
-// per-card command queue; a worker per card rather than one shared pool
-// keeps each card's slice warm in one cache — DESIGN.md §4e has the
-// measurement); a coalesced engine batch fans out as ONE
-// run_many/scan_batch per shard, never one per request.  The health
-// machine folds into routing: a shard whose primary backend has degraded
-// sheds its slice to a software fallback backend over the same slice
-// instead of stalling its card, and the gathered hits stay bit-identical
-// (the fallback scans the same DRAM image).
+// Routing: each shard has its own one-worker util::ThreadPool, the card
+// worker.  It is the per-card command queue plus accounting: it keeps each
+// card's ordering, routing and run_many on one thread (DESIGN.md §4e has
+// the measurement that rejected one shared pool in its place).  A
+// coalesced engine batch fans out as ONE run_many/scan_batch per shard,
+// never one per request.  scan_batch forwards its pool argument to every
+// card's scan, so on the serving path each card's tile runs execute on
+// the engine's scan pool while the card worker waits for them.  Deadlock
+// rule (same as the engine's): a scan-pool task never waits on the scan
+// pool; only engine workers and card workers do.  The health machine
+// folds into routing: a shard whose primary backend has degraded sheds
+// its slice to a software fallback backend over the same slice instead
+// of stalling its card, and the gathered hits stay bit-identical (the
+// fallback scans the same DRAM image).
 
 #include <atomic>
 #include <cstddef>

@@ -19,14 +19,20 @@ struct BenchEnv {
   /// std::thread::hardware_concurrency() — the nominal core/SMT count.
   std::size_t hardware_threads = 0;
   /// CPUs actually schedulable for this process (sched_getaffinity mask
-  /// population); equals hardware_threads unless pinned/containerised.
-  /// Falls back to hardware_threads where the probe is unavailable.
+  /// population, schedulable_cpus()); equals hardware_threads unless
+  /// pinned/containerised.
   std::size_t affinity_cpus = 0;
   /// cpufreq scaling governor of cpu0 ("performance", "powersave", ...)
   /// or "unknown" when sysfs does not expose one (VMs, containers,
   /// non-Linux hosts).
   std::string governor = "unknown";
 };
+
+/// CPUs in this process's affinity mask (sched_getaffinity), at least 1.
+/// Falls back to hardware_concurrency() where the probe is unavailable.
+/// `taskset -c 0-1` therefore narrows everything sized by it — the serving
+/// engine's scan pool included — with no knob of its own.
+std::size_t schedulable_cpus();
 
 /// Probes the host once per call; cheap enough to call per bench run.
 BenchEnv probe_bench_env();

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fabp/util/benchenv.hpp"
 #include "fabp/util/stats.hpp"
 
 namespace fabp::core {
@@ -283,6 +284,7 @@ void Engine::ensure_workers() {
   // Callers hold queue_mutex_.
   if (workers_started_) return;
   workers_started_ = true;
+  scan_pool_ = std::make_unique<util::ThreadPool>(util::schedulable_cpus());
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -537,7 +539,8 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
     thresholds.push_back(state->threshold);
   }
   Expected<StrandHits> scanned = scan_strands(
-      *gen, config_.host.search_both_strands, queries, thresholds, nullptr);
+      *gen, config_.host.search_both_strands, queries, thresholds,
+      scan_pool_.get());
   if (!scanned) {
     for (const StatePtr& state : batch) fulfil(*state, scanned.error());
     return;
@@ -813,9 +816,7 @@ std::vector<ShardStatus> Engine::shard_status() const {
 }
 
 double Engine::shard_overhead_seconds() const {
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  std::lock_guard lock{db.exec_mutex};
+  const std::shared_ptr<Generation> gen = pin_active(*default_db_);
   return gen->sharded != nullptr
              ? gen->sharded->scatter_seconds() + gen->sharded->gather_seconds()
              : 0.0;

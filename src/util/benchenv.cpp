@@ -1,5 +1,6 @@
 #include "fabp/util/benchenv.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <thread>
 
@@ -11,18 +12,6 @@ namespace fabp::util {
 
 namespace {
 
-std::size_t probe_affinity(std::size_t fallback) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    const int n = CPU_COUNT(&set);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-#endif
-  return fallback;
-}
-
 std::string probe_governor() {
   std::ifstream in{
       "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor"};
@@ -33,10 +22,22 @@ std::string probe_governor() {
 
 }  // namespace
 
+std::size_t schedulable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 BenchEnv probe_bench_env() {
   BenchEnv env;
   env.hardware_threads = std::thread::hardware_concurrency();
-  env.affinity_cpus = probe_affinity(env.hardware_threads);
+  env.affinity_cpus = schedulable_cpus();
   env.governor = probe_governor();
   return env;
 }

@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "fabp/bio/generate.hpp"
+#include "fabp/util/benchenv.hpp"
 
 namespace fabp::core {
 namespace {
@@ -31,58 +33,73 @@ std::uint32_t half_threshold(const ProteinSequence& query) {
 // The engine's core determinism contract: results of coalesced concurrent
 // submission are hit-for-hit identical to sequential Session::align of the
 // same queries — for every backend kind and the hw-sim LUT oracle, both
-// strands on.
+// strands on.  Submitted batches scan on the engine's scan pool, the
+// sequential truth in place.  The 30 kbp reference is one default tile,
+// so the pool would never split it; 2048- and 256-position tiles give 15
+// and 118 tiles, which on 4 CPUs reach the stealing and the static run
+// layouts of TileScanner::scan_runs.
 TEST(Engine, CoalescedEqualsSequentialAllBackends) {
   util::Xoshiro256 rng{911};
   const NucleotideSequence ref = bio::random_dna(30000, rng);
   const std::vector<ProteinSequence> queries = make_queries(48, rng);
+  const bio::PackedNucleotides packed{ref};
+  const std::size_t cpus = util::schedulable_cpus();
 
   struct Case {
     BackendKind kind;
     bool lut;
   };
-  for (const auto [kind, lut] :
-       {Case{BackendKind::HwSim, false}, Case{BackendKind::Tiled, false},
-        Case{BackendKind::HwSim, true}}) {
-    EngineConfig config;
-    config.host.search_both_strands = true;
-    config.host.accelerator.use_lut_path = lut;
-    config.backend = kind;
-    config.workers = 2;
-
-    // Sequential truth through the same backend kind.
-    Engine sequential{config};
-    sequential.upload_reference(NucleotideSequence{ref});
-    std::vector<std::vector<Hit>> expected_fwd, expected_rev;
-    for (const ProteinSequence& query : queries) {
-      Expected<HostRunReport> report =
-          sequential.align_sync(query, half_threshold(query));
-      ASSERT_TRUE(report.has_value()) << to_string(kind);
-      expected_fwd.push_back(report->hits);
-      expected_rev.push_back(report->reverse_hits);
+  for (const std::size_t tile : {std::size_t{2048}, std::size_t{256}}) {
+    SCOPED_TRACE("tile_positions=" + std::to_string(tile));
+    if (cpus > 1) {
+      EXPECT_GT(
+          TileScanner(packed, TileScanConfig{tile}).scan_runs(ref.size(), cpus),
+          1u);
     }
+    for (const auto [kind, lut] :
+         {Case{BackendKind::HwSim, false}, Case{BackendKind::Tiled, false},
+          Case{BackendKind::HwSim, true}}) {
+      EngineConfig config;
+      config.host.search_both_strands = true;
+      config.host.accelerator.use_lut_path = lut;
+      config.host.tile.tile_positions = tile;
+      config.backend = kind;
+      config.workers = 2;
 
-    // Concurrent submission; the workers coalesce whatever queues up.
-    Engine engine{config};
-    engine.upload_reference(NucleotideSequence{ref});
-    std::vector<Ticket> tickets;
-    tickets.reserve(queries.size());
-    for (const ProteinSequence& query : queries)
-      tickets.push_back(engine.submit(query, half_threshold(query)));
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      Expected<HostRunReport> report = tickets[i].wait();
-      ASSERT_TRUE(report.has_value()) << to_string(kind) << " query " << i;
-      EXPECT_EQ(report->hits, expected_fwd[i])
-          << to_string(kind) << " query " << i;
-      EXPECT_EQ(report->reverse_hits, expected_rev[i])
-          << to_string(kind) << " query " << i;
+      // Sequential truth through the same backend kind.
+      Engine sequential{config};
+      sequential.upload_reference(NucleotideSequence{ref});
+      std::vector<std::vector<Hit>> expected_fwd, expected_rev;
+      for (const ProteinSequence& query : queries) {
+        Expected<HostRunReport> report =
+            sequential.align_sync(query, half_threshold(query));
+        ASSERT_TRUE(report.has_value()) << to_string(kind);
+        expected_fwd.push_back(report->hits);
+        expected_rev.push_back(report->reverse_hits);
+      }
+
+      // Concurrent submission; the workers coalesce whatever queues up.
+      Engine engine{config};
+      engine.upload_reference(NucleotideSequence{ref});
+      std::vector<Ticket> tickets;
+      tickets.reserve(queries.size());
+      for (const ProteinSequence& query : queries)
+        tickets.push_back(engine.submit(query, half_threshold(query)));
+      for (std::size_t i = 0; i < tickets.size(); ++i) {
+        Expected<HostRunReport> report = tickets[i].wait();
+        ASSERT_TRUE(report.has_value()) << to_string(kind) << " query " << i;
+        EXPECT_EQ(report->hits, expected_fwd[i])
+            << to_string(kind) << " query " << i;
+        EXPECT_EQ(report->reverse_hits, expected_rev[i])
+            << to_string(kind) << " query " << i;
+      }
+
+      const EngineStats stats = engine.stats();
+      EXPECT_EQ(stats.submitted, queries.size()) << to_string(kind);
+      EXPECT_EQ(stats.completed, queries.size()) << to_string(kind);
+      EXPECT_EQ(stats.failed + stats.cancelled + stats.expired, 0u)
+          << to_string(kind);
     }
-
-    const EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.submitted, queries.size()) << to_string(kind);
-    EXPECT_EQ(stats.completed, queries.size()) << to_string(kind);
-    EXPECT_EQ(stats.failed + stats.cancelled + stats.expired, 0u)
-        << to_string(kind);
   }
 }
 

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -355,7 +357,13 @@ TEST(Shard, ConcurrentScanBatchWithRunMany) {
     EXPECT_EQ(status.batches_executed, 3 * kRounds) << "shard " << status.index;
 }
 
-// Concurrent coalesced serving through the router — the tsan leg target.
+// Concurrent coalesced serving through the router — the tsan leg target,
+// and the sharded twin of Engine.CoalescedEqualsSequentialAllBackends:
+// both strands, HwSim, Tiled and the LUT path, held hit-for-hit to the
+// unsharded align_sync truth.  Each card's tile runs execute on the
+// engine's scan pool while its card worker waits; the 6.7 kbp slices are
+// one default tile, 4 tiles at 2048 positions and 27 at 256, so the
+// small tiles make every card's pooled scan split.
 TEST(Shard, CoalescedConcurrentSubmitMatchesSequential) {
   util::Xoshiro256 rng{717};
   const NucleotideSequence ref = bio::random_dna(20000, rng);
@@ -366,40 +374,103 @@ TEST(Shard, CoalescedConcurrentSubmitMatchesSequential) {
     return static_cast<std::uint32_t>(q.size() * 3 / 2);
   };
 
-  Engine truth{sharded_config(BackendKind::HwSim, 1)};
-  truth.upload_reference(NucleotideSequence{ref});
-  std::vector<std::vector<Hit>> expected_fwd, expected_rev;
-  for (const ProteinSequence& q : queries) {
-    Expected<HostRunReport> report = truth.align_sync(q, threshold(q));
-    ASSERT_TRUE(report.has_value());
-    expected_fwd.push_back(report->hits);
-    expected_rev.push_back(report->reverse_hits);
-  }
+  struct Case {
+    BackendKind kind;
+    bool lut;
+  };
+  for (const std::size_t tile :
+       {TileScanConfig{}.tile_positions, std::size_t{2048}, std::size_t{256}}) {
+    for (const auto [kind, lut] :
+         {Case{BackendKind::HwSim, false}, Case{BackendKind::Tiled, false},
+          Case{BackendKind::HwSim, true}}) {
+      const std::string label = std::string{to_string(kind)} +
+                                (lut ? "/lut" : "") +
+                                " tile=" + std::to_string(tile);
+      EngineConfig config = sharded_config(kind, 1);
+      config.host.accelerator.use_lut_path = lut;
+      config.host.tile.tile_positions = tile;
+      Engine truth{config};
+      truth.upload_reference(NucleotideSequence{ref});
+      std::vector<std::vector<Hit>> expected_fwd, expected_rev;
+      for (const ProteinSequence& q : queries) {
+        Expected<HostRunReport> report = truth.align_sync(q, threshold(q));
+        ASSERT_TRUE(report.has_value()) << label;
+        expected_fwd.push_back(report->hits);
+        expected_rev.push_back(report->reverse_hits);
+      }
 
-  Engine engine{sharded_config(BackendKind::HwSim, 3)};
+      config.shard.shard_count = 3;
+      Engine engine{config};
+      engine.upload_reference(NucleotideSequence{ref});
+      constexpr std::size_t kRequests = 48;
+      std::vector<Ticket> tickets;
+      tickets.reserve(kRequests);
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        const ProteinSequence& q = queries[i % queries.size()];
+        tickets.push_back(engine.submit(q, threshold(q)));
+      }
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        Expected<HostRunReport> outcome = tickets[i].wait();
+        ASSERT_TRUE(outcome.has_value()) << label << " request " << i;
+        EXPECT_EQ(outcome->hits, expected_fwd[i % queries.size()])
+            << label << " request " << i;
+        EXPECT_EQ(outcome->reverse_hits, expected_rev[i % queries.size()])
+            << label << " request " << i;
+      }
+      EXPECT_EQ(engine.stats().completed, kRequests) << label;
+
+      // Router status after draining: every shard executed work.
+      const std::vector<ShardStatus> status = engine.shard_status();
+      ASSERT_EQ(status.size(), 3u) << label;
+      for (const ShardStatus& shard : status)
+        EXPECT_GT(shard.batches_executed, 0u)
+            << label << " shard " << shard.index;
+    }
+  }
+}
+
+// shard_overhead_seconds() reads two relaxed atomics and takes no
+// execution lock: a stats thread scrapes it in a loop while a 16-request
+// sharded burst runs (a tsan leg target).  Each clock only grows, so one
+// reader never sees the sum fall.
+TEST(Shard, OverheadScrapeDuringBurstIsLockFree) {
+  util::Xoshiro256 rng{838};
+  const NucleotideSequence ref = bio::random_dna(20000, rng);
+  std::vector<ProteinSequence> queries;
+  for (std::size_t i = 0; i < 4; ++i)
+    queries.push_back(bio::random_protein(6 + i, rng));
+
+  EngineConfig config = sharded_config(BackendKind::HwSim, 4);
+  config.host.tile.tile_positions = 1024;
+  Engine engine{config};
   engine.upload_reference(NucleotideSequence{ref});
-  constexpr std::size_t kRequests = 48;
+
+  std::atomic<bool> done{false};
+  std::size_t scrapes = 0;
+  bool monotonic = true;
+  std::thread scraper{[&] {
+    double last = 0.0;
+    while (!done.load()) {
+      const double now = engine.shard_overhead_seconds();
+      monotonic = monotonic && now >= last;
+      last = now;
+      ++scrapes;
+    }
+  }};
+  constexpr std::size_t kRequests = 16;
   std::vector<Ticket> tickets;
   tickets.reserve(kRequests);
   for (std::size_t i = 0; i < kRequests; ++i) {
     const ProteinSequence& q = queries[i % queries.size()];
-    tickets.push_back(engine.submit(q, threshold(q)));
+    tickets.push_back(engine.submit(q, exactish_threshold(q)));
   }
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    Expected<HostRunReport> outcome = tickets[i].wait();
-    ASSERT_TRUE(outcome.has_value()) << "request " << i;
-    EXPECT_EQ(outcome->hits, expected_fwd[i % queries.size()]);
-    EXPECT_EQ(outcome->reverse_hits, expected_rev[i % queries.size()]);
-  }
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.completed, kRequests);
+  for (Ticket& ticket : tickets) EXPECT_TRUE(ticket.wait().has_value());
+  done.store(true);
+  scraper.join();
 
-  // Router status after draining: every shard executed work.
-  const std::vector<ShardStatus> status = engine.shard_status();
-  ASSERT_EQ(status.size(), 3u);
-  for (const ShardStatus& shard : status) {
-    EXPECT_GT(shard.batches_executed, 0u) << "shard " << shard.index;
-  }
+  EXPECT_GT(scrapes, 0u);
+  EXPECT_TRUE(monotonic);
+  EXPECT_GT(engine.shard_overhead_seconds(), 0.0);
 }
 
 // --- typed errors --------------------------------------------------------

@@ -261,8 +261,11 @@ TEST(Tenant, RetiredGenerationReclaimsWhenLastRequestSettles) {
 
 // Hot swap under concurrent load: every response is hit-for-hit identical
 // to a sequential run against the generation it was admitted under, for
-// the software-tiled, hw-sim and sharded backends.
-void swap_under_load_case(BackendKind kind, std::size_t shards) {
+// the software-tiled, hw-sim and sharded backends.  `tile_positions` 0
+// keeps the default tile, under which the 16 kbp references are one tile
+// and the engine's pooled scan never splits.
+void swap_under_load_case(BackendKind kind, std::size_t shards,
+                          std::size_t tile_positions = 0) {
   util::Xoshiro256 rng{926};
   const NucleotideSequence ref1 = bio::random_dna(16000, rng);
   const NucleotideSequence ref2 = bio::random_dna(16000, rng);
@@ -273,6 +276,7 @@ void swap_under_load_case(BackendKind kind, std::size_t shards) {
   config.shard.shard_count = shards;
   config.workers = 2;
   config.host.search_both_strands = true;
+  if (tile_positions != 0) config.host.tile.tile_positions = tile_positions;
 
   // Per-generation sequential truth.
   std::vector<std::vector<Hit>> exp1, exp2;
@@ -352,6 +356,14 @@ TEST(Tenant, SwapUnderLoadIsHitForHitHwSim) {
 
 TEST(Tenant, SwapUnderLoadIsHitForHitSharded) {
   swap_under_load_case(BackendKind::HwSim, 4);
+}
+
+// At a 256-position tile every pooled scan splits into tile runs (63
+// tiles unsharded, 16 per card at 4 shards) while generations swap
+// underneath: the runs read the batch's pinned snapshot only.
+TEST(Tenant, SwapUnderLoadIsHitForHitSmallTile) {
+  swap_under_load_case(BackendKind::HwSim, 1, 256);
+  swap_under_load_case(BackendKind::HwSim, 4, 256);
 }
 
 }  // namespace

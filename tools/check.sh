@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-command tier-1 verification in eleven legs:
+# One-command tier-1 verification in twelve legs:
 #
 #   1. default Release build + full ctest — exercises the runtime-dispatched
 #      scan kernel (the widest ISA this machine supports), and
@@ -44,7 +44,11 @@
 #      generation) run again under tsan, epoch reclamation under asan,
 #      and the live-swap TCP smoke (SwapDatabase mid-loadgen, zero
 #      failed requests, retired generations reclaimed), and
-#  11. the servebench leg — 5 s traced runs of the hit_heavy and
+#  11. the 1-CPU leg — the engine, shard and tenant suites under
+#      `taskset -c 0`, which sizes the engine's scan pool to one worker, so
+#      every pooled scan runs in place on its caller (skipped with a
+#      message when taskset is absent), and
+#  12. the servebench leg — 5 s traced runs of the hit_heavy and
 #      swap_churn serving workloads (`servebench/run.py --trace 1`), which
 #      fail on any wrong hit list.  Their layer replay drives
 #      ScanBackend::run_many directly, null hit lists for a batch of one
@@ -143,11 +147,20 @@ cmake --build build-asan -j"$jobs" --target tenant_tests
 build-asan/tests/tenant_tests
 tools/serve_tcp_swap_smoke.sh build/tools/fabp
 
+echo "== check.sh: 1-CPU leg (taskset -c 0, one-worker scan pool) =="
+if command -v taskset >/dev/null 2>&1; then
+  for suite in engine_tests shard_tests tenant_tests; do
+    taskset -c 0 "build/tests/$suite"
+  done
+else
+  echo "-- taskset not found, 1-CPU leg skipped"
+fi
+
 echo "== check.sh: servebench leg (traced hit_heavy + swap_churn runs) =="
 for workload in hit_heavy swap_churn; do
   python3 servebench/run.py --workload "$workload" --seed 1 --seconds 5 \
     --trace 1
 done
 
-echo "== check.sh: all green (default + asan/swar64 + tsan + ubsan/chaos + engine/swar64 + scheduler + per-isa + shard + net-chaos + tenant + servebench) =="
+echo "== check.sh: all green (default + asan/swar64 + tsan + ubsan/chaos + engine/swar64 + scheduler + per-isa + shard + net-chaos + tenant + 1-cpu + servebench) =="
 echo "src/ + include/ lines: $(find src include -name '*.?pp' -print0 | xargs -0 cat | wc -l)"
