@@ -15,20 +15,21 @@
 //
 // A kernel works a block of N positions at a time (N = its lane width):
 // for query element i, fetch N bits of its kind's plane at bit offset
-// (block_base + i) and add them into vertical (bit-sliced SWAR) counters;
-// after all elements, a borrow-propagation compare against the threshold
-// yields an N-bit hit mask, and Hit records are materialised only for set
-// bits.  The result is bit-for-bit identical to the scalar golden_hits
-// oracle (locked down by the differential tests in
-// tests/core/bitscan_test.cpp and tests/core/bitscan_kernels_test.cpp).
+// (block_base + i) and add them into vertical (bit-sliced SWAR) counters,
+// 16 elements at a time through a Harley–Seal carry-save tree of full
+// adders — the software shape of FabP's Pop36 column compression — with a
+// feasibility early exit after every group; after all elements, a
+// borrow-propagation compare against the threshold yields an N-bit hit
+// mask, and Hit records are materialised only for set bits.  The result
+// is bit-for-bit identical to the scalar golden_hits oracle (locked down
+// by the differential tests in tests/core/bitscan_test.cpp,
+// bitscan_kernels_test.cpp and bitscan_csa_test.cpp).
 //
-// The block loop is ISA-dispatched: the same vertical-counter algorithm is
+// The block loop is ISA-dispatched: the same carry-save scorer is
 // instantiated at 64 lanes (portable uint64_t SWAR), 256 lanes (AVX2) and
-// 512 lanes (AVX-512F), each compiled in its own TU with the matching -m
-// flags so the binary stays runnable on any x86-64.  A second 512-lane
-// variant (AVX-512 VPOPCNTDQ) replaces the per-element ripple-add with a
-// carry-save compressor step — the software shape of FabP's hardware
-// popcount/adder tree — plus a popcount-census infeasibility early exit.
+// 512 lanes (AVX-512F, and again in an AVX-512 VPOPCNTDQ TU that differs
+// only in its compile flags), each compiled in its own TU with the
+// matching -m flags so the binary stays runnable on any x86-64.
 // The widest kernel the CPU + OS support is selected once at startup
 // (util/cpuid.hpp); the
 // FABP_FORCE_ISA=scalar|swar64|avx2|avx512|avx512vpopcnt environment
@@ -99,10 +100,10 @@ class BitScanQuery {
 /// Instruction sets the block scan loop is instantiated for.  Scalar is a
 /// per-position reference loop over the same planes (no SWAR counters) —
 /// the slowest path, kept reachable for differential testing; Swar64 is
-/// the portable baseline, always available.  Avx512Vpopcnt is the same
-/// 512-lane substrate as Avx512 with the carry-save accumulate and the
-/// VPOPCNTDQ-census early exit; it additionally requires the
-/// AVX512_VPOPCNTDQ CPUID bit.
+/// the portable baseline, always available.  Every other ISA runs the same
+/// carry-save scorer; Avx512Vpopcnt no longer differs from Avx512 in
+/// algorithm, only in being compiled with -mavx512vpopcntdq and requiring
+/// the AVX512_VPOPCNTDQ CPUID bit.
 enum class ScanIsa { Scalar, Swar64, Avx2, Avx512, Avx512Vpopcnt };
 
 inline constexpr std::size_t kScanIsaCount = 5;

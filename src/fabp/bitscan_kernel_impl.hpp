@@ -1,7 +1,7 @@
 #pragma once
 // Private, ISA-agnostic core of the scan kernels.  Each kernel TU
-// (bitscan_kernels_{swar,avx2,avx512}.cpp) defines a Traits type mapping
-// the vertical-counter algorithm onto its vector substrate and
+// (bitscan_kernels_{swar,avx2,avx512,avx512vpopcnt}.cpp) defines a Traits
+// type mapping the vertical-counter algorithm onto its vector substrate and
 // instantiates scan_range_t / scan_batch_t with it.  This header contains
 // no intrinsics, so it compiles identically under every per-TU -m flag
 // set; all type names below are template parameters, which also keeps the
@@ -23,12 +23,6 @@
 //   static V not_(V);
 //   static bool any(V);                           // any bit set
 //   static void store(std::uint64_t* dst, V);     // kWords words
-//
-// Traits powering the carry-save scorer (scan_range_t/scan_batch_t with
-// kCsa = true) additionally provide:
-//   static void csa(V& high, V& low, V a, V b, V c);
-//     // bitwise full adder: low = a^b^c, high = majority(a,b,c)
-//   static unsigned popcount_total(V);            // set bits across lanes
 
 #include <algorithm>
 #include <bit>
@@ -51,11 +45,12 @@ const ScanKernel* avx2_kernel() noexcept;
 const ScanKernel* avx512_kernel() noexcept;
 const ScanKernel* avx512vpopcnt_kernel() noexcept;
 
-// Elements between feasibility checks in the carry-save scorer (must be a
-// power of two).  Each check costs one borrow-propagate over the counter
-// planes plus a lane census; every 16 elements it is well under 10% of
-// the accumulate work it can skip.
-inline constexpr std::size_t kCsaCheckStride = 16;
+// Query elements per Harley–Seal group in score_block, which is also the
+// stride of its feasibility check: the counters are exact only at group
+// boundaries.  Each check costs one borrow-propagate over the counter
+// planes plus a lane test; every 16 elements it is well under 10% of the
+// accumulate work it can skip.
+inline constexpr std::size_t kScoreGroup = 16;
 
 /// Borrow-out of (score - value) per lane over the first nbits counter
 /// planes: a lane's borrow bit is set iff its score < value.
@@ -113,101 +108,117 @@ inline void emit_block_hits(const typename Traits::Vec* counters,
   }
 }
 
+/// Bitwise full adder: sum = a ^ b ^ c, carry = majority(a, b, c).
+/// Written once over xor_/and_/or_; with AVX-512F the compiler folds each
+/// output into a single VPTERNLOGQ.
+template <typename Traits>
+inline void full_add(typename Traits::Vec& carry, typename Traits::Vec& sum,
+                     typename Traits::Vec a, typename Traits::Vec b,
+                     typename Traits::Vec c) {
+  const auto ab = Traits::xor_(a, b);
+  sum = Traits::xor_(ab, c);
+  carry = Traits::or_(Traits::and_(a, b), Traits::and_(ab, c));
+}
+
+/// Adds `carry` (one bit per lane, weight 2^b) into the counters from
+/// plane b up; stops as soon as no lane carries any further.
+template <typename Traits>
+inline void ripple_add(typename Traits::Vec* counters, unsigned b,
+                       typename Traits::Vec carry) {
+  for (; Traits::any(carry); ++b) {
+    const auto overflow = Traits::and_(counters[b], carry);
+    counters[b] = Traits::xor_(counters[b], carry);
+    carry = overflow;
+  }
+}
+
 /// Scores one block of 64 * Traits::kWords candidate positions starting at
 /// `base` and appends the `block` leading lanes that reach the threshold.
+///
+/// Per-position scores accumulate in vertical counters: lane j of counter
+/// plane b is bit b of the score at position base + j (scores never exceed
+/// qlen, so only the first nbits planes are touched).  Elements are folded
+/// kScoreGroup at a time through a Harley–Seal carry-save tree of 15 full
+/// adders into counters[0..3] (ones, twos, fours, eights) — the software
+/// shape of FabP's Pop36 column compression — so only the tree's sixteens
+/// output ripples into counters[4..nbits).  A tail of fewer than kScoreGroup
+/// elements folds pairwise through one full adder, then one element alone.
+///
+/// After every group that does not end the query, the counters are exact
+/// and a feasibility check abandons the block when no lane can still reach
+/// the threshold even if every remaining element matches — exact, since
+/// such a lane can never produce a hit.
 template <typename Traits>
 inline void score_block(const std::uint64_t* const* planes, std::size_t qlen,
                         unsigned nbits, std::uint32_t threshold,
                         std::size_t base, std::size_t block,
                         std::vector<Hit>& out) {
   using V = typename Traits::Vec;
+  static_assert(kScoreGroup == 16, "the tree below folds exactly 16 elements");
 
-  // Accumulate per-position scores in vertical counters: lane j of
-  // counter plane b is bit b of the score at position base + j.  Scores
-  // never exceed qlen, so only the first nbits planes are ever touched.
   V counters[kMaxCounterBits];
   for (unsigned b = 0; b < nbits; ++b) counters[b] = Traits::zero();
-  for (std::size_t i = 0; i < qlen; ++i) {
+
+  const auto element = [&](std::size_t i) {
     const std::size_t offset = base + i;
-    V carry = Traits::load_bits(planes[i], offset >> 6,
-                                static_cast<unsigned>(offset & 63));
-    // Ripple-add 1 into every set lane.
-    for (unsigned b = 0; Traits::any(carry); ++b) {
-      const V overflow = Traits::and_(counters[b], carry);
-      counters[b] = Traits::xor_(counters[b], carry);
-      carry = overflow;
-    }
-  }
-
-  // score >= threshold per lane: no borrow-out of (score - threshold).
-  const V borrow = counter_borrow<Traits>(counters, nbits, threshold);
-  emit_block_hits<Traits>(counters, nbits, Traits::not_(borrow), base, block,
-                          out);
-}
-
-/// Carry-save variant of score_block for Traits with csa/popcount_total:
-/// elements are folded two per step through a bitwise full adder (the
-/// software shape of FabP's hardware popcount/compressor tree), halving
-/// the ripple passes through the counter planes, and every
-/// kCsaCheckStride elements a feasibility census abandons the block when
-/// no lane can still reach the threshold — exact, because a lane whose
-/// partial score plus all remaining elements stays below the threshold
-/// can never produce a hit.  Output is bit-identical to score_block.
-template <typename Traits>
-inline void score_block_csa(const std::uint64_t* const* planes,
-                            std::size_t qlen, unsigned nbits,
-                            std::uint32_t threshold, std::size_t base,
-                            std::size_t block, std::vector<Hit>& out) {
-  using V = typename Traits::Vec;
-
-  V counters[kMaxCounterBits];
-  for (unsigned b = 0; b < nbits; ++b) counters[b] = Traits::zero();
+    return Traits::load_bits(planes[i], offset >> 6,
+                             static_cast<unsigned>(offset & 63));
+  };
 
   std::size_t i = 0;
-  for (; i + 1 < qlen; i += 2) {
-    const std::size_t o0 = base + i;
-    const std::size_t o1 = o0 + 1;
-    const V e0 = Traits::load_bits(planes[i], o0 >> 6,
-                                   static_cast<unsigned>(o0 & 63));
-    const V e1 = Traits::load_bits(planes[i + 1], o1 >> 6,
-                                   static_cast<unsigned>(o1 & 63));
-    // One full adder folds both elements and counter bit 0; only the
-    // compressed carry ripples into the higher planes.
-    V carry, sum;
-    Traits::csa(carry, sum, counters[0], e0, e1);
-    counters[0] = sum;
-    for (unsigned b = 1; Traits::any(carry); ++b) {
-      const V overflow = Traits::and_(counters[b], carry);
-      counters[b] = Traits::xor_(counters[b], carry);
-      carry = overflow;
-    }
+  if (qlen >= kScoreGroup) {  // nbits >= 5: counters[0..4] all exist
+    V& ones = counters[0];
+    V& twos = counters[1];
+    V& fours = counters[2];
+    V& eights = counters[3];
+    // Each fold adds elements [k, k + 2^n) into the low counters and
+    // returns the carry out of the top one (weight 2^n).
+    const auto fold2 = [&](std::size_t k) {
+      V twos_out;
+      full_add<Traits>(twos_out, ones, ones, element(k), element(k + 1));
+      return twos_out;
+    };
+    const auto fold4 = [&](std::size_t k) {
+      const V a = fold2(k);
+      const V b = fold2(k + 2);
+      V fours_out;
+      full_add<Traits>(fours_out, twos, twos, a, b);
+      return fours_out;
+    };
+    const auto fold8 = [&](std::size_t k) {
+      const V a = fold4(k);
+      const V b = fold4(k + 4);
+      V eights_out;
+      full_add<Traits>(eights_out, fours, fours, a, b);
+      return eights_out;
+    };
+    for (; i + kScoreGroup <= qlen; i += kScoreGroup) {
+      const V a = fold8(i);
+      const V b = fold8(i + 8);
+      V sixteens;
+      full_add<Traits>(sixteens, eights, eights, a, b);
+      ripple_add<Traits>(counters, 4, sixteens);
 
-    const std::size_t done = i + 2;
-    if ((done & (kCsaCheckStride - 1)) == 0 && done < qlen) {
-      // A lane can still hit iff partial + remaining >= threshold.  When
-      // even a perfect tail cannot save any lane, the whole block is
-      // provably hitless: skip the rest of the query.
-      const std::size_t remaining = qlen - done;
-      if (threshold > remaining) {
+      // A lane can still hit iff partial + remaining >= threshold.
+      const std::size_t remaining = qlen - (i + kScoreGroup);
+      if (remaining != 0 && threshold > remaining) {
         const std::uint32_t need =
             threshold - static_cast<std::uint32_t>(remaining);
-        const V alive = Traits::not_(
-            counter_borrow<Traits>(counters, nbits, need));
-        if (Traits::popcount_total(alive) == 0) return;
+        const V alive =
+            Traits::not_(counter_borrow<Traits>(counters, nbits, need));
+        if (!Traits::any(alive)) return;
       }
     }
   }
-  if (i < qlen) {  // odd element count: plain ripple-add for the last one
-    const std::size_t offset = base + i;
-    V carry = Traits::load_bits(planes[i], offset >> 6,
-                                static_cast<unsigned>(offset & 63));
-    for (unsigned b = 0; Traits::any(carry); ++b) {
-      const V overflow = Traits::and_(counters[b], carry);
-      counters[b] = Traits::xor_(counters[b], carry);
-      carry = overflow;
-    }
+  for (; i + 1 < qlen; i += 2) {
+    V carry;
+    full_add<Traits>(carry, counters[0], counters[0], element(i),
+                     element(i + 1));
+    ripple_add<Traits>(counters, 1, carry);
   }
+  if (i < qlen) ripple_add<Traits>(counters, 0, element(i));
 
+  // score >= threshold per lane: no borrow-out of (score - threshold).
   const V borrow = counter_borrow<Traits>(counters, nbits, threshold);
   emit_block_hits<Traits>(counters, nbits, Traits::not_(borrow), base, block,
                           out);
@@ -247,9 +258,7 @@ inline PreparedQuery prepare_query(const BitScanQuery& query,
   return p;
 }
 
-// kCsa selects the carry-save scorer (score_block_csa) — only valid for
-// Traits providing the csa/popcount_total extensions.
-template <typename Traits, bool kCsa = false>
+template <typename Traits>
 void scan_range_t(const BitScanQuery& query, const PlaneView& reference,
                   std::uint32_t threshold, std::size_t begin, std::size_t end,
                   std::vector<Hit>& out) {
@@ -258,16 +267,12 @@ void scan_range_t(const BitScanQuery& query, const PlaneView& reference,
   constexpr std::size_t kLanes = 64ull * Traits::kWords;
   for (std::size_t base = begin; base < p.end; base += kLanes) {
     const std::size_t block = std::min(kLanes, p.end - base);
-    if constexpr (kCsa)
-      score_block_csa<Traits>(p.planes.data(), p.qlen, p.nbits, p.threshold,
-                              base, block, out);
-    else
-      score_block<Traits>(p.planes.data(), p.qlen, p.nbits, p.threshold,
-                          base, block, out);
+    score_block<Traits>(p.planes.data(), p.qlen, p.nbits, p.threshold, base,
+                        block, out);
   }
 }
 
-template <typename Traits, bool kCsa = false>
+template <typename Traits>
 void scan_batch_t(const BitScanQuery* queries, const std::uint32_t* thresholds,
                   std::size_t count, const PlaneView& reference,
                   std::size_t begin, std::size_t end, std::vector<Hit>* outs) {
@@ -290,12 +295,8 @@ void scan_batch_t(const BitScanQuery* queries, const std::uint32_t* thresholds,
       const PreparedQuery& p = prepared[q];
       if (base >= p.end) continue;
       const std::size_t block = std::min(kLanes, p.end - base);
-      if constexpr (kCsa)
-        score_block_csa<Traits>(p.planes.data(), p.qlen, p.nbits,
-                                p.threshold, base, block, outs[q]);
-      else
-        score_block<Traits>(p.planes.data(), p.qlen, p.nbits, p.threshold,
-                            base, block, outs[q]);
+      score_block<Traits>(p.planes.data(), p.qlen, p.nbits, p.threshold,
+                          base, block, outs[q]);
     }
   }
 }

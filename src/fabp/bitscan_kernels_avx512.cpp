@@ -7,7 +7,12 @@
 
 #if defined(__AVX512F__)
 
+// GCC 12's AVX-512 shift intrinsics self-initialise an undefined vector,
+// which -Wmaybe-uninitialized reports wherever score_block inlines them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 namespace fabp::core::detail {
 

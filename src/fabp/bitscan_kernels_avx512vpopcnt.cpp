@@ -1,13 +1,10 @@
 // AVX-512 VPOPCNTDQ scan kernel: the carry-save scorer at 512 lanes.
 //
-// Same vector substrate as the AVX-512F kernel, but the per-element
-// ripple-add is replaced by score_block_csa's compressor step — a single
-// VPTERNLOGQ full adder (imm 0x96 = XOR3 for the sum, 0xE8 = MAJ for the
-// carry) folds two query elements and counter bit 0 at once, the software
-// shape of FabP's hardware popcount/adder tree — and VPOPCNTDQ powers the
-// lane census behind the feasibility early exit (abandon a 512-position
-// block as soon as no lane can still reach the threshold; a real win at
-// the high thresholds tblastn-style scans run at).
+// Same vector substrate and the same Harley–Seal score_block as the
+// AVX-512F kernel; since the lane census behind the feasibility early exit
+// became a plain any-bit test, no instruction here needs VPOPCNTDQ, and the
+// two kernels differ only in this TU's compile flags.  It stays a separate
+// ScanIsa so FABP_FORCE_ISA names and the reported kernel are unchanged.
 //
 // Compiled with -mavx512f -mavx512vpopcntdq (see src/fabp/CMakeLists.txt);
 // same TU-isolation rules as the other wide kernels — reached only through
@@ -18,7 +15,12 @@
 
 #if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
 
+// GCC 12's AVX-512 shift intrinsics self-initialise an undefined vector,
+// which -Wmaybe-uninitialized reports wherever score_block inlines them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 namespace fabp::core::detail {
 
@@ -56,31 +58,22 @@ struct Avx512VpopcntTraits {
   static void store(std::uint64_t* dst, Vec v) noexcept {
     _mm512_storeu_si512(dst, v);
   }
-  static void csa(Vec& high, Vec& low, Vec a, Vec b, Vec c) noexcept {
-    // One VPTERNLOGQ each: 0x96 = a^b^c, 0xE8 = majority(a, b, c).
-    low = _mm512_ternarylogic_epi64(a, b, c, 0x96);
-    high = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
-  }
-  static unsigned popcount_total(Vec v) noexcept {
-    return static_cast<unsigned>(
-        _mm512_reduce_add_epi64(_mm512_popcnt_epi64(v)));
-  }
 };
 
 void avx512vpopcnt_range(const BitScanQuery& query,
                          const PlaneView& reference, std::uint32_t threshold,
                          std::size_t begin, std::size_t end,
                          std::vector<Hit>& out) {
-  scan_range_t<Avx512VpopcntTraits, true>(query, reference, threshold, begin,
-                                          end, out);
+  scan_range_t<Avx512VpopcntTraits>(query, reference, threshold, begin, end,
+                                    out);
 }
 
 void avx512vpopcnt_batch(const BitScanQuery* queries,
                          const std::uint32_t* thresholds, std::size_t count,
                          const PlaneView& reference, std::size_t begin,
                          std::size_t end, std::vector<Hit>* outs) {
-  scan_batch_t<Avx512VpopcntTraits, true>(queries, thresholds, count,
-                                          reference, begin, end, outs);
+  scan_batch_t<Avx512VpopcntTraits>(queries, thresholds, count, reference,
+                                    begin, end, outs);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #      merge and the engine's submit/cancel/coalesce machinery, and
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
-#      retry/degrade state machine, and
+#      retry/degrade state machine — and the kernel differential suites,
+#      once as dispatched and once with FABP_FORCE_ISA=swar64 — UB
+#      coverage over the shared carry-save scorer and the SWAR shift
+#      path, and
 #   5. the engine stress suite pinned to the swar64 kernel — a
 #      deterministic-ISA concurrency exercise of the coalescing scheduler
 #      (same kernel on every machine, so schedules differ but hit lists
@@ -89,11 +92,17 @@ build-tsan/tests/engine_tests
 build-tsan/tests/shard_tests
 build-tsan/tests/net_tests
 
-echo "== check.sh: ubsan build, fault + chaos suites =="
+echo "== check.sh: ubsan build, fault + chaos + kernel suites =="
 cmake -B build-ubsan -S . -DFABP_SANITIZE=undefined
 cmake --build build-ubsan -j"$jobs" --target core_tests hw_tests
 build-ubsan/tests/hw_tests --gtest_filter='Fault*:CorruptWords*'
 build-ubsan/tests/core_tests --gtest_filter='Chaos*'
+# halt_on_error turns any UB report into a failing exit status.
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
+    --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
+UBSAN_OPTIONS=halt_on_error=1 FABP_FORCE_ISA=swar64 \
+    build-ubsan/tests/core_tests \
+    --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
 
 echo "== check.sh: engine stress, FABP_FORCE_ISA=swar64 =="
 FABP_FORCE_ISA=swar64 build/tests/engine_tests \
@@ -162,5 +171,5 @@ for workload in hit_heavy swap_churn; do
     --trace 1
 done
 
-echo "== check.sh: all green (default + asan/swar64 + tsan + ubsan/chaos + engine/swar64 + scheduler + per-isa + shard + net-chaos + tenant + 1-cpu + servebench) =="
+echo "== check.sh: all green (default + asan/swar64 + tsan + ubsan/chaos/kernels + engine/swar64 + scheduler + per-isa + shard + net-chaos + tenant + 1-cpu + servebench) =="
 echo "src/ + include/ lines: $(find src include -name '*.?pp' -print0 | xargs -0 cat | wc -l)"
