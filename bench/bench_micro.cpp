@@ -1,6 +1,6 @@
 // E8 — microbenchmarks (google-benchmark): per-component throughput of the
-// encoding, comparator, golden scan, pop-counter netlist, DP aligners and
-// the TBLASTN stages.  These attribute where time goes in the software
+// encoding, comparator, golden scan, pop-counter netlist, DP aligners, the
+// TBLASTN stages and the hw-sim device accounting.  These attribute where time goes in the software
 // models; the paper-level numbers live in the bench_fig6_*/bench_table1
 // harnesses.
 
@@ -15,6 +15,7 @@
 #include "fabp/bio/generate.hpp"
 #include "fabp/blast/tblastn.hpp"
 #include "fabp/core/accelerator.hpp"
+#include "fabp/core/backend.hpp"
 #include "fabp/core/bitscan_tiled.hpp"
 #include "fabp/blast/seg.hpp"
 #include "fabp/core/comparator.hpp"
@@ -159,6 +160,36 @@ void BM_AcceleratorRun(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * (1 << 16) / 4);
 }
 BENCHMARK(BM_AcceleratorRun);
+
+void BM_HwSimAccount(benchmark::State& state) {
+  // The hw-sim device accounting alone: run_many over hit lists scan_batch
+  // produced up front (as the engine hands them over), batch of 2.
+  // Arguments: reference Mbp, query residues.
+  const std::size_t bases = static_cast<std::size_t>(state.range(0)) << 20;
+  const core::HostConfig config;
+  core::ReferenceStore store;
+  store.upload(bio::PackedNucleotides{bio::random_dna(bases, rng())},
+               config.search_both_strands);
+  const auto backend =
+      core::make_backend(core::BackendKind::HwSim, config, store);
+  std::vector<core::CompiledQueryPtr> queries;
+  std::vector<std::uint32_t> thresholds;
+  for (int q = 0; q < 2; ++q) {
+    queries.push_back(core::compile_query(bio::random_protein(
+        static_cast<std::size_t>(state.range(1)), rng())));
+    thresholds.push_back(
+        queries.back()->threshold_for_expected_hits(bases, 16.0));
+  }
+  const auto hits = backend->scan_batch(queries, thresholds, false, nullptr);
+  std::vector<core::BackendRequest> requests;
+  for (std::size_t q = 0; q < queries.size(); ++q)
+    requests.push_back({queries[q].get(), thresholds[q], &hits[q], &hits[q]});
+  for (auto _ : state) benchmark::DoNotOptimize(backend->run_many(requests));
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_HwSimAccount)
+    ->ArgsProduct({{1, 4, 16}, {20, 80}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_InstanceNetlistSettle(benchmark::State& state) {
   core::InstanceConfig cfg;

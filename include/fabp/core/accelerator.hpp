@@ -66,9 +66,11 @@ struct AcceleratorRun {
 /// FIFO-overlapped datapath: beats arrive in lockstep groups of `channels`
 /// per cycle through the AXI burst model (optionally fault-injected stall
 /// storms), and a `segments`-segment datapath occupies the pipe for
-/// `segments` cycles per group.  This is exactly the accounting loop of
-/// Accelerator::run's non-LUT path, shared with the device batch scheduler
-/// so a per-PE reference slice is priced bit-identically to a full run.
+/// `segments` cycles per group.  Accelerator::run and the device batch
+/// scheduler both price beats here, so a per-PE reference slice costs
+/// exactly what a full run does.  A clean (null-injector) unsegmented
+/// stream is priced in closed form; storms and segmented FIFO
+/// backpressure are stepped cycle by cycle.
 struct StreamBeatTiming {
   std::size_t beats = 0;
   std::size_t stall_cycles = 0;
@@ -80,6 +82,30 @@ StreamBeatTiming stream_beat_timing(const hw::AxiTimingConfig& axi,
                                     std::size_t total_beats,
                                     std::size_t channels,
                                     std::size_t segments);
+
+/// Invocation kernel timing of one strand (DESIGN.md §4d): the reference
+/// splits into `pe_count` contiguous slices, each streamed through
+/// stream_beat_timing with an L_q-1 element halo (`halo_beats`) appended
+/// to every slice but the last so windows spanning a boundary are
+/// covered; the invocation retires when the slowest PE drains, plus
+/// write-back and pipeline fill.  With pe_count == 1 this is
+/// cycle-identical to Accelerator::run.
+struct InvocationStrandTiming {
+  std::size_t cycles = 0;         ///< makespan: slowest PE + wb + fill
+  std::size_t pe_busy_cycles = 0; ///< sum of per-PE busy cycles
+  double seconds = 0.0;
+};
+
+InvocationStrandTiming invocation_strand_timing(
+    const AcceleratorConfig& acc, hw::FaultInjector* injector,
+    std::size_t total_beats, std::size_t channels, std::size_t segments,
+    std::size_t pe_count, std::size_t halo_beats, std::size_t total_hits);
+
+/// The mapping of a `query_elements`-element query on `config`'s device
+/// (map_design); throws std::invalid_argument if the query is empty or
+/// cannot be placed even fully segmented.
+FabpMapping map_query(const AcceleratorConfig& config,
+                      std::size_t query_elements);
 
 class Accelerator {
  public:

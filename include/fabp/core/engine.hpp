@@ -222,18 +222,21 @@ struct Generation final : ReferenceSnapshot {
 };
 
 /// Small mutex-guarded circular window of request latencies (ms), shared
-/// shape for per-database and per-tenant percentile reporting.
+/// shape for per-database, per-tenant and server percentile reporting,
+/// plus the exact maximum over every sample ever recorded.
 struct LatencyRing {
   static constexpr std::size_t kCapacity = 1024;
 
   void record(double value_ms);
   std::vector<double> snapshot() const;  ///< valid samples, unordered
+  double max_ms() const;                 ///< all-time, not just the window
 
  private:
   mutable std::mutex mutex_;
   std::vector<double> ms_;
   std::size_t next_ = 0;
   std::size_t count_ = 0;
+  double max_ms_ = 0.0;
 };
 
 /// One named database resident in the engine.  Never destroyed while the

@@ -47,8 +47,11 @@ Bus build_popcounter_handcrafted(Netlist& netlist,
 /// Baseline: balanced binary adder tree over individual bits.
 Bus build_popcounter_tree(Netlist& netlist, std::span<const NetId> bits);
 
-/// LUT cost of each style for n input bits, without building a Netlist
-/// (used by the resource mapper; must agree with the generators — tested).
+/// LUT cost of each style for n input bits (must agree with the
+/// generators — tested at every width the mapper can ask for).  The
+/// handcrafted count is derived from bus widths alone, with no netlist, so
+/// the resource mapper can price a query per request; the tree count
+/// builds its netlist.
 std::size_t popcounter_luts_handcrafted(std::size_t n_bits);
 std::size_t popcounter_luts_tree(std::size_t n_bits);
 

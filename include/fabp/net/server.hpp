@@ -143,7 +143,10 @@ struct ServerMetrics {
   std::size_t shed = 0;            ///< refused with Overloaded pre-enqueue
   std::size_t io_timeouts = 0;     ///< connections reaped as idle/stalled
   std::size_t force_cancelled = 0; ///< requests cancelled at drain deadline
-  double p50_ms = 0.0;             ///< server-side align latency
+  /// Server-side align latency: percentiles over the most recent
+  /// window (core::detail::LatencyRing::kCapacity requests), the maximum
+  /// over the server's lifetime.
+  double p50_ms = 0.0;
   double p99_ms = 0.0;
   double max_ms = 0.0;
 };
@@ -228,7 +231,7 @@ class WireServer {
   std::vector<std::thread> connections_;  ///< live + the last exited
   std::thread::id last_exited_;           ///< joined by the next to exit
   std::vector<std::shared_ptr<ConnState>> conns_;  ///< live, for drain
-  std::vector<double> latencies_s_;
+  core::detail::LatencyRing latencies_;  ///< own lock; bounded window
   /// Sliding window feeding the p99 shed trigger and retry-after hints.
   std::array<double, 64> recent_ms_{};
   std::size_t recent_count_ = 0;

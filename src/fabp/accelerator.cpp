@@ -13,154 +13,23 @@ namespace fabp::core {
 
 using bio::Nucleotide;
 
-StreamBeatTiming stream_beat_timing(const hw::AxiTimingConfig& axi_config,
-                                    hw::FaultInjector* injector,
-                                    std::size_t total_beats,
-                                    std::size_t channels,
-                                    std::size_t segments) {
-  StreamBeatTiming out;
-  hw::FaultyAxiStream axi{axi_config, injector};
-  constexpr std::size_t kFifoDepth = 8;  // AXI read FIFO, in beat groups
-  const std::size_t ch = std::max<std::size_t>(1, channels);
-  const std::size_t total_groups = util::ceil_div(total_beats, ch);
-  std::size_t fetched_groups = 0, fifo = 0, busy = 0;
+namespace {
 
-  for (std::size_t beat = 0; beat < total_beats; ++beat) {
-    // Beats arrive in lockstep groups of `channels` per cycle; the AXI
-    // side refills the FIFO every cycle it can, so when the datapath is
-    // segmented (busy cycles) DRAM stalls hide behind compute.  Cycle
-    // accounting happens once per group; one iteration of the inner loop
-    // = one cycle.
-    if (beat % ch == 0) {
-      for (;;) {
-        if (fetched_groups < total_groups && fifo < kFifoDepth &&
-            axi.advance()) {
-          ++fifo;
-          ++fetched_groups;
-        }
-        if (busy > 0) {
-          --busy;
-          ++out.compute_cycles;
-          continue;
-        }
-        if (fifo == 0) {
-          ++out.stall_cycles;
-          continue;
-        }
-        break;  // a group is ready and the datapath is free: consume it
-      }
-      --fifo;
-      busy = segments - 1;
-    }
-    ++out.beats;
-  }
-  out.compute_cycles += busy;  // drain the last beat's segment cycles
-  return out;
-}
-
-Accelerator::Accelerator(AcceleratorConfig config)
-    : config_{std::move(config)} {}
-
-const FabpMapping& Accelerator::load_query(
-    const bio::ProteinSequence& protein) {
-  return load_encoded(encode_query(protein));
-}
-
-const FabpMapping& Accelerator::load_encoded(EncodedQuery query) {
-  if (query.empty())
-    throw std::invalid_argument{"Accelerator: empty query"};
-  query_ = std::move(query);
-  elements_.clear();
-  elements_.reserve(query_.size());
-  for (const Instruction& instr : query_)
-    elements_.push_back(instr.decode());
-
-  mapping_ =
-      map_design(config_.device, query_.size(), config_.mapper, config_.axi);
-  if (!mapping_.feasible)
-    throw std::invalid_argument{
-        "Accelerator: query does not fit the device even fully segmented"};
-  return mapping_;
-}
-
-AcceleratorRun Accelerator::run(const bio::PackedNucleotides& reference) const {
-  if (query_.empty())
-    throw std::logic_error{"Accelerator: no query loaded"};
-
-  AcceleratorRun out;
-  out.mapping = mapping_;
-  const std::size_t lq = query_.size();
-  const std::size_t lr = reference.size();
-  if (lr < lq) {
-    finalize_timing(out, lr);
-    return out;
-  }
-
+/// The element-by-element oracle: every alignment position through the
+/// generated comparator LUTs, beat by beat over the Reference Stream
+/// buffer.
+std::vector<Hit> lut_path_hits(const EncodedQuery& query,
+                               const bio::PackedNucleotides& reference,
+                               std::uint32_t threshold) {
+  std::vector<Hit> hits;
   const std::size_t elements_per_beat = bio::kElementsPerBeat;
-  const std::size_t total_beats = reference.beat_count();
-  const std::size_t last_position = lr - lq;  // inclusive
-
-  // Default functional path: the bit-sliced scan engine produces the hit
-  // list up front (bit-exact with the per-position behavioral evaluation —
-  // see tests/core/bitscan_test.cpp), and the beat loop degenerates to
-  // pure cycle accounting — shared with the device batch scheduler as
-  // stream_beat_timing().  The LUT path keeps the element-by-element
-  // evaluation through the generated comparator LUTs as the oracle.
-  if (!config_.use_lut_path) {
-    // Tile-fused scan: stream the 2-bit packed reference directly — no
-    // whole-reference plane compile before the first hit, and the run's
-    // working set beyond the packed store is one scan tile.
-    out.hits =
-        TileScanner{reference}.hits(BitScanQuery{elements_}, config_.threshold);
-    const StreamBeatTiming timing =
-        stream_beat_timing(config_.axi, config_.fault_injector, total_beats,
-                           mapping_.channels, mapping_.segments);
-    out.beats = timing.beats;
-    out.stall_cycles = timing.stall_cycles;
-    out.compute_cycles = timing.compute_cycles;
-    finalize_timing(out, lr);
-    return out;
-  }
+  const std::size_t lq = query.size();
+  const std::size_t last_position = reference.size() - lq;  // inclusive
 
   // Reference Stream buffer: previous L_q tail + the incoming 256 elements
   // (§III-C: L_ref_stream = L_q + 256).  Front-padded with A for beat 0.
   std::vector<Nucleotide> window(lq + elements_per_beat, Nucleotide::A);
-
-  hw::FaultyAxiStream axi{config_.axi, config_.fault_injector};
-  constexpr std::size_t kFifoDepth = 8;  // AXI read FIFO, in beat groups
-  const std::size_t channels = std::max<std::size_t>(1, mapping_.channels);
-  const std::size_t total_groups = util::ceil_div(total_beats, channels);
-  std::size_t fetched_groups = 0, fifo = 0, busy = 0;
-
-  for (std::size_t beat = 0; beat < total_beats; ++beat) {
-    // Beats arrive in lockstep groups of `channels` per cycle; the AXI
-    // side refills the FIFO every cycle it can, so when the datapath is
-    // segmented (busy cycles) DRAM stalls hide behind compute.  Cycle
-    // accounting happens once per group; one iteration of the inner loop
-    // = one cycle.
-    if (beat % channels == 0) {
-      for (;;) {
-        if (fetched_groups < total_groups && fifo < kFifoDepth &&
-            axi.advance()) {
-          ++fifo;
-          ++fetched_groups;
-        }
-        if (busy > 0) {
-          --busy;
-          ++out.compute_cycles;
-          continue;
-        }
-        if (fifo == 0) {
-          ++out.stall_cycles;
-          continue;
-        }
-        break;  // a group is ready and the datapath is free: consume it
-      }
-      --fifo;
-      busy = mapping_.segments - 1;
-    }
-    ++out.beats;
-
+  for (std::size_t beat = 0; beat < reference.beat_count(); ++beat) {
     // Shift the tail and load the 256 new elements from the beat words.
     std::copy(window.end() - static_cast<std::ptrdiff_t>(lq), window.end(),
               window.begin());
@@ -184,27 +53,163 @@ AcceleratorRun Accelerator::run(const bio::PackedNucleotides& reference) const {
     const std::ptrdiff_t last_abs = std::min<std::ptrdiff_t>(
         static_cast<std::ptrdiff_t>(last_position), end - slq);
 
-    if (first_abs <= last_abs) {
-      for (std::size_t p = static_cast<std::size_t>(first_abs);
-           p <= static_cast<std::size_t>(last_abs); ++p) {
-        // Window index of absolute element a: a - (window_start_abs - lq).
-        const std::size_t base = p + lq - window_start_abs;
-        std::uint32_t score = 0;
-        for (std::size_t i = 0; i < lq; ++i) {
-          const Nucleotide r = window[base + i];
-          const Nucleotide im1 =
-              base + i >= 1 ? window[base + i - 1] : Nucleotide::A;
-          const Nucleotide im2 =
-              base + i >= 2 ? window[base + i - 2] : Nucleotide::A;
-          if (comparator_eval(query_[i], r, im1, im2)) ++score;
-        }
-        if (score >= config_.threshold) out.hits.push_back(Hit{p, score});
+    for (std::ptrdiff_t p = first_abs; p <= last_abs; ++p) {
+      // Window index of absolute element a: a - (window_start_abs - lq).
+      const std::size_t base =
+          static_cast<std::size_t>(p) + lq - window_start_abs;
+      std::uint32_t score = 0;
+      for (std::size_t i = 0; i < lq; ++i) {
+        const Nucleotide r = window[base + i];
+        const Nucleotide im1 =
+            base + i >= 1 ? window[base + i - 1] : Nucleotide::A;
+        const Nucleotide im2 =
+            base + i >= 2 ? window[base + i - 2] : Nucleotide::A;
+        if (comparator_eval(query[i], r, im1, im2)) ++score;
       }
+      if (score >= threshold)
+        hits.push_back(Hit{static_cast<std::size_t>(p), score});
     }
-
   }
-  out.compute_cycles += busy;  // drain the last beat's segment cycles
+  return hits;
+}
 
+}  // namespace
+
+StreamBeatTiming stream_beat_timing(const hw::AxiTimingConfig& axi_config,
+                                    hw::FaultInjector* injector,
+                                    std::size_t total_beats,
+                                    std::size_t channels,
+                                    std::size_t segments) {
+  StreamBeatTiming out;
+  out.beats = total_beats;
+  // Beats arrive in lockstep groups of `channels`; every consumed group
+  // holds the datapath for segments - 1 further cycles.
+  const std::size_t total_groups =
+      util::ceil_div(total_beats, std::max<std::size_t>(1, channels));
+  out.compute_cycles = (segments - 1) * total_groups;
+  if (injector == nullptr && segments == 1) {
+    // Clean unsegmented stream: each group is consumed the cycle it lands,
+    // so the stalls are exactly the AXI burst pattern's dead cycles.
+    out.stall_cycles =
+        hw::AxiReadStream::cycles_for_beats(axi_config, total_groups) -
+        total_groups;
+    return out;
+  }
+
+  // Stepped model, for injected stall storms and for the segmented pipe,
+  // whose FIFO backpressure pauses the AXI pattern.  The AXI side refills
+  // the FIFO every cycle it can, so DRAM stalls hide behind busy cycles;
+  // one inner-loop iteration is one cycle.
+  hw::FaultyAxiStream axi{axi_config, injector};
+  constexpr std::size_t kFifoDepth = 8;  // AXI read FIFO, in beat groups
+  std::size_t fetched_groups = 0, fifo = 0, busy = 0;
+  for (std::size_t group = 0; group < total_groups; ++group) {
+    for (;;) {
+      if (fetched_groups < total_groups && fifo < kFifoDepth &&
+          axi.advance()) {
+        ++fifo;
+        ++fetched_groups;
+      }
+      if (busy > 0) {
+        --busy;
+        continue;
+      }
+      if (fifo == 0) {
+        ++out.stall_cycles;
+        continue;
+      }
+      break;  // a group is ready and the datapath is free: consume it
+    }
+    --fifo;
+    busy = segments - 1;
+  }
+  return out;
+}
+
+InvocationStrandTiming invocation_strand_timing(
+    const AcceleratorConfig& acc, hw::FaultInjector* injector,
+    std::size_t total_beats, std::size_t channels, std::size_t segments,
+    std::size_t pe_count, std::size_t halo_beats, std::size_t total_hits) {
+  InvocationStrandTiming out;
+  const std::size_t pes = std::max<std::size_t>(1, pe_count);
+  const std::size_t ch = std::max<std::size_t>(1, channels);
+  std::size_t slowest = 0;
+  for (std::size_t p = 0; p < pes; ++p) {
+    std::size_t beats = (p + 1) * total_beats / pes - p * total_beats / pes;
+    if (p + 1 < pes) beats += halo_beats;
+    if (beats == 0) continue;
+    const StreamBeatTiming t =
+        stream_beat_timing(acc.axi, injector, beats, ch, segments);
+    const std::size_t cycles =
+        util::ceil_div(t.beats, ch) + t.stall_cycles + t.compute_cycles;
+    out.pe_busy_cycles += cycles;
+    slowest = std::max(slowest, cycles);
+  }
+  const std::size_t wb = util::ceil_div(total_hits * acc.wb_bytes_per_hit, 64);
+  out.cycles = slowest + wb + acc.pipeline_depth;
+  out.seconds = static_cast<double>(out.cycles) / acc.device.clock_hz;
+  return out;
+}
+
+FabpMapping map_query(const AcceleratorConfig& config,
+                      std::size_t query_elements) {
+  if (query_elements == 0)
+    throw std::invalid_argument{"Accelerator: empty query"};
+  FabpMapping mapping = map_design(config.device, query_elements,
+                                   config.mapper, config.axi);
+  if (!mapping.feasible)
+    throw std::invalid_argument{
+        "Accelerator: query does not fit the device even fully segmented"};
+  return mapping;
+}
+
+Accelerator::Accelerator(AcceleratorConfig config)
+    : config_{std::move(config)} {}
+
+const FabpMapping& Accelerator::load_query(
+    const bio::ProteinSequence& protein) {
+  return load_encoded(encode_query(protein));
+}
+
+const FabpMapping& Accelerator::load_encoded(EncodedQuery query) {
+  mapping_ = map_query(config_, query.size());
+  query_ = std::move(query);
+  elements_.clear();
+  elements_.reserve(query_.size());
+  for (const Instruction& instr : query_)
+    elements_.push_back(instr.decode());
+  return mapping_;
+}
+
+AcceleratorRun Accelerator::run(const bio::PackedNucleotides& reference) const {
+  if (query_.empty())
+    throw std::logic_error{"Accelerator: no query loaded"};
+
+  AcceleratorRun out;
+  out.mapping = mapping_;
+  const std::size_t lr = reference.size();
+  if (lr < query_.size()) {
+    finalize_timing(out, lr);
+    return out;
+  }
+
+  // Functional hits: by default the tile-fused bit-sliced scan, streaming
+  // the 2-bit packed reference directly (bit-exact with the per-position
+  // behavioral evaluation — see tests/core/bitscan_test.cpp); the LUT path
+  // keeps the element-by-element evaluation as the oracle.  Either way the
+  // cycles are stream_beat_timing's, the accounting the device batch
+  // scheduler shares.
+  out.hits = config_.use_lut_path
+                 ? lut_path_hits(query_, reference, config_.threshold)
+                 : TileScanner{reference}.hits(BitScanQuery{elements_},
+                                               config_.threshold);
+  const StreamBeatTiming timing =
+      stream_beat_timing(config_.axi, config_.fault_injector,
+                         reference.beat_count(), mapping_.channels,
+                         mapping_.segments);
+  out.beats = timing.beats;
+  out.stall_cycles = timing.stall_cycles;
+  out.compute_cycles = timing.compute_cycles;
   finalize_timing(out, lr);
   return out;
 }

@@ -75,47 +75,6 @@ std::vector<Hit> map_reverse_hits(const std::vector<Hit>& raw,
 }
 
 // ---------------------------------------------------------------------------
-// Device batch scheduler timing (DESIGN.md §4d).
-
-/// Invocation kernel timing of one strand: the reference splits into
-/// `pe_count` contiguous slices — each PE array streams its slice through
-/// the same FIFO-overlapped cycle model as a serial Accelerator::run, with
-/// an L_q-1 element halo appended to every slice but the last so alignment
-/// windows spanning a boundary are covered — and the invocation retires
-/// when the slowest PE drains, plus write-back and pipeline fill.  With
-/// pe_count == 1 this is cycle-identical to Accelerator::finalize_timing.
-struct InvocationStrandTiming {
-  std::size_t cycles = 0;         ///< makespan: slowest PE + wb + fill
-  std::size_t pe_busy_cycles = 0; ///< sum of per-PE busy cycles
-  double seconds = 0.0;
-};
-
-InvocationStrandTiming invocation_strand_timing(
-    const AcceleratorConfig& acc, hw::FaultInjector* injector,
-    std::size_t total_beats, std::size_t channels, std::size_t segments,
-    std::size_t pe_count, std::size_t halo_beats, std::size_t total_hits) {
-  InvocationStrandTiming out;
-  const std::size_t pes = std::max<std::size_t>(1, pe_count);
-  const std::size_t ch = std::max<std::size_t>(1, channels);
-  std::size_t slowest = 0;
-  for (std::size_t p = 0; p < pes; ++p) {
-    std::size_t beats = (p + 1) * total_beats / pes - p * total_beats / pes;
-    if (p + 1 < pes) beats += halo_beats;
-    if (beats == 0) continue;
-    const StreamBeatTiming t =
-        stream_beat_timing(acc.axi, injector, beats, ch, segments);
-    const std::size_t cycles =
-        util::ceil_div(t.beats, ch) + t.stall_cycles + t.compute_cycles;
-    out.pe_busy_cycles += cycles;
-    slowest = std::max(slowest, cycles);
-  }
-  const std::size_t wb = util::ceil_div(total_hits * acc.wb_bytes_per_hit, 64);
-  out.cycles = slowest + wb + acc.pipeline_depth;
-  out.seconds = static_cast<double>(out.cycles) / acc.device.clock_hz;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Software backend: the tile-fused TileScanner over the resident strands
 // (scan both strands, map the reverse list, report wall time).
 
@@ -503,26 +462,22 @@ void HwSimBackend::commit_invocation(
   const std::size_t n = invocation.records.size();
   const double clock = config_.accelerator.device.clock_hz;
 
-  // Per-task mapping probes, plus the representative stream shape: the
-  // packed queries share each PE's reference stream, so the most segmented
-  // query throttles the beat rate and the narrowest channel allocation
-  // bounds the fetch width.
+  // Per-task mappings, plus the representative stream shape: the packed
+  // queries share each PE's reference stream, so the most segmented query
+  // throttles the beat rate and the narrowest channel allocation bounds
+  // the fetch width.
   std::vector<FabpMapping> mappings;
   mappings.reserve(n);
   std::size_t segments = 1;
   std::size_t channels = std::numeric_limits<std::size_t>::max();
   std::size_t lq_max = 1;
   for (const hw::ControlRecord& record : invocation.records) {
-    const BackendRequest& request = requests[record.task];
-    AcceleratorConfig acc = config_.accelerator;
-    acc.threshold = record.threshold;
-    Accelerator probe{acc};
-    probe.load_encoded(request.query->encoded);
-    mappings.push_back(probe.mapping());
+    const std::size_t lq = requests[record.task].query->encoded.size();
+    mappings.push_back(map_query(config_.accelerator, lq));
     segments = std::max(segments, mappings.back().segments);
     channels = std::min(channels,
                         std::max<std::size_t>(1, mappings.back().channels));
-    lq_max = std::max(lq_max, request.query->encoded.size());
+    lq_max = std::max(lq_max, lq);
   }
 
   // Clean per-task strand hit lists: what the card delivers before any

@@ -85,11 +85,17 @@ void LatencyRing::record(double value_ms) {
   ms_[next_] = value_ms;
   next_ = (next_ + 1) % kCapacity;
   count_ = std::min(count_ + 1, kCapacity);
+  max_ms_ = std::max(max_ms_, value_ms);
 }
 
 std::vector<double> LatencyRing::snapshot() const {
   std::lock_guard lock{mutex_};
   return {ms_.begin(), ms_.begin() + static_cast<std::ptrdiff_t>(count_)};
+}
+
+double LatencyRing::max_ms() const {
+  std::lock_guard lock{mutex_};
+  return max_ms_;
 }
 
 }  // namespace detail

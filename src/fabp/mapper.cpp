@@ -19,7 +19,8 @@ hw::ResourceBudget estimate(const MapperConstants& c,
   const std::size_t n = c.instances_per_beat * channels;
 
   const std::size_t comp = n * seg * c.comparator_luts_per_element;
-  const std::size_t pop = n * hw::popcounter_luts_handcrafted(seg);
+  const std::size_t pop_luts = hw::popcounter_luts_handcrafted(seg);
+  const std::size_t pop = n * pop_luts;
   const std::size_t mux =
       segmented ? static_cast<std::size_t>(
                       std::llround(static_cast<double>(n * seg) *
@@ -49,8 +50,7 @@ hw::ResourceBudget estimate(const MapperConstants& c,
   // for the query sequence and the reference stream buffer", §IV-B).
   const std::size_t match_regs = seg * (segmented ? 2 : 1);
   const std::size_t pop_ffs = static_cast<std::size_t>(std::llround(
-      static_cast<double>(hw::popcounter_luts_handcrafted(seg)) *
-      c.pop_ff_per_lut));
+      static_cast<double>(pop_luts) * c.pop_ff_per_lut));
   const std::size_t per_instance_ffs =
       match_regs + pop_ffs + c.score_bits + (segmented ? c.score_bits : 0);
   const std::size_t buffer_bits =

@@ -1,5 +1,6 @@
 #include "fabp/hw/popcount.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 
@@ -131,31 +132,41 @@ Bus build_popcounter_tree(Netlist& netlist, std::span<const NetId> bits) {
   return reduce_tree(netlist, std::move(leaves));
 }
 
-namespace {
-
-template <typename Builder>
-std::size_t count_luts(std::size_t n_bits, Builder&& builder) {
-  Netlist scratch;
-  Bus inputs;
-  inputs.reserve(n_bits);
-  for (std::size_t i = 0; i < n_bits; ++i)
-    inputs.push_back(scratch.add_input());
-  builder(scratch, std::span<const NetId>{inputs});
-  return scratch.stats().luts;
-}
-
-}  // namespace
-
 std::size_t popcounter_luts_handcrafted(std::size_t n_bits) {
-  return count_luts(n_bits, [](Netlist& nl, std::span<const NetId> in) {
-    build_popcounter_handcrafted(nl, in);
-  });
+  // Width-only walk of build_popcounter_handcrafted.  A Pop36 block of at
+  // most six bits is one 6:3 triple (3-bit count); a longer block is
+  // ceil(len/6) stage-1 triples, three stage-2 triples and two 3-LUT
+  // shifted adds (6-bit count).  reduce_tree's adders then cost their
+  // wider operand's width and come out one bit wider.
+  std::size_t luts = 0;
+  std::vector<std::size_t> widths;
+  widths.reserve(util::ceil_div(n_bits, 36));
+  for (std::size_t pos = 0; pos < n_bits; pos += 36) {
+    const std::size_t len = std::min<std::size_t>(36, n_bits - pos);
+    luts += len <= 6 ? 3 : 3 * util::ceil_div(len, 6) + 15;
+    widths.push_back(len <= 6 ? 3 : 6);
+  }
+  while (widths.size() > 1) {
+    std::size_t next = 0;
+    for (std::size_t i = 0; i + 1 < widths.size(); i += 2) {
+      const std::size_t wider = std::max(widths[i], widths[i + 1]);
+      luts += wider;
+      widths[next++] = wider + 1;
+    }
+    if (widths.size() % 2 != 0) widths[next++] = widths.back();
+    widths.resize(next);
+  }
+  return luts;
 }
 
 std::size_t popcounter_luts_tree(std::size_t n_bits) {
-  return count_luts(n_bits, [](Netlist& nl, std::span<const NetId> in) {
-    build_popcounter_tree(nl, in);
-  });
+  Netlist netlist;
+  Bus inputs;
+  inputs.reserve(n_bits);
+  for (std::size_t i = 0; i < n_bits; ++i)
+    inputs.push_back(netlist.add_input());
+  build_popcounter_tree(netlist, inputs);
+  return netlist.stats().luts;
 }
 
 }  // namespace fabp::hw

@@ -212,29 +212,31 @@ void WireServer::shutdown() {
 }
 
 ServerMetrics WireServer::metrics() const {
-  std::lock_guard lock{mutex_};
   ServerMetrics m;
-  m.connections = accepted_;
-  m.requests = requests_;
-  m.errors = errors_;
-  m.malformed = malformed_;
-  m.integrity = integrity_;
-  m.swaps = swaps_;
-  m.shed = shed_;
-  m.io_timeouts = io_timeouts_;
-  m.force_cancelled = force_cancelled_;
-  if (!latencies_s_.empty()) {
-    m.p50_ms = 1e3 * util::percentile(latencies_s_, 50.0);
-    m.p99_ms = 1e3 * util::percentile(latencies_s_, 99.0);
-    m.max_ms =
-        1e3 * *std::max_element(latencies_s_.begin(), latencies_s_.end());
+  {
+    std::lock_guard lock{mutex_};
+    m.connections = accepted_;
+    m.requests = requests_;
+    m.errors = errors_;
+    m.malformed = malformed_;
+    m.integrity = integrity_;
+    m.swaps = swaps_;
+    m.shed = shed_;
+    m.io_timeouts = io_timeouts_;
+    m.force_cancelled = force_cancelled_;
+  }
+  const std::vector<double> window = latencies_.snapshot();
+  if (!window.empty()) {
+    m.p50_ms = util::percentile(window, 50.0);
+    m.p99_ms = util::percentile(window, 99.0);
+    m.max_ms = latencies_.max_ms();
   }
   return m;
 }
 
 void WireServer::record_latency(double seconds) {
+  latencies_.record(1e3 * seconds);
   std::lock_guard lock{mutex_};
-  latencies_s_.push_back(seconds);
   recent_ms_[recent_next_] = 1e3 * seconds;
   recent_next_ = (recent_next_ + 1) % recent_ms_.size();
   recent_count_ = std::min(recent_count_ + 1, recent_ms_.size());

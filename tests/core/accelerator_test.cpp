@@ -54,19 +54,41 @@ TEST(Accelerator, HitsMatchGoldenModelRandomized) {
 }
 
 TEST(Accelerator, LutPathIdenticalToBehavioralPath) {
+  // Both paths share one cycle model: equal hits and equal timing, clean
+  // and unsegmented, segmented (250 aa = 750 elements on kintex7), and
+  // with a stall-storm injector (one per accelerator, same seed and
+  // stream, so both draw the same schedule).
   util::Xoshiro256 rng{113};
-  const ProteinSequence protein = bio::random_protein(20, rng);
-  NucleotideSequence ref = bio::random_dna(2000, rng);
+  const PackedNucleotides packed{bio::random_dna(6000, rng)};
+  hw::FaultConfig storms;
+  storms.stall_rate = 0.25;
+  storms.stall_cycles = 7;
+  for (const std::size_t residues : {20u, 250u}) {
+    const ProteinSequence protein = bio::random_protein(residues, rng);
+    for (const bool faulty : {false, true}) {
+      hw::FaultInjector fast_storms{storms, 3}, lut_storms{storms, 3};
+      AcceleratorConfig fast = config_with_threshold(
+          static_cast<std::uint32_t>(residues * 2));
+      if (faulty) fast.fault_injector = &fast_storms;
+      AcceleratorConfig lut = fast;
+      lut.use_lut_path = true;
+      if (faulty) lut.fault_injector = &lut_storms;
 
-  AcceleratorConfig fast = config_with_threshold(40);
-  AcceleratorConfig lut = fast;
-  lut.use_lut_path = true;
-
-  Accelerator a{fast}, b{lut};
-  a.load_query(protein);
-  b.load_query(protein);
-  const PackedNucleotides packed{ref};
-  EXPECT_EQ(a.run(packed).hits, b.run(packed).hits);
+      Accelerator a{fast}, b{lut};
+      a.load_query(protein);
+      b.load_query(protein);
+      EXPECT_EQ(a.mapping().segments > 1, residues == 250u);
+      const AcceleratorRun ra = a.run(packed), rb = b.run(packed);
+      SCOPED_TRACE(testing::Message()
+                   << residues << " aa, faulty " << faulty);
+      EXPECT_EQ(ra.hits, rb.hits);
+      EXPECT_EQ(ra.beats, rb.beats);
+      EXPECT_EQ(ra.cycles, rb.cycles);
+      EXPECT_EQ(ra.stall_cycles, rb.stall_cycles);
+      EXPECT_EQ(ra.compute_cycles, rb.compute_cycles);
+      EXPECT_EQ(fast_storms.log().empty(), !faulty);
+    }
+  }
 }
 
 TEST(Accelerator, QueryLongerThanBeat) {
@@ -208,6 +230,83 @@ TEST(Accelerator, MappingExposedAfterLoad) {
   const FabpMapping& m = acc.load_query(protein);
   EXPECT_EQ(m.query_elements, 150u);
   EXPECT_EQ(acc.encoded_query().size(), 150u);
+}
+
+// ---------------------------------------------------------------------------
+// Clean beat timing in closed form.  A zero-rate injector makes
+// stream_beat_timing step its cycle loop (the fault path) without drawing
+// a single storm, so it is the stepped oracle for the null-injector form.
+
+StreamBeatTiming stepped_timing(const hw::AxiTimingConfig& axi,
+                                std::size_t beats, std::size_t channels,
+                                std::size_t segments) {
+  hw::FaultInjector quiet{hw::FaultConfig{}, 0};
+  return stream_beat_timing(axi, &quiet, beats, channels, segments);
+}
+
+TEST(StreamBeatTiming, ClosedFormMatchesSteppedLoopOnGrid) {
+  const std::vector<hw::AxiTimingConfig> configs{
+      hw::AxiTimingConfig{},                    // defaults
+      hw::AxiTimingConfig{4, 2, 1'000'000, 0},  // burst gaps only
+      hw::AxiTimingConfig{1'000'000, 0, 4, 3},  // page penalty only
+      hw::AxiTimingConfig{4, 2, 6, 3},          // page not a burst multiple
+      hw::AxiTimingConfig{3, 1, 7, 5},          // ragged everything
+      hw::AxiTimingConfig{64, 0, 2048, 0},      // perfect stream
+      hw::AxiTimingConfig{16, 12, 64, 20},      // long gaps: S >= 2 stalls
+      hw::AxiTimingConfig{8, 30, 32, 40},       // AXI slower than 1/S
+  };
+  std::vector<std::size_t> beat_counts;
+  for (std::size_t beats = 0; beats <= 300; ++beats)
+    beat_counts.push_back(beats);
+  for (const std::size_t beats : {511u, 2047u, 2048u, 2049u, 4096u, 10'007u,
+                                  16'384u, 65'536u})
+    beat_counts.push_back(beats);
+  for (std::size_t c = 0; c < configs.size(); ++c)
+    for (std::size_t channels = 1; channels <= 4; ++channels)
+      for (std::size_t segments = 1; segments <= 6; ++segments)
+        for (const std::size_t beats : beat_counts) {
+          const StreamBeatTiming clean = stream_beat_timing(
+              configs[c], nullptr, beats, channels, segments);
+          const StreamBeatTiming stepped =
+              stepped_timing(configs[c], beats, channels, segments);
+          ASSERT_EQ(clean.beats, stepped.beats);
+          ASSERT_EQ(clean.stall_cycles, stepped.stall_cycles)
+              << "config " << c << " ch " << channels << " S " << segments
+              << " beats " << beats;
+          ASSERT_EQ(clean.compute_cycles, stepped.compute_cycles)
+              << "config " << c << " ch " << channels << " S " << segments
+              << " beats " << beats;
+        }
+}
+
+TEST(InvocationStrandTiming, MatchesSteppedPerPeSumWithHalo) {
+  AcceleratorConfig acc;
+  acc.axi = hw::AxiTimingConfig{16, 12, 64, 20};
+  const std::size_t total_beats = 1003, halo_beats = 2, hits = 77;
+  for (const std::size_t pe_count : {1u, 2u, 4u})
+    for (const std::size_t segments : {1u, 3u}) {
+      std::size_t slowest = 0, busy = 0;
+      for (std::size_t p = 0; p < pe_count; ++p) {
+        std::size_t beats = (p + 1) * total_beats / pe_count -
+                            p * total_beats / pe_count;
+        if (p + 1 < pe_count) beats += halo_beats;
+        const StreamBeatTiming t = stepped_timing(acc.axi, beats, 2, segments);
+        const std::size_t cycles =
+            (t.beats + 1) / 2 + t.stall_cycles + t.compute_cycles;
+        busy += cycles;
+        slowest = std::max(slowest, cycles);
+      }
+      const InvocationStrandTiming timing = invocation_strand_timing(
+          acc, nullptr, total_beats, 2, segments, pe_count, halo_beats, hits);
+      SCOPED_TRACE(testing::Message()
+                   << "pe " << pe_count << " S " << segments);
+      EXPECT_EQ(timing.pe_busy_cycles, busy);
+      EXPECT_EQ(timing.cycles,
+                slowest + (hits * acc.wb_bytes_per_hit + 63) / 64 +
+                    acc.pipeline_depth);
+      EXPECT_DOUBLE_EQ(timing.seconds, static_cast<double>(timing.cycles) /
+                                           acc.device.clock_hz);
+    }
 }
 
 }  // namespace

@@ -183,7 +183,9 @@ TEST(Popcounter, HandcraftedIsSmallerThanTree) {
 }
 
 TEST(Popcounter, LutCountHelpersMatchGenerators) {
-  for (std::size_t n : {1u, 6u, 36u, 100u, 150u}) {
+  // Every width up to the default shard.max_query_elements (1536): the
+  // mapper prices any query length from the width-only count.
+  for (std::size_t n = 0; n <= 1536; ++n) {
     Netlist nl;
     Bus in;
     for (std::size_t i = 0; i < n; ++i) in.push_back(nl.add_input());

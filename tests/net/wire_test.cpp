@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -339,6 +340,20 @@ TEST(Server, LoadgenClosedLoopIsCleanAndCounted) {
   EXPECT_EQ(metrics.requests, 24u);
   EXPECT_EQ(metrics.errors, 0u);
   EXPECT_GE(metrics.p99_ms, metrics.p50_ms);
+}
+
+TEST(LatencyRing, WindowIsBoundedAndMaxIsExact) {
+  // The server's latency store: p50/p99 over the most recent window, the
+  // maximum over every request, and memory that does not grow with the
+  // request count.
+  core::detail::LatencyRing ring;
+  for (int i = 0; i < 10'000; ++i)
+    ring.record(i == 17 ? 950.0 : 1.0 + static_cast<double>(i % 7));
+  const std::vector<double> window = ring.snapshot();
+  EXPECT_EQ(window.size(), core::detail::LatencyRing::kCapacity);
+  EXPECT_LE(window.size(), 1024u);
+  EXPECT_LT(*std::max_element(window.begin(), window.end()), 950.0);
+  EXPECT_EQ(ring.max_ms(), 950.0);
 }
 
 TEST(Server, ShutdownDrainsWithIdleConnectionOpen) {

@@ -14,7 +14,8 @@
 #      retry/degrade state machine — and the kernel differential suites,
 #      once as dispatched and once with FABP_FORCE_ISA=swar64 — UB
 #      coverage over the shared carry-save scorer and the SWAR shift
-#      path, and
+#      path — and the device cost model suites (width-only Pop36 LUT
+#      count, closed-form beat timing, invocation timing), and
 #   5. the engine stress suite pinned to the swar64 kernel — a
 #      deterministic-ISA concurrency exercise of the coalescing scheduler
 #      (same kernel on every machine, so schedules differ but hit lists
@@ -22,7 +23,11 @@
 #   6. the device batch scheduler chaos leg — the DeviceScheduler
 #      differential/fault suite (packed invocations, multi-PE slicing,
 #      depth-replay, retry/degrade at batch granularity, serial run() as
-#      a one-task invocation) plus a
+#      a one-task invocation), the device cost model suites (the
+#      width-only Pop36 LUT count against the netlist builder at every
+#      width 0..1536, the closed-form clean beat timing against the
+#      stepped FIFO loop over an AXI x channels x segments x beats grid,
+#      and the per-PE invocation timing) plus a
 #      `fabp serve --backend hwsim` smoke run that must report the
 #      pipeline stats line in its metrics dump, and
 #   7. the kernel differential suites once per forced ISA the host can
@@ -103,6 +108,10 @@ UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
 UBSAN_OPTIONS=halt_on_error=1 FABP_FORCE_ISA=swar64 \
     build-ubsan/tests/core_tests \
     --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/hw_tests \
+    --gtest_filter='Popcounter*'
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
+    --gtest_filter='StreamBeatTiming*:InvocationStrandTiming*'
 
 echo "== check.sh: engine stress, FABP_FORCE_ISA=swar64 =="
 FABP_FORCE_ISA=swar64 build/tests/engine_tests \
@@ -112,7 +121,9 @@ FABP_FORCE_ISA=swar64 build/tools/fabp serve 50000 16 128 2 >/dev/null
 echo "== check.sh: device batch scheduler chaos suite =="
 build/tests/engine_tests --gtest_filter='DeviceScheduler.*'
 build/tests/hw_tests \
-    --gtest_filter='PackInvocations*:PipelineTimeline*:CyclesForBeats*'
+    --gtest_filter='PackInvocations*:PipelineTimeline*:CyclesForBeats*:Popcounter*'
+build/tests/core_tests \
+    --gtest_filter='StreamBeatTiming*:InvocationStrandTiming*'
 build/tools/fabp serve 50000 16 128 2 --backend hwsim \
     | grep -q '^pipeline: invocations=' \
     || { echo "serve --backend hwsim printed no pipeline stats"; exit 1; }
