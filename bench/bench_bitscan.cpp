@@ -528,6 +528,10 @@ int main(int argc, char** argv) {
                                batch_bases - batch_elements.back().size() + 1);
   }
 
+  std::vector<const core::BitScanQuery*> batch_query_ptrs;
+  for (const core::BitScanQuery& query : batch_queries)
+    batch_query_ptrs.push_back(&query);
+
   std::cout << "\n  batch sweep: " << batch_bases / 1'000'000 << " Mbp x "
             << batch_residues << " aa queries\n\n";
   std::vector<BatchResult> batches;
@@ -548,7 +552,7 @@ int main(int argc, char** argv) {
       HitLists batched;
       const double bat_s = best_of(reps, batched, [&] {
         HitLists outs(batch);
-        batch_scanner.range_batch(*kernel, batch_queries.data(),
+        batch_scanner.range_batch(*kernel, batch_query_ptrs.data(),
                                   batch_thresholds.data(), batch, 0,
                                   batch_positions, outs.data());
         return outs;

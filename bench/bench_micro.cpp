@@ -1,11 +1,13 @@
 // E8 — microbenchmarks (google-benchmark): per-component throughput of the
-// encoding, comparator, golden scan, pop-counter netlist, DP aligners, the
-// TBLASTN stages and the hw-sim device accounting.  These attribute where time goes in the software
-// models; the paper-level numbers live in the bench_fig6_*/bench_table1
-// harnesses.
+// encoding, comparator, golden scan, the 4 Mbp tile scan split into plane
+// compile and scoring, pop-counter netlist, DP aligners, the TBLASTN
+// stages and the hw-sim device accounting.  These attribute where time
+// goes in the software models; the paper-level numbers live in the
+// bench_fig6_*/bench_table1 harnesses.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -92,6 +94,65 @@ void BM_BitScanScan(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * (1 << 16) / 4);
 }
 BENCHMARK(BM_BitScanScan);
+
+// A 4 Mbp reference: the size of one swap_churn database strand.
+const bio::PackedNucleotides& reference_4m() {
+  static const bio::PackedNucleotides packed{bio::random_dna(4'000'000, rng())};
+  return packed;
+}
+
+void BM_TileScan4M(benchmark::State& state) {
+  // One-thread tile-fused scan of 4 Mbp at the swap_churn query shapes.
+  // Arguments: query residues, threshold in per-mille of the query
+  // elements.  At 650 (the serving fraction 0.65) the time is compile
+  // plus score; at 1000 (threshold = qlen) every block exits after its
+  // first 16-element group, so the time is the compile floor.
+  const auto& packed = reference_4m();
+  const auto elements = core::back_translate(
+      bio::random_protein(static_cast<std::size_t>(state.range(0)), rng()));
+  const core::BitScanQuery query{elements};
+  const auto threshold = static_cast<std::uint32_t>(
+      elements.size() * static_cast<std::size_t>(state.range(1)) / 1000);
+  const core::TileScanner scanner{packed};
+  for (auto _ : state) benchmark::DoNotOptimize(scanner.hits(query, threshold));
+  state.SetLabel(core::active_scan_kernel().name);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(packed.size()) / 4);
+}
+BENCHMARK(BM_TileScan4M)
+    ->ArgsProduct({{20, 80}, {650, 1000}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_TileCompile4M(benchmark::State& state) {
+  // The active kernel's tile plane compile alone over the same 4 Mbp, in
+  // default-size tiles with the entry history carried across edges — the
+  // compile share of BM_TileScan4M.
+  const auto& packed = reference_4m();
+  const core::ScanKernel& kernel = core::active_scan_kernel();
+  const std::size_t tile_words = core::TileScanConfig{}.tile_positions / 64;
+  const std::size_t stride = tile_words + core::kScanGuardWords;
+  std::vector<std::uint64_t> planes(core::kElementKindCount * stride);
+  const std::size_t words = (packed.size() + 63) / 64;
+  core::TileCompileJob job{.packed = packed.words().data(),
+                           .packed_words = packed.words().size(),
+                           .ref_size = packed.size()};
+  for (auto _ : state) {
+    core::CodeWord entry;
+    job.entry = nullptr;
+    for (job.first_word = 0; job.first_word < words;
+         job.first_word += tile_words) {
+      job.data_words = std::min(tile_words, words - job.first_word);
+      job.capture_w = job.first_word + job.data_words - 1;
+      entry = kernel.compile_tile(job, planes.data(), stride);
+      job.entry = &entry;
+    }
+    benchmark::DoNotOptimize(planes.data());
+  }
+  state.SetLabel(kernel.name);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(packed.size()) / 4);
+}
+BENCHMARK(BM_TileCompile4M)->Unit(benchmark::kMillisecond);
 
 void BM_Pop36Netlist(benchmark::State& state) {
   hw::Netlist nl;

@@ -8,33 +8,46 @@
 // reference index j"), built from the 2-bit codes with a handful of
 // AND/OR/NOT word ops.  Only 12 distinct predicates exist (4 Type I
 // exacts, 4 Type II conditions, 4 Type III functions), so any query scans
-// against at most 12 planes.  TileScanner (core/bitscan_tiled.hpp)
-// compiles those planes one L2-resident tile at a time from the packed
-// reference and hands each tile to a kernel as a PlaneView; nothing is
-// built for the whole reference.
+// against at most 12 planes.  TileScanner (core/bitscan_tiled.hpp) walks
+// the packed reference one L2-resident tile at a time; each ScanKernel
+// both compiles a tile's planes (compile_tile: the 2-bit codes compacted
+// into lsb/msb bitplanes — PEXT on the AVX-512 kernels, a SWAR
+// half-shuffle elsewhere — fused with the 12 plane formulas) and scores
+// them (range_batch); nothing is built for the whole reference.
 //
 // A kernel works a block of N positions at a time (N = its lane width):
-// for query element i, fetch N bits of its kind's plane at bit offset
-// (block_base + i) and add them into vertical (bit-sliced SWAR) counters,
-// 16 elements at a time through a Harley–Seal carry-save tree of full
-// adders — the software shape of FabP's Pop36 column compression — with a
-// feasibility early exit after every group; after all elements, a
-// borrow-propagation compare against the threshold yields an N-bit hit
-// mask, and Hit records are materialised only for set bits.  The result
-// is bit-for-bit identical to the scalar golden_hits oracle (locked down
-// by the differential tests in tests/core/bitscan_test.cpp,
-// bitscan_kernels_test.cpp and bitscan_csa_test.cpp).
+// for each scored query element, fetch N bits of its kind's plane at bit
+// offset (block_base + element offset) and add them into vertical
+// (bit-sliced SWAR) counters, 16 elements at a time through a Harley–Seal
+// carry-save tree of full adders — the software shape of FabP's Pop36
+// column compression — with a feasibility early exit after every group;
+// after all elements, a borrow-propagation compare against the threshold
+// yields an N-bit hit mask, and Hit records are materialised only for set
+// bits.
 //
-// The block loop is ISA-dispatched: the same carry-save scorer is
+// Pop36 sums match bits, so the order the elements are added in is free.
+// BitScanQuery fixes it once per compiled query: selective first, ranked
+// by each kind's match probability on uniform bases (Type I exact 1/4,
+// Stop3 3/8, UorC/AorG/AorC 1/2, NotG/Leu3/Arg3 3/4), stable within a
+// rank.  Low partial scores after the first groups let the early exit
+// abandon a block sooner.  AnyD elements (plane = every valid position)
+// match at every scored position, so they are never loaded: a query with
+// nD of them scores its other elements against max(0, threshold - nD) and
+// adds nD to every emitted score.  The result is bit-for-bit identical to
+// the scalar golden_hits oracle (locked down by the differential tests in
+// tests/core/bitscan_test.cpp, bitscan_kernels_test.cpp and
+// bitscan_csa_test.cpp).
+//
+// The kernels are ISA-dispatched: the same carry-save scorer is
 // instantiated at 64 lanes (portable uint64_t SWAR), 256 lanes (AVX2) and
-// 512 lanes (AVX-512F, and again in an AVX-512 VPOPCNTDQ TU that differs
-// only in its compile flags), each compiled in its own TU with the
+// 512 lanes (AVX-512F + BMI2, and again in an AVX-512 VPOPCNTDQ TU that
+// differs only in its compile flags), each compiled in its own TU with the
 // matching -m flags so the binary stays runnable on any x86-64.
 // The widest kernel the CPU + OS support is selected once at startup
 // (util/cpuid.hpp); the
 // FABP_FORCE_ISA=scalar|swar64|avx2|avx512|avx512vpopcnt environment
-// variable overrides the choice for testing (ignored when the named ISA
-// is unavailable).
+// variable overrides the choice — tile compile included — for testing
+// (ignored when the named ISA is unavailable).
 
 #include <array>
 #include <cstdint>
@@ -90,8 +103,48 @@ class BitScanQuery {
 
   const std::vector<std::uint8_t>& kinds() const noexcept { return kinds_; }
 
+  /// Offsets of the elements the kernels load, in scoring order: rarest
+  /// matching kind first, stable within a kind's rank; AnyD elements are
+  /// left out (see always_matching()).
+  const std::vector<std::uint32_t>& score_order() const noexcept {
+    return order_;
+  }
+
+  /// Elements that match at every scored position (kind AnyD): size()
+  /// minus score_order().size().
+  std::size_t always_matching() const noexcept {
+    return kinds_.size() - order_.size();
+  }
+
  private:
   std::vector<std::uint8_t> kinds_;
+  std::vector<std::uint32_t> order_;
+};
+
+/// lsb/msb code bitplanes of one 64-position reference word: bit j holds
+/// the low/high bit of the 2-bit code at position 64*w + j.
+struct CodeWord {
+  std::uint64_t lsb = 0;
+  std::uint64_t msb = 0;
+};
+
+/// One tile's plane compile: the 12 element-kind planes for global words
+/// [first_word, first_word + data_words) of a 2-bit packed reference of
+/// ref_size bases (packed words past the store decode as A, positions past
+/// ref_size as invalid).
+struct TileCompileJob {
+  const std::uint64_t* packed = nullptr;
+  std::size_t packed_words = 0;
+  std::size_t ref_size = 0;
+  std::size_t first_word = 0;
+  std::size_t data_words = 0;
+  /// Global word whose code word compile_tile returns (the entry history
+  /// of the next tile); SIZE_MAX on a run's last tile.
+  std::size_t capture_w = static_cast<std::size_t>(-1);
+  /// Code word of first_word - 1, carried over from the previous tile of
+  /// the run; nullptr at a run start, where the kernel derives it from the
+  /// packed store (zero at the reference start).
+  const CodeWord* entry = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -101,9 +154,10 @@ class BitScanQuery {
 /// per-position reference loop over the same planes (no SWAR counters) —
 /// the slowest path, kept reachable for differential testing; Swar64 is
 /// the portable baseline, always available.  Every other ISA runs the same
-/// carry-save scorer; Avx512Vpopcnt no longer differs from Avx512 in
-/// algorithm, only in being compiled with -mavx512vpopcntdq and requiring
-/// the AVX512_VPOPCNTDQ CPUID bit.
+/// carry-save scorer; the two AVX-512 kernels also compact the tile codes
+/// with BMI2 PEXT and need its CPUID bit.  Avx512Vpopcnt no longer differs
+/// from Avx512 in algorithm, only in being compiled with -mavx512vpopcntdq
+/// and requiring the AVX512_VPOPCNTDQ CPUID bit.
 enum class ScanIsa { Scalar, Swar64, Avx2, Avx512, Avx512Vpopcnt };
 
 inline constexpr std::size_t kScanIsaCount = 5;
@@ -113,28 +167,29 @@ inline constexpr std::array<ScanIsa, kScanIsaCount> kAllScanIsas{
     ScanIsa::Scalar, ScanIsa::Swar64, ScanIsa::Avx2, ScanIsa::Avx512,
     ScanIsa::Avx512Vpopcnt};
 
-/// One scan implementation: the per-block inner loop (plane fetch → SWAR
-/// counter add → borrow-propagate threshold compare) at a fixed lane
-/// width, plus its multi-query batch form.  Kernels operate on a PlaneView
-/// (one compiled tile).  All kernels produce output bit-for-bit identical
-/// to golden_hits (contents and order).
+/// One scan implementation at a fixed lane width: the tile plane compile
+/// and the per-block scorer (plane fetch → carry-save counter add →
+/// borrow-propagate threshold compare) over one compiled tile.  All
+/// kernels compile identical planes and produce output bit-for-bit
+/// identical to golden_hits (contents and order).
 struct ScanKernel {
   ScanIsa isa;
   const char* name;     // "scalar" | "swar64" | "avx2" | "avx512" |
                         // "avx512vpopcnt"
   unsigned lanes;       // positions scored per block (1, 64, 256, 512)
 
-  /// Appends hits with position in [begin, end), clamped to the valid
-  /// range of `reference`.
-  void (*range)(const BitScanQuery& query, const PlaneView& reference,
-                std::uint32_t threshold, std::size_t begin, std::size_t end,
-                std::vector<Hit>& out);
+  /// Writes plane k's word i of `job` to planes[k * stride + i] for every
+  /// kind k and i < data_words, and zeroes words [data_words, stride) of
+  /// every plane — the kScanGuardWords padding a PlaneView promises.
+  /// Returns the code word at job.capture_w.
+  CodeWord (*compile_tile)(const TileCompileJob& job, std::uint64_t* planes,
+                           std::size_t stride);
 
-  /// Batch form: walks the reference blocks of [begin, end) once and
-  /// scores every query against each block while its plane words are hot
-  /// in cache.  outs[q] receives exactly what range() would append for
-  /// (queries[q], thresholds[q]) over the same span.
-  void (*range_batch)(const BitScanQuery* queries,
+  /// Walks the reference blocks of [begin, end) once and scores every
+  /// query against each block while its plane words are hot in cache.
+  /// outs[q] receives the hits of (*queries[q], thresholds[q]) with
+  /// position in [begin, end), clamped to the valid range of `reference`.
+  void (*range_batch)(const BitScanQuery* const* queries,
                       const std::uint32_t* thresholds, std::size_t count,
                       const PlaneView& reference, std::size_t begin,
                       std::size_t end, std::vector<Hit>* outs);

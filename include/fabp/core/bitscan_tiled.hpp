@@ -6,11 +6,11 @@
 // B/base of DRAM, ~6x the 0.25 B/base packed store FabP's hardware
 // streams, plus a full-reference compile before the first hit.  The
 // scanner instead walks the packed words in L2-resident tiles: for each
-// tile it compiles the 12 element-kind planes into a reusable per-thread
-// scratch buffer (a SWAR bit-compaction of the packed codes fused with
-// the plane formulas into one pass, with the prev1/prev2 history bits
-// carried across tile edges), immediately scores the tile with the
-// ISA-dispatched ScanKernel, then discards the scratch and moves on.  A
+// tile the ISA-dispatched ScanKernel compiles the 12 element-kind planes
+// into a reusable per-thread scratch buffer (a bit-compaction of the
+// packed codes fused with the plane formulas into one pass, with the
+// prev1/prev2 history bits carried across tile edges) and immediately
+// scores the tile; the scanner then moves on, reusing the scratch.  A
 // scan therefore streams 0.25 B/base from DRAM, needs no upfront compile,
 // and its working set beyond the packed store is O(tile) per thread —
 // independent of the reference size.
@@ -83,7 +83,7 @@ class TileScanner {
   std::size_t scratch_bytes(std::size_t query_elements) const noexcept;
 
   /// Appends hits with position in [begin, end), clamped to the valid
-  /// range — the ScanKernel::range contract, fused over tiles.
+  /// range — a one-query range_batch.
   void range(const BitScanQuery& query, std::uint32_t threshold,
              std::size_t begin, std::size_t end, std::vector<Hit>& out) const;
   void range(const ScanKernel& kernel, const BitScanQuery& query,
@@ -92,12 +92,13 @@ class TileScanner {
 
   /// Batch form — every query is scored against each tile while its
   /// freshly compiled planes are hot (the ScanKernel::range_batch
-  /// contract, fused over tiles).
-  void range_batch(const BitScanQuery* queries,
+  /// contract, fused over tiles).  The queries are read in place.
+  void range_batch(const BitScanQuery* const* queries,
                    const std::uint32_t* thresholds, std::size_t count,
                    std::size_t begin, std::size_t end,
                    std::vector<Hit>* outs) const;
-  void range_batch(const ScanKernel& kernel, const BitScanQuery* queries,
+  void range_batch(const ScanKernel& kernel,
+                   const BitScanQuery* const* queries,
                    const std::uint32_t* thresholds, std::size_t count,
                    std::size_t begin, std::size_t end,
                    std::vector<Hit>* outs) const;
@@ -110,10 +111,12 @@ class TileScanner {
   std::vector<Hit> hits(const BitScanQuery& query, std::uint32_t threshold,
                         util::ThreadPool* pool = nullptr) const;
 
-  /// Batch scan; element [q] equals hits(queries[q], thresholds[q]).
-  /// thresholds.size() must equal queries.size().
+  /// Batch scan; element [q] equals hits(*queries[q], thresholds[q]).
+  /// thresholds.size() must equal queries.size().  Takes pointers so
+  /// callers holding compiled queries elsewhere (the query cache) scan
+  /// them without copying.
   std::vector<std::vector<Hit>> hits_batch(
-      std::span<const BitScanQuery> queries,
+      std::span<const BitScanQuery* const> queries,
       std::span<const std::uint32_t> thresholds,
       util::ThreadPool* pool = nullptr) const;
 

@@ -41,8 +41,8 @@ constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
 /// Compacts the 32 even-indexed bits of `x` into the low half of the result
 /// (the classic Morton-decode half-shuffle).  Two of these turn a pair of
 /// 2-bit packed words into one 64-element code bitplane word — the SWAR
-/// bit-compaction step shared by the whole-reference bitplane builder and
-/// the tile-fused scan compiler.
+/// bit-compaction step of the portable tile compile (the AVX-512 kernels
+/// use PEXT instead).
 constexpr std::uint64_t compress_even_bits(std::uint64_t x) noexcept {
   x &= 0x5555555555555555ULL;
   x = (x | (x >> 1)) & 0x3333333333333333ULL;

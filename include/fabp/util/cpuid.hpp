@@ -18,6 +18,10 @@ bool cpu_has_avx512f() noexcept;
 /// implies cpu_has_avx512f().
 bool cpu_has_avx512vpopcntdq() noexcept;
 
+/// CPU support for BMI2 (PEXT/PDEP); general-purpose registers only, so
+/// no OS state is involved.
+bool cpu_has_bmi2() noexcept;
+
 /// Human-readable summary of the probes above, e.g.
 /// "avx2+avx512f+vpopcntdq", "avx2+avx512f", "avx2", or "baseline" — for
 /// bench/CLI banners.

@@ -89,9 +89,9 @@ class TiledSoftwareBackend final : public ScanBackend {
       std::span<const CompiledQueryPtr> queries,
       std::span<const std::uint32_t> thresholds, bool reverse_strand,
       util::ThreadPool* pool) const override {
-    std::vector<BitScanQuery> scans;
+    std::vector<const BitScanQuery*> scans;
     scans.reserve(queries.size());
-    for (const CompiledQueryPtr& query : queries) scans.push_back(query->scan);
+    for (const CompiledQueryPtr& query : queries) scans.push_back(&query->scan);
     return TileScanner{store_.strand(reverse_strand), config_.tile}.hits_batch(
         scans, thresholds, pool);
   }

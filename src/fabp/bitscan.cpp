@@ -1,6 +1,7 @@
 #include "fabp/core/bitscan.hpp"
 
 #include <cstdlib>
+#include <utility>
 
 #include "bitscan_kernel_impl.hpp"
 #include "fabp/util/cpuid.hpp"
@@ -13,6 +14,13 @@ namespace {
 // needs to substitute a degenerate kind for missing history.
 constexpr std::uint8_t kKindAorG = 4 + static_cast<std::uint8_t>(Condition::AorG);
 constexpr std::uint8_t kKindAny = 8 + static_cast<std::uint8_t>(Function::AnyD);
+
+// Match probability of each kind on uniform random bases, in eighths:
+// Type I exact 2/8; UorC, AorG, AorC 4/8; NotG 6/8; Stop3 3/8 (p1 msb
+// selects A of four or A|G of four, half the time each); Leu3 and Arg3
+// 6/8; AnyD 8/8.  Only the rank matters — it orders the scored elements.
+constexpr std::array<std::uint8_t, kElementKindCount> kMatchEighths{
+    2, 2, 2, 2, 4, 4, 6, 4, 3, 6, 6, 8};
 
 }  // namespace
 
@@ -30,6 +38,7 @@ std::size_t element_kind(const BackElement& element) noexcept {
 
 BitScanQuery::BitScanQuery(const std::vector<BackElement>& query) {
   kinds_.reserve(query.size());
+  std::array<std::uint32_t, 9> next{};  // loaded elements per rank (eighths)
   for (std::size_t i = 0; i < query.size(); ++i) {
     std::uint8_t kind = static_cast<std::uint8_t>(element_kind(query[i]));
     // The scalar oracle substitutes A for history reads before the query
@@ -53,7 +62,16 @@ BitScanQuery::BitScanQuery(const std::vector<BackElement>& query) {
       }
     }
     kinds_.push_back(kind);
+    if (kind != kKindAny) ++next[kMatchEighths[kind]];
   }
+  // Stable counting sort of the loaded (non-AnyD) offsets by rank: each
+  // offset goes after every lower rank and after its rank's earlier ones.
+  std::uint32_t loaded = 0;
+  for (std::uint32_t& slot : next) loaded += std::exchange(slot, loaded);
+  order_.resize(loaded);
+  for (std::size_t i = 0; i < kinds_.size(); ++i)
+    if (kinds_[i] != kKindAny)
+      order_[next[kMatchEighths[kinds_[i]]]++] = static_cast<std::uint32_t>(i);
 }
 
 BitScanQuery::BitScanQuery(const EncodedQuery& query) {
@@ -75,10 +93,13 @@ const ScanKernel* scan_kernel_for(ScanIsa isa) noexcept {
     case ScanIsa::Avx2:
       return util::cpu_has_avx2() ? detail::avx2_kernel() : nullptr;
     case ScanIsa::Avx512:
-      return util::cpu_has_avx512f() ? detail::avx512_kernel() : nullptr;
+      return util::cpu_has_avx512f() && util::cpu_has_bmi2()
+                 ? detail::avx512_kernel()
+                 : nullptr;
     case ScanIsa::Avx512Vpopcnt:
-      return util::cpu_has_avx512vpopcntdq() ? detail::avx512vpopcnt_kernel()
-                                             : nullptr;
+      return util::cpu_has_avx512vpopcntdq() && util::cpu_has_bmi2()
+                 ? detail::avx512vpopcnt_kernel()
+                 : nullptr;
   }
   return nullptr;
 }

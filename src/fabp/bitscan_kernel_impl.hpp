@@ -2,11 +2,13 @@
 // Private, ISA-agnostic core of the scan kernels.  Each kernel TU
 // (bitscan_kernels_{swar,avx2,avx512,avx512vpopcnt}.cpp) defines a Traits
 // type mapping the vertical-counter algorithm onto its vector substrate and
-// instantiates scan_range_t / scan_batch_t with it.  This header contains
+// instantiates compile_tile_t / scan_batch_t with it.  This header contains
 // no intrinsics, so it compiles identically under every per-TU -m flag
-// set; all type names below are template parameters, which also keeps the
-// instantiations TU-local (no comdat function compiled with AVX flags can
-// be picked by the linker for a baseline caller).
+// set.  Everything below the kernel accessors sits in an anonymous
+// namespace and every template takes the TU's own Traits type, so each
+// TU gets its own copy (no comdat function compiled with AVX flags can be
+// picked by the linker for a baseline caller, whatever the optimisation
+// level).
 //
 // Traits contract (V = Traits::Vec holds kWords 64-bit lanes):
 //   static constexpr unsigned kWords;
@@ -23,6 +25,15 @@
 //   static V not_(V);
 //   static bool any(V);                           // any bit set
 //   static void store(std::uint64_t* dst, V);     // kWords words
+//   static V load(const std::uint64_t* src);      // kWords words
+//   static V shl(V, unsigned n); shr(V, unsigned n);  // per 64-bit lane
+//   static V prev_words(V cur, V prev);
+//     // lane k = cur[k-1], lane 0 = prev[kWords-1]: each lane's preceding
+//     // word when cur follows prev in memory.
+//   static CodeWord compact(std::uint64_t lo, std::uint64_t hi);
+//     // the code word of the 64 positions packed in words lo, hi (2-bit
+//     // codes, position k at bits 2k..2k+1 of lo, then of hi): even bits
+//     // to lsb, odd bits to msb — compact_portable below, or PEXT.
 
 #include <algorithm>
 #include <bit>
@@ -30,6 +41,7 @@
 #include <vector>
 
 #include "fabp/core/bitscan.hpp"
+#include "fabp/util/bitops.hpp"
 
 namespace fabp::core::detail {
 
@@ -44,6 +56,8 @@ const ScanKernel* swar64_kernel() noexcept;
 const ScanKernel* avx2_kernel() noexcept;
 const ScanKernel* avx512_kernel() noexcept;
 const ScanKernel* avx512vpopcnt_kernel() noexcept;
+
+namespace {
 
 // Query elements per Harley–Seal group in score_block, which is also the
 // stride of its feasibility check: the counters are exact only at group
@@ -70,13 +84,14 @@ inline typename Traits::Vec counter_borrow(
 }
 
 /// Materialises Hit records for every set lane of hit_mask below `block`,
-/// reading each hit's score back out of the vertical counters.  Counters
-/// are spilled at most once, and only when some lane actually hit.
+/// reading each hit's score back out of the vertical counters and adding
+/// `bias`.  Counters are spilled at most once, and only when some lane
+/// actually hit.
 template <typename Traits>
 inline void emit_block_hits(const typename Traits::Vec* counters,
-                            unsigned nbits, typename Traits::Vec hit_mask,
-                            std::size_t base, std::size_t block,
-                            std::vector<Hit>& out) {
+                            unsigned nbits, std::uint32_t bias,
+                            typename Traits::Vec hit_mask, std::size_t base,
+                            std::size_t block, std::vector<Hit>& out) {
   constexpr unsigned kW = Traits::kWords;
   std::uint64_t hit_words[kW];
   Traits::store(hit_words, hit_mask);
@@ -103,7 +118,7 @@ inline void emit_block_hits(const typename Traits::Vec* counters,
         score |= static_cast<std::uint32_t>((counter_words[b][k] >> lane) &
                                             1u)
                  << b;
-      out.push_back(Hit{base + lane_base + lane, score});
+      out.push_back(Hit{base + lane_base + lane, score + bias});
     } while (hits != 0);
   }
 }
@@ -132,12 +147,58 @@ inline void ripple_add(typename Traits::Vec* counters, unsigned b,
   }
 }
 
+/// One query prepared for the block loop: the plane and query offset of
+/// each scored element in score_order(), the always-match fold, and the
+/// clamped scan bounds.  A query the preamble rejects (empty, longer than
+/// the reference, threshold above qlen) gets end == begin and is skipped
+/// by the loops below.
+struct PreparedQuery {
+  std::vector<const std::uint64_t*> planes;  // [j]: plane of element j
+  const std::uint32_t* offsets = nullptr;    // [j]: its query offset
+  std::size_t scored = 0;      // elements loaded: qlen - bias
+  unsigned nbits = 0;          // counter planes: bit_width(scored)
+  // Always-matching (AnyD) elements.  Every scored window lies inside the
+  // reference, where their plane is all ones, so they add exactly `bias`
+  // to every position's score: the scored elements face threshold - bias
+  // (floored at 0) and each emitted score gets bias back.
+  std::uint32_t bias = 0;
+  std::uint32_t threshold = 0;  // against the scored elements' sum
+  std::size_t end = 0;          // one past the last position to score
+};
+
+inline PreparedQuery prepare_query(const BitScanQuery& query,
+                                   const PlaneView& reference,
+                                   std::uint32_t threshold, std::size_t begin,
+                                   std::size_t end) {
+  PreparedQuery p;
+  p.end = begin;
+  const std::size_t qlen = query.size();
+  if (qlen == 0 || reference.size < qlen) return p;
+  const std::size_t positions = reference.size - qlen + 1;
+  end = std::min(end, positions);
+  if (begin >= end) return p;
+  if (threshold > qlen) return p;  // scores never exceed the element count
+  p.end = end;
+  const std::vector<std::uint32_t>& order = query.score_order();
+  p.scored = order.size();
+  p.nbits = static_cast<unsigned>(std::bit_width(p.scored));
+  p.bias = static_cast<std::uint32_t>(query.always_matching());
+  p.threshold = threshold > p.bias ? threshold - p.bias : 0;
+  p.offsets = order.data();
+  p.planes.resize(p.scored);
+  const std::vector<std::uint8_t>& kinds = query.kinds();
+  for (std::size_t j = 0; j < p.scored; ++j)
+    p.planes[j] = reference.plane(kinds[order[j]]);
+  return p;
+}
+
 /// Scores one block of 64 * Traits::kWords candidate positions starting at
 /// `base` and appends the `block` leading lanes that reach the threshold.
 ///
 /// Per-position scores accumulate in vertical counters: lane j of counter
-/// plane b is bit b of the score at position base + j (scores never exceed
-/// qlen, so only the first nbits planes are touched).  Elements are folded
+/// plane b is bit b of the scored sum at position base + j (it never
+/// exceeds p.scored, so only the first nbits planes are touched).  The
+/// scored elements are added in p's order (selective first), folded
 /// kScoreGroup at a time through a Harley–Seal carry-save tree of 15 full
 /// adders into counters[0..3] (ones, twos, fours, eights) — the software
 /// shape of FabP's Pop36 column compression — so only the tree's sixteens
@@ -147,26 +208,28 @@ inline void ripple_add(typename Traits::Vec* counters, unsigned b,
 /// After every group that does not end the query, the counters are exact
 /// and a feasibility check abandons the block when no lane can still reach
 /// the threshold even if every remaining element matches — exact, since
-/// such a lane can never produce a hit.
+/// such a lane can never produce a hit.  Rare matchers first keep the
+/// partial sums low, so the check fires after fewer groups.
 template <typename Traits>
-inline void score_block(const std::uint64_t* const* planes, std::size_t qlen,
-                        unsigned nbits, std::uint32_t threshold,
-                        std::size_t base, std::size_t block,
-                        std::vector<Hit>& out) {
+inline void score_block(const PreparedQuery& p, std::size_t base,
+                        std::size_t block, std::vector<Hit>& out) {
   using V = typename Traits::Vec;
   static_assert(kScoreGroup == 16, "the tree below folds exactly 16 elements");
+  const std::size_t scored = p.scored;
+  const unsigned nbits = p.nbits;
+  const std::uint32_t threshold = p.threshold;
 
   V counters[kMaxCounterBits];
   for (unsigned b = 0; b < nbits; ++b) counters[b] = Traits::zero();
 
-  const auto element = [&](std::size_t i) {
-    const std::size_t offset = base + i;
-    return Traits::load_bits(planes[i], offset >> 6,
+  const auto element = [&](std::size_t j) {
+    const std::size_t offset = base + p.offsets[j];
+    return Traits::load_bits(p.planes[j], offset >> 6,
                              static_cast<unsigned>(offset & 63));
   };
 
   std::size_t i = 0;
-  if (qlen >= kScoreGroup) {  // nbits >= 5: counters[0..4] all exist
+  if (scored >= kScoreGroup) {  // nbits >= 5: counters[0..4] all exist
     V& ones = counters[0];
     V& twos = counters[1];
     V& fours = counters[2];
@@ -192,7 +255,7 @@ inline void score_block(const std::uint64_t* const* planes, std::size_t qlen,
       full_add<Traits>(eights_out, fours, fours, a, b);
       return eights_out;
     };
-    for (; i + kScoreGroup <= qlen; i += kScoreGroup) {
+    for (; i + kScoreGroup <= scored; i += kScoreGroup) {
       const V a = fold8(i);
       const V b = fold8(i + 8);
       V sixteens;
@@ -200,7 +263,7 @@ inline void score_block(const std::uint64_t* const* planes, std::size_t qlen,
       ripple_add<Traits>(counters, 4, sixteens);
 
       // A lane can still hit iff partial + remaining >= threshold.
-      const std::size_t remaining = qlen - (i + kScoreGroup);
+      const std::size_t remaining = scored - (i + kScoreGroup);
       if (remaining != 0 && threshold > remaining) {
         const std::uint32_t need =
             threshold - static_cast<std::uint32_t>(remaining);
@@ -210,95 +273,198 @@ inline void score_block(const std::uint64_t* const* planes, std::size_t qlen,
       }
     }
   }
-  for (; i + 1 < qlen; i += 2) {
+  for (; i + 1 < scored; i += 2) {
     V carry;
     full_add<Traits>(carry, counters[0], counters[0], element(i),
                      element(i + 1));
     ripple_add<Traits>(counters, 1, carry);
   }
-  if (i < qlen) ripple_add<Traits>(counters, 0, element(i));
+  if (i < scored) ripple_add<Traits>(counters, 0, element(i));
 
   // score >= threshold per lane: no borrow-out of (score - threshold).
   const V borrow = counter_borrow<Traits>(counters, nbits, threshold);
-  emit_block_hits<Traits>(counters, nbits, Traits::not_(borrow), base, block,
-                          out);
-}
-
-/// One query prepared for the block loop: per-element plane pointers plus
-/// the clamped scan bounds.  A query the preamble rejects (empty, longer
-/// than the reference, threshold above qlen) gets end == begin and is
-/// skipped by the loops below.
-struct PreparedQuery {
-  std::vector<const std::uint64_t*> planes;
-  std::size_t qlen = 0;
-  unsigned nbits = 0;
-  std::uint32_t threshold = 0;
-  std::size_t end = 0;  // one past the last position to score
-};
-
-inline PreparedQuery prepare_query(const BitScanQuery& query,
-                                   const PlaneView& reference,
-                                   std::uint32_t threshold, std::size_t begin,
-                                   std::size_t end) {
-  PreparedQuery p;
-  p.qlen = query.size();
-  p.threshold = threshold;
-  p.end = begin;
-  if (p.qlen == 0 || reference.size < p.qlen) return p;
-  const std::size_t positions = reference.size - p.qlen + 1;
-  end = std::min(end, positions);
-  if (begin >= end) return p;
-  if (threshold > p.qlen) return p;  // scores never exceed the element count
-  p.end = end;
-  p.nbits = static_cast<unsigned>(std::bit_width(p.qlen));
-  p.planes.resize(p.qlen);
-  const std::vector<std::uint8_t>& kinds = query.kinds();
-  for (std::size_t i = 0; i < p.qlen; ++i)
-    p.planes[i] = reference.plane(kinds[i]);
-  return p;
+  emit_block_hits<Traits>(counters, nbits, p.bias, Traits::not_(borrow), base,
+                          block, out);
 }
 
 template <typename Traits>
-void scan_range_t(const BitScanQuery& query, const PlaneView& reference,
-                  std::uint32_t threshold, std::size_t begin, std::size_t end,
-                  std::vector<Hit>& out) {
-  const PreparedQuery p = prepare_query(query, reference, threshold, begin,
-                                        end);
-  constexpr std::size_t kLanes = 64ull * Traits::kWords;
-  for (std::size_t base = begin; base < p.end; base += kLanes) {
-    const std::size_t block = std::min(kLanes, p.end - base);
-    score_block<Traits>(p.planes.data(), p.qlen, p.nbits, p.threshold, base,
-                        block, out);
-  }
-}
-
-template <typename Traits>
-void scan_batch_t(const BitScanQuery* queries, const std::uint32_t* thresholds,
-                  std::size_t count, const PlaneView& reference,
-                  std::size_t begin, std::size_t end, std::vector<Hit>* outs) {
+void scan_batch_t(const BitScanQuery* const* queries,
+                  const std::uint32_t* thresholds, std::size_t count,
+                  const PlaneView& reference, std::size_t begin,
+                  std::size_t end, std::vector<Hit>* outs) {
   std::vector<PreparedQuery> prepared;
   prepared.reserve(count);
   std::size_t max_end = begin;
   for (std::size_t q = 0; q < count; ++q) {
     prepared.push_back(
-        prepare_query(queries[q], reference, thresholds[q], begin, end));
+        prepare_query(*queries[q], reference, thresholds[q], begin, end));
     max_end = std::max(max_end, prepared.back().end);
   }
 
   // One pass over the reference: every query is scored against the block
   // while its plane words are still hot, instead of re-streaming all
-  // planes per query.  Blocks are aligned to `begin` exactly like the
-  // single-query loop, so each outs[q] matches a solo scan bit for bit.
+  // planes per query.  Blocks are aligned to `begin` whatever the batch,
+  // so each outs[q] matches a one-query scan bit for bit.
   constexpr std::size_t kLanes = 64ull * Traits::kWords;
   for (std::size_t base = begin; base < max_end; base += kLanes) {
     for (std::size_t q = 0; q < count; ++q) {
       const PreparedQuery& p = prepared[q];
       if (base >= p.end) continue;
       const std::size_t block = std::min(kLanes, p.end - base);
-      score_block<Traits>(p.planes.data(), p.qlen, p.nbits, p.threshold,
-                          base, block, outs[q]);
+      score_block<Traits>(p, base, block, outs[q]);
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Tile plane compile.
+
+// Software-prefetch distance in packed reference words: while a tile is
+// being compiled, the packed words this far ahead of the compile cursor
+// are prefetched (and TileScanner prefetches the head of the next tile
+// while a tile is being scored), hiding the DRAM latency of the 0.25
+// B/base stream behind the plane compile + kernel compute.  64 words =
+// 512 B = 8 cache lines ahead covers typical DRAM latency at the compile
+// loop's consumption rate.
+inline constexpr std::size_t kPrefetchWords = 64;
+
+// Read-prefetch into a streaming cache level; a no-op compiler-side when
+// the builtin is unavailable (the hardware prefetcher still works).
+inline void prefetch_ro(const void* p) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, /*rw=*/0, /*locality=*/0);
+#else
+  (void)p;
+#endif
+}
+
+/// The portable Traits::compact: two SWAR half-shuffles per plane.  PEXT
+/// does each in one instruction, but it is microcoded (tens of cycles) on
+/// AMD before Zen 3, so only the AVX-512 kernels, which no such CPU runs,
+/// use it.
+inline CodeWord compact_portable(std::uint64_t lo, std::uint64_t hi) noexcept {
+  using util::compress_even_bits;
+  return {compress_even_bits(lo) | (compress_even_bits(hi) << 32),
+          compress_even_bits(lo >> 1) | (compress_even_bits(hi >> 1) << 32)};
+}
+
+/// Code word of global word `w` (two packed words; words past the store
+/// decode as A).
+template <typename Traits>
+inline CodeWord code_word(const TileCompileJob& job, std::size_t w) noexcept {
+  const std::uint64_t lo = 2 * w < job.packed_words ? job.packed[2 * w] : 0;
+  const std::uint64_t hi =
+      2 * w + 1 < job.packed_words ? job.packed[2 * w + 1] : 0;
+  return Traits::compact(lo, hi);
+}
+
+/// ScanKernel::compile_tile: one pass over the packed words fusing the
+/// compaction of the 2-bit codes into lsb/msb bitplanes with the 12 plane
+/// formulas, Traits::kWords plane words at a time (each lane's prev1/prev2
+/// history comes from the word before it via prev_words).  The history of
+/// the first word is the entry code word (the previous tile's capture, or
+/// re-derived at a run start), so planes are bit-for-bit what a
+/// whole-reference compile produces for the same words.  Chunks wholly
+/// inside the reference take an unchecked path; only chunks holding the
+/// reference's last word or the words past it (the overhang a query
+/// straddling the end reads) pay the bounds checks.  A final partial chunk
+/// writes up to kWords - 1 words past data_words, inside the guard words
+/// the slack fill then zeroes.  The packed words kPrefetchWords ahead of
+/// the compile cursor are software-prefetched.
+template <typename Traits>
+CodeWord compile_tile_t(const TileCompileJob& job, std::uint64_t* p,
+                        std::size_t stride) {
+  using V = typename Traits::Vec;
+  constexpr unsigned kW = Traits::kWords;
+  static_assert(kW <= kScanGuardWords, "a partial chunk must fit the guard");
+
+  CodeWord entry;  // zero at the reference start: missing history reads A
+  if (job.entry != nullptr)
+    entry = *job.entry;
+  else if (job.first_word > 0)
+    entry = code_word<Traits>(job, job.first_word - 1);
+  V prev_lsb = Traits::broadcast(entry.lsb);
+  V prev_msb = Traits::broadcast(entry.msb);
+
+  const std::uint64_t* const packed = job.packed;
+  const std::size_t full_words = job.ref_size / 64;
+  const unsigned tail = static_cast<unsigned>(job.ref_size & 63);
+  for (std::size_t i = 0; i < job.data_words; i += kW) {
+    const std::size_t w0 = job.first_word + i;
+    std::uint64_t lsb_w[kW], msb_w[kW], valid_w[kW];
+    if (w0 + kW <= full_words) {
+      // The loop consumes 2 packed words per plane word; touch one 64-byte
+      // line (8 packed words) kPrefetchWords ahead per 4 plane words.
+      for (unsigned k = 0; k < kW; ++k)
+        if (((i + k) & 3) == 0 &&
+            2 * (w0 + k) + kPrefetchWords < job.packed_words)
+          prefetch_ro(packed + 2 * (w0 + k) + kPrefetchWords);
+      for (unsigned k = 0; k < kW; ++k) {
+        const CodeWord c =
+            Traits::compact(packed[2 * (w0 + k)], packed[2 * (w0 + k) + 1]);
+        lsb_w[k] = c.lsb;
+        msb_w[k] = c.msb;
+        valid_w[k] = ~0ULL;
+      }
+    } else {
+      for (unsigned k = 0; k < kW; ++k) {
+        const std::size_t w = w0 + k;
+        const CodeWord c = code_word<Traits>(job, w);
+        lsb_w[k] = c.lsb;
+        msb_w[k] = c.msb;
+        valid_w[k] = w < full_words                  ? ~0ULL
+                     : w == full_words && tail != 0 ? (1ULL << tail) - 1
+                                                    : 0;
+      }
+    }
+    const V lsb = Traits::load(lsb_w);
+    const V msb = Traits::load(msb_w);
+    const V valid = Traits::load(valid_w);
+    const V pm = Traits::prev_words(msb, prev_msb);
+    const V pl = Traits::prev_words(lsb, prev_lsb);
+    const V eq_g = Traits::andnot(lsb, msb);
+    const V eq_a = Traits::andnot(Traits::or_(lsb, msb), valid);
+    const V not_lsb = Traits::andnot(lsb, valid);
+    const V p1m = Traits::and_(
+        Traits::or_(Traits::shl(msb, 1), Traits::shr(pm, 63)), valid);
+    const V p2m = Traits::and_(
+        Traits::or_(Traits::shl(msb, 2), Traits::shr(pm, 62)), valid);
+    const V p2l = Traits::and_(
+        Traits::or_(Traits::shl(lsb, 2), Traits::shr(pl, 62)), valid);
+
+    const auto put = [&](std::size_t kind, V plane) {
+      Traits::store(p + kind * stride + i, plane);
+    };
+    // Type I: occurrence planes.
+    put(0, eq_a);
+    put(1, Traits::andnot(msb, lsb));
+    put(2, eq_g);
+    put(3, Traits::and_(lsb, msb));
+    // Type II conditions on the 2-bit code.
+    put(4, lsb);
+    put(5, not_lsb);
+    put(6, Traits::andnot(eq_g, valid));
+    put(7, Traits::andnot(msb, valid));
+    // Type III: history-dependent selects between the S=1 and S=0 match
+    // sets (BackElement::matches, vectorised).
+    put(8, Traits::or_(Traits::and_(p1m, eq_a),
+                       Traits::andnot(p1m, not_lsb)));           // Stop3
+    put(9, Traits::andnot(Traits::and_(p2m, lsb), valid));       // Leu3
+    put(10, Traits::or_(p2l, not_lsb));                          // Arg3
+    put(11, valid);                                              // D
+    prev_lsb = lsb;
+    prev_msb = msb;
+  }
+  // Zero the slack: kernel guard fetches past the tile's last data word
+  // must see 0, and the scratch holds whatever the previous tile (or the
+  // allocator) left there.
+  for (std::size_t k = 0; k < kElementKindCount; ++k)
+    std::fill(p + k * stride + job.data_words, p + (k + 1) * stride, 0);
+  return job.capture_w == static_cast<std::size_t>(-1)
+             ? CodeWord{}
+             : code_word<Traits>(job, job.capture_w);
+}
+
+}  // namespace
 
 }  // namespace fabp::core::detail

@@ -48,17 +48,37 @@ struct Avx2Traits {
   static void store(std::uint64_t* dst, Vec v) noexcept {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
   }
+  static Vec load(const std::uint64_t* src) noexcept {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+  }
+  static Vec shl(Vec a, unsigned n) noexcept {
+    return _mm256_slli_epi64(a, static_cast<int>(n));
+  }
+  static Vec shr(Vec a, unsigned n) noexcept {
+    return _mm256_srli_epi64(a, static_cast<int>(n));
+  }
+  static Vec prev_words(Vec cur, Vec prev) noexcept {
+    // [prev3, cur0 | cur1, cur2]: the 128-bit halves {prev.hi, cur.lo},
+    // then a byte align within each half.
+    const Vec mid = _mm256_permute2x128_si256(prev, cur, 0x21);
+    return _mm256_alignr_epi8(cur, mid, 8);
+  }
+  // PEXT would need BMI2, which AVX2 hosts need not have and pre-Zen 3
+  // AMD microcodes: keep the portable compaction.
+  static CodeWord compact(std::uint64_t lo, std::uint64_t hi) noexcept {
+    return compact_portable(lo, hi);
+  }
 };
 
-void avx2_range(const BitScanQuery& query, const PlaneView& reference,
-                std::uint32_t threshold, std::size_t begin, std::size_t end,
-                std::vector<Hit>& out) {
-  scan_range_t<Avx2Traits>(query, reference, threshold, begin, end, out);
+CodeWord avx2_compile(const TileCompileJob& job, std::uint64_t* planes,
+                      std::size_t stride) {
+  return compile_tile_t<Avx2Traits>(job, planes, stride);
 }
 
-void avx2_batch(const BitScanQuery* queries, const std::uint32_t* thresholds,
-                std::size_t count, const PlaneView& reference,
-                std::size_t begin, std::size_t end, std::vector<Hit>* outs) {
+void avx2_batch(const BitScanQuery* const* queries,
+                const std::uint32_t* thresholds, std::size_t count,
+                const PlaneView& reference, std::size_t begin,
+                std::size_t end, std::vector<Hit>* outs) {
   scan_batch_t<Avx2Traits>(queries, thresholds, count, reference, begin, end,
                            outs);
 }
@@ -66,8 +86,8 @@ void avx2_batch(const BitScanQuery* queries, const std::uint32_t* thresholds,
 }  // namespace
 
 const ScanKernel* avx2_kernel() noexcept {
-  static constexpr ScanKernel kernel{ScanIsa::Avx2, "avx2", 256, &avx2_range,
-                                     &avx2_batch};
+  static constexpr ScanKernel kernel{ScanIsa::Avx2, "avx2", 256,
+                                     &avx2_compile, &avx2_batch};
   return &kernel;
 }
 

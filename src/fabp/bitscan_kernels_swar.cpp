@@ -1,6 +1,7 @@
 // Portable scan kernels: the 64-lane uint64_t SWAR baseline (always
 // available, and the reference the SIMD TUs must match bit for bit) plus
 // the per-position scalar loop kept reachable for differential testing.
+// Both compile tiles with the portable SWAR compaction.
 
 #include "bitscan_kernel_impl.hpp"
 
@@ -26,63 +27,67 @@ struct Swar64Traits {
   static Vec not_(Vec a) noexcept { return ~a; }
   static bool any(Vec a) noexcept { return a != 0; }
   static void store(std::uint64_t* dst, Vec v) noexcept { dst[0] = v; }
+  static Vec load(const std::uint64_t* src) noexcept { return src[0]; }
+  static Vec shl(Vec a, unsigned n) noexcept { return a << n; }
+  static Vec shr(Vec a, unsigned n) noexcept { return a >> n; }
+  static Vec prev_words(Vec, Vec prev) noexcept { return prev; }
+  static CodeWord compact(std::uint64_t lo, std::uint64_t hi) noexcept {
+    return compact_portable(lo, hi);
+  }
 };
 
-void swar64_range(const BitScanQuery& query, const PlaneView& reference,
-                  std::uint32_t threshold, std::size_t begin, std::size_t end,
-                  std::vector<Hit>& out) {
-  scan_range_t<Swar64Traits>(query, reference, threshold, begin, end, out);
+CodeWord portable_compile(const TileCompileJob& job, std::uint64_t* planes,
+                          std::size_t stride) {
+  return compile_tile_t<Swar64Traits>(job, planes, stride);
 }
 
-void swar64_batch(const BitScanQuery* queries, const std::uint32_t* thresholds,
-                  std::size_t count, const PlaneView& reference,
-                  std::size_t begin, std::size_t end, std::vector<Hit>* outs) {
+void swar64_batch(const BitScanQuery* const* queries,
+                  const std::uint32_t* thresholds, std::size_t count,
+                  const PlaneView& reference, std::size_t begin,
+                  std::size_t end, std::vector<Hit>* outs) {
   scan_batch_t<Swar64Traits>(queries, thresholds, count, reference, begin,
                              end, outs);
 }
 
 // Scalar reference path: one position at a time, one plane-bit test per
-// query element — no vertical counters, no block structure.  Exists so
-// FABP_FORCE_ISA=scalar exercises the dispatch plumbing against the
-// simplest possible evaluation of the same planes.
+// scored element (same order and always-match fold as score_block) — no
+// vertical counters, no block structure.  Exists so FABP_FORCE_ISA=scalar
+// exercises the dispatch plumbing against the simplest possible
+// evaluation of the same planes.
 void scalar_position_range(const PreparedQuery& p, std::size_t begin,
                            std::vector<Hit>& out) {
   for (std::size_t pos = begin; pos < p.end; ++pos) {
     std::uint32_t score = 0;
-    for (std::size_t i = 0; i < p.qlen; ++i) {
-      const std::size_t offset = pos + i;
+    for (std::size_t j = 0; j < p.scored; ++j) {
+      const std::size_t offset = pos + p.offsets[j];
       score += static_cast<std::uint32_t>(
-          (p.planes[i][offset >> 6] >> (offset & 63)) & 1u);
+          (p.planes[j][offset >> 6] >> (offset & 63)) & 1u);
     }
-    if (score >= p.threshold) out.push_back(Hit{pos, score});
+    if (score >= p.threshold) out.push_back(Hit{pos, score + p.bias});
   }
 }
 
-void scalar_range(const BitScanQuery& query, const PlaneView& reference,
-                  std::uint32_t threshold, std::size_t begin, std::size_t end,
-                  std::vector<Hit>& out) {
-  scalar_position_range(prepare_query(query, reference, threshold, begin, end),
-                        begin, out);
-}
-
-void scalar_batch(const BitScanQuery* queries, const std::uint32_t* thresholds,
-                  std::size_t count, const PlaneView& reference,
-                  std::size_t begin, std::size_t end, std::vector<Hit>* outs) {
+void scalar_batch(const BitScanQuery* const* queries,
+                  const std::uint32_t* thresholds, std::size_t count,
+                  const PlaneView& reference, std::size_t begin,
+                  std::size_t end, std::vector<Hit>* outs) {
   for (std::size_t q = 0; q < count; ++q)
-    scalar_range(queries[q], reference, thresholds[q], begin, end, outs[q]);
+    scalar_position_range(
+        prepare_query(*queries[q], reference, thresholds[q], begin, end),
+        begin, outs[q]);
 }
 
 }  // namespace
 
 const ScanKernel* swar64_kernel() noexcept {
   static constexpr ScanKernel kernel{ScanIsa::Swar64, "swar64", 64,
-                                     &swar64_range, &swar64_batch};
+                                     &portable_compile, &swar64_batch};
   return &kernel;
 }
 
 const ScanKernel* scalar_kernel() noexcept {
   static constexpr ScanKernel kernel{ScanIsa::Scalar, "scalar", 1,
-                                     &scalar_range, &scalar_batch};
+                                     &portable_compile, &scalar_batch};
   return &kernel;
 }
 

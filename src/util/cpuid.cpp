@@ -24,6 +24,7 @@ struct Features {
   bool avx2 = false;
   bool avx512f = false;
   bool avx512vpopcntdq = false;
+  bool bmi2 = false;
 };
 
 Features probe() noexcept {
@@ -31,11 +32,13 @@ Features probe() noexcept {
   unsigned eax, ebx, ecx, edx;
   if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
   const bool osxsave = (ecx & (1u << 27)) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return f;
+  // BMI2 works on general-purpose registers: no OS state to check.
+  f.bmi2 = (ebx & (1u << 8)) != 0;                 // leaf 7.0 EBX.BMI2
   if (!osxsave) return f;  // OS never enabled extended state: stay baseline
   const std::uint64_t x = xcr0();
   const bool ymm_ok = (x & 0x06) == 0x06;          // XMM + YMM saved
   const bool zmm_ok = (x & 0xE6) == 0xE6;          // + opmask, zmm, hi16_zmm
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return f;
   f.avx2 = ymm_ok && (ebx & (1u << 5)) != 0;       // leaf 7.0 EBX.AVX2
   f.avx512f = zmm_ok && (ebx & (1u << 16)) != 0;   // leaf 7.0 EBX.AVX512F
   // Leaf 7.0 ECX.AVX512_VPOPCNTDQ; gated on AVX512F so the implication in
@@ -50,6 +53,7 @@ struct Features {
   bool avx2 = false;
   bool avx512f = false;
   bool avx512vpopcntdq = false;
+  bool bmi2 = false;
 };
 
 Features probe() noexcept { return {}; }
@@ -70,6 +74,8 @@ bool cpu_has_avx512f() noexcept { return features().avx512f; }
 bool cpu_has_avx512vpopcntdq() noexcept {
   return features().avx512vpopcntdq;
 }
+
+bool cpu_has_bmi2() noexcept { return features().bmi2; }
 
 const char* cpu_isa_summary() noexcept {
   const Features& f = features();

@@ -9,7 +9,12 @@
 // scalar golden oracle: group edges (qlen 1..65 around multiples of 16), a
 // 240-element query whose sixteens carry reaches counters[4..7], the early
 // exit with and without a check after the last group, and block-boundary
-// and batch cases.
+// and batch cases.  The selective-first order (score_order) and the
+// always-match fold (AnyD elements never loaded, threshold and scores
+// shifted by their count) are pinned at their edges: all-AnyD queries,
+// thresholds at or below the fold, thresholds 0 and qlen, Type III
+// elements at offsets 0 and 1, and rare elements at the query's tail —
+// each alone and in mixed-length batches.
 
 #include <gtest/gtest.h>
 
@@ -25,8 +30,10 @@ namespace fabp::core {
 namespace {
 
 using bio::NucleotideSequence;
+using scan_test::expect_solo_and_batch_match_golden;
 using scan_test::kernel_hits;
 using scan_test::kTiles;
+using scan_test::pointers;
 using scan_test::probe_thresholds;
 using scan_test::random_elements;
 using scan_test::reachable_kernels;
@@ -170,13 +177,176 @@ TEST(ScanCsa, BatchMatchesPerQueryScans) {
     const TileScanner scanner{packed, {.tile_positions = tile}};
     for (const ScanKernel* kernel : reachable_kernels()) {
       std::vector<std::vector<Hit>> outs(queries.size());
-      scanner.range_batch(*kernel, queries.data(), thresholds.data(),
+      scanner.range_batch(*kernel, pointers(queries).data(), thresholds.data(),
                           queries.size(), 0, ref.size(), outs.data());
       for (std::size_t q = 0; q < queries.size(); ++q)
         EXPECT_EQ(outs[q], golden_hits(raw[q], ref, thresholds[q]))
             << kernel->name << " tile=" << tile << " q=" << q;
     }
   }
+}
+
+BackElement any_d() { return BackElement::make_dependent(Function::AnyD); }
+
+BackElement exact(std::uint8_t code) {
+  return BackElement::make_exact(bio::nucleotide_from_code(code));
+}
+
+TEST(ScanCsa, ScoreOrderIsRarestKindFirstAndStable) {
+  // Match probabilities: exact 1/4, Stop3 3/8, AorG 1/2, NotG and Leu3
+  // 3/4; AnyD is folded, not ordered.  Equal ranks keep query order.
+  const std::vector<BackElement> query{
+      any_d(),                                               // 0: folded
+      BackElement::make_conditional(Condition::NotG),        // 1: 3/4
+      exact(1),                                              // 2: 1/4
+      BackElement::make_dependent(Function::Stop3),          // 3: 3/8
+      BackElement::make_conditional(Condition::AorG),        // 4: 1/2
+      exact(0),                                              // 5: 1/4
+      BackElement::make_dependent(Function::Leu3),           // 6: 3/4
+      any_d()};                                              // 7: folded
+  const BitScanQuery compiled{query};
+  EXPECT_EQ(compiled.always_matching(), 2u);
+  EXPECT_EQ(compiled.score_order(),
+            (std::vector<std::uint32_t>{2, 5, 3, 4, 1, 6}));
+}
+
+TEST(ScanCsa, AllAnyDQueryHitsEveryPosition) {
+  // qlen - nD = 0: no element is loaded, no counter plane exists, and
+  // every position scores nD — at any threshold up to qlen.
+  util::Xoshiro256 rng{433};
+  const NucleotideSequence ref = bio::random_dna(1300, rng);
+  std::vector<std::vector<BackElement>> raw;
+  std::vector<std::uint32_t> thresholds;
+  for (std::size_t n : {1u, 5u, 16u, 40u}) {
+    for (std::uint32_t t : probe_thresholds(n)) {
+      raw.emplace_back(n, any_d());
+      thresholds.push_back(t);
+      const auto golden = golden_hits(raw.back(), ref, t);
+      ASSERT_EQ(golden.size(), ref.size() - n + 1) << "n=" << n;
+      for (const Hit& hit : golden) ASSERT_EQ(hit.score, n);
+    }
+  }
+  raw.push_back(random_elements(30, rng));  // a loaded query in the batch
+  thresholds.push_back(15);
+  expect_solo_and_batch_match_golden(raw, thresholds, ref, "all-AnyD");
+}
+
+TEST(ScanCsa, ThresholdAtOrBelowTheFoldHitsEveryPosition) {
+  // threshold <= nD: the scored elements face threshold 0, so every
+  // position hits with score nD + its counter value.
+  util::Xoshiro256 rng{439};
+  const NucleotideSequence ref = bio::random_dna(1100, rng);
+  std::vector<std::vector<BackElement>> raw;
+  std::vector<std::uint32_t> thresholds;
+  for (std::size_t loaded : {3u, 16u, 37u}) {
+    std::vector<BackElement> query = random_elements(loaded, rng);
+    for (std::size_t k = 0; k < 6; ++k)
+      query.insert(query.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.next() % (query.size() + 1)),
+                   any_d());
+    const BitScanQuery compiled{query};
+    const auto nd = static_cast<std::uint32_t>(compiled.always_matching());
+    ASSERT_GE(nd, 6u);
+    for (std::uint32_t t : {0u, nd / 2, nd}) {
+      const auto golden = golden_hits(query, ref, t);
+      ASSERT_EQ(golden.size(), ref.size() - query.size() + 1);
+      for (const Hit& hit : golden) ASSERT_GE(hit.score, nd);
+      raw.push_back(query);
+      thresholds.push_back(t);
+    }
+  }
+  expect_solo_and_batch_match_golden(raw, thresholds, ref, "t<=nD");
+}
+
+TEST(ScanCsa, ThresholdZeroAndQlen) {
+  // Threshold 0 reads every position's score back out; threshold qlen
+  // exits every block after its first group but must keep the planted
+  // perfect match.
+  util::Xoshiro256 rng{443};
+  NucleotideSequence ref = bio::random_dna(2600, rng);
+  std::vector<std::vector<BackElement>> raw;
+  std::vector<std::uint32_t> thresholds;
+  std::size_t at = 100;
+  for (std::size_t qlen : {7u, 16u, 33u, 60u, 240u}) {
+    const auto query = random_elements(qlen, rng);
+    plant_exact_match(query, ref, at);
+    at += qlen + 200;
+    for (std::uint32_t t : {0u, static_cast<std::uint32_t>(qlen)}) {
+      raw.push_back(query);
+      thresholds.push_back(t);
+    }
+  }
+  for (std::size_t q = 1; q < raw.size(); q += 2)
+    EXPECT_FALSE(golden_hits(raw[q], ref, thresholds[q]).empty()) << q;
+  expect_solo_and_batch_match_golden(raw, thresholds, ref, "t=0|qlen");
+}
+
+TEST(ScanCsa, TypeIIIAtQueryStartFoldsOrOrders) {
+  // Before offset 2 the oracle reads missing history as A: Leu3 at 0 or 1
+  // compiles to AnyD (folded), Stop3 at 0 and Arg3 at 0 or 1 to AorG
+  // (ordered as a 1/2 kind), Stop3 at 1 stays Stop3.  Every pair of
+  // functions at offsets 0 and 1 ahead of a random body.
+  util::Xoshiro256 rng{449};
+  const NucleotideSequence ref = bio::random_dna(900, rng);
+  std::vector<std::vector<BackElement>> raw;
+  std::vector<std::uint32_t> thresholds;
+  for (std::uint8_t f0 = 0; f0 < 4; ++f0) {
+    for (std::uint8_t f1 = 0; f1 < 4; ++f1) {
+      std::vector<BackElement> query{
+          BackElement::make_dependent(static_cast<Function>(f0)),
+          BackElement::make_dependent(static_cast<Function>(f1))};
+      const auto body = random_elements(4 + rng.next() % 30, rng);
+      query.insert(query.end(), body.begin(), body.end());
+      for (std::uint32_t t : probe_thresholds(query.size())) {
+        raw.push_back(query);
+        thresholds.push_back(t);
+      }
+    }
+  }
+  const BackElement leu3 = BackElement::make_dependent(Function::Leu3);
+  const BackElement stop3 = BackElement::make_dependent(Function::Stop3);
+  const BitScanQuery leu{std::vector<BackElement>{leu3, leu3, exact(2)}};
+  EXPECT_EQ(leu.always_matching(), 2u);
+  EXPECT_EQ(leu.score_order(), (std::vector<std::uint32_t>{2}));
+  // Stop3 at 0 is AorG (1/2), at 1 still Stop3 (3/8): offset 1 first.
+  const BitScanQuery stop{std::vector<BackElement>{stop3, stop3}};
+  EXPECT_EQ(stop.always_matching(), 0u);
+  EXPECT_EQ(stop.score_order(), (std::vector<std::uint32_t>{1, 0}));
+  expect_solo_and_batch_match_golden(raw, thresholds, ref, "typeIII@0,1");
+}
+
+TEST(ScanCsa, RareElementsAtTheTail) {
+  // Common kinds (3/4) and AnyD up front, Type I exacts at the tail: the
+  // order must move the tail first, and the early exit must still keep
+  // every hit, the planted full match included.
+  util::Xoshiro256 rng{457};
+  const std::vector<BackElement> common{
+      BackElement::make_conditional(Condition::NotG),
+      BackElement::make_dependent(Function::Leu3),
+      BackElement::make_dependent(Function::Arg3), any_d()};
+  std::vector<BackElement> query;
+  for (std::size_t i = 0; i < 48; ++i)
+    query.push_back(common[rng.next() % common.size()]);
+  for (std::size_t i = 0; i < 20; ++i)
+    query.push_back(exact(static_cast<std::uint8_t>(rng.next() % 4)));
+  const BitScanQuery compiled{query};
+  ASSERT_GE(compiled.score_order().size(), 20u);
+  for (std::size_t j = 0; j < 20; ++j)
+    EXPECT_EQ(compiled.score_order()[j], 48 + j);
+
+  NucleotideSequence ref = bio::random_dna(3000, rng);
+  plant_exact_match(query, ref, 1500);
+  const auto qlen = static_cast<std::uint32_t>(query.size());
+  std::vector<std::vector<BackElement>> raw;
+  std::vector<std::uint32_t> thresholds;
+  for (std::uint32_t t : {0u, qlen / 2, qlen * 3 / 4, qlen - 1, qlen}) {
+    raw.push_back(query);
+    thresholds.push_back(t);
+  }
+  raw.push_back(random_elements(9, rng));  // a short query in the batch
+  thresholds.push_back(5);
+  EXPECT_FALSE(golden_hits(query, ref, qlen).empty());
+  expect_solo_and_batch_match_golden(raw, thresholds, ref, "rare tail");
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // whole-reference planes and their guard words) and with a small tile (so
 // blocks are cut at tile edges).  tools/check.sh additionally runs the
 // whole suite under each forced FABP_FORCE_ISA so the env-override
-// dispatch path is exercised end to end.
+// dispatch path is exercised end to end.  Each kernel's own tile compile
+// (PEXT on the AVX-512 kernels) is pinned word for word to the portable
+// compile, and that to the element predicates themselves.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@ using bio::NucleotideSequence;
 using bio::ProteinSequence;
 using scan_test::kernel_hits;
 using scan_test::kTiles;
+using scan_test::pointers;
 using scan_test::probe_thresholds;
 using scan_test::random_elements;
 using scan_test::reachable_kernels;
@@ -170,7 +173,7 @@ TEST(ScanKernels, BatchMatchesPerQueryScans) {
     const TileScanner scanner{packed, {.tile_positions = tile}};
     for (const ScanKernel* kernel : kernels) {
       std::vector<std::vector<Hit>> outs(queries.size());
-      scanner.range_batch(*kernel, queries.data(), thresholds.data(),
+      scanner.range_batch(*kernel, pointers(queries).data(), thresholds.data(),
                           queries.size(), 0, ref.size(), outs.data());
       for (std::size_t q = 0; q < queries.size(); ++q)
         EXPECT_EQ(outs[q], golden_hits(raw[q], ref, thresholds[q]))
@@ -199,10 +202,11 @@ TEST(ScanKernels, BatchDispatchSerialAndPooledAreIdentical) {
     expected.push_back(golden_hits(elements, ref, threshold));
   }
 
-  EXPECT_EQ(scanner.hits_batch(queries, thresholds), expected);
+  EXPECT_EQ(scanner.hits_batch(pointers(queries), thresholds), expected);
   for (std::size_t threads : {1u, 2u, 5u}) {
     util::ThreadPool pool{threads};
-    EXPECT_EQ(scanner.hits_batch(queries, thresholds, &pool), expected)
+    EXPECT_EQ(scanner.hits_batch(pointers(queries), thresholds, &pool),
+              expected)
         << threads;
   }
 }
@@ -224,7 +228,7 @@ TEST(ScanKernels, BatchHandlesDegenerateQueries) {
 
   for (const ScanKernel* kernel : reachable_kernels()) {
     std::vector<std::vector<Hit>> outs(queries.size());
-    scanner.range_batch(*kernel, queries.data(), thresholds.data(),
+    scanner.range_batch(*kernel, pointers(queries).data(), thresholds.data(),
                         queries.size(), 0, ref.size(), outs.data());
     EXPECT_TRUE(outs[0].empty()) << kernel->name;
     EXPECT_TRUE(outs[1].empty()) << kernel->name;
@@ -233,9 +237,124 @@ TEST(ScanKernels, BatchHandlesDegenerateQueries) {
   }
 
   EXPECT_THROW(
-      scanner.hits_batch(queries, std::vector<std::uint32_t>{0, 0}),
+      scanner.hits_batch(pointers(queries), std::vector<std::uint32_t>{0, 0}),
       std::invalid_argument);
   EXPECT_TRUE(scanner.hits_batch({}, {}).empty());
+}
+
+// Runs `kernel`'s compile over [first_word, first_word + data_words) into
+// a buffer pre-filled with a pattern the compile must overwrite.
+struct CompiledTile {
+  std::vector<std::uint64_t> planes;
+  CodeWord captured;
+};
+
+CompiledTile compile_with(const ScanKernel& kernel,
+                          const bio::PackedNucleotides& packed,
+                          std::size_t first_word, std::size_t data_words,
+                          std::size_t capture_w, const CodeWord* entry,
+                          std::size_t stride) {
+  CompiledTile out;
+  out.planes.assign(kElementKindCount * stride, 0xA5A5A5A5A5A5A5A5ULL);
+  const TileCompileJob job{.packed = packed.words().data(),
+                           .packed_words = packed.words().size(),
+                           .ref_size = packed.size(),
+                           .first_word = first_word,
+                           .data_words = data_words,
+                           .capture_w = capture_w,
+                           .entry = entry};
+  out.captured = kernel.compile_tile(job, out.planes.data(), stride);
+  return out;
+}
+
+TEST(ScanKernels, CompileTileMatchesPortableWordForWord) {
+  // Random packed words (garbage past the last element included) of a
+  // reference whose last word is partial.  Three compiles per kernel: the
+  // whole reference plus an overhang past its end; the same split into
+  // two tiles at a word edge, the second seeded with the first's capture;
+  // and a run that starts mid-reference, deriving its entry history from
+  // the packed store.  Each must equal the portable (swar64) compile word
+  // for word — slack and guard words included — and the portable compile
+  // must equal the element predicates bit for bit.
+  util::Xoshiro256 rng{353};
+  std::vector<std::uint64_t> words(75);
+  for (std::uint64_t& w : words) w = rng.next();
+  const std::size_t size = 64 * 37 + 13;  // 38 plane words, last partial
+  const auto packed = bio::PackedNucleotides::from_words(words, size);
+  const std::size_t plane_words = (size + 63) / 64;
+  const std::size_t data_words = plane_words + 3;  // overhang past the end
+  const std::size_t stride = data_words + kScanGuardWords + 5;
+  const ScanKernel& portable = *scan_kernel_for(ScanIsa::Swar64);
+  const std::size_t split = 21;  // second tile starts at plane word 21
+
+  const CompiledTile whole =
+      compile_with(portable, packed, 0, data_words, split - 1, nullptr,
+                   stride);
+  // The element predicates: one representative element per kind, missing
+  // history read as A.  Positions past the reference are never inside a
+  // scored window; there only the zeroed slack is pinned.
+  const std::array<BackElement, kElementKindCount> kinds{
+      BackElement::make_exact(bio::Nucleotide::A),
+      BackElement::make_exact(bio::Nucleotide::C),
+      BackElement::make_exact(bio::Nucleotide::G),
+      BackElement::make_exact(bio::Nucleotide::U),
+      BackElement::make_conditional(Condition::UorC),
+      BackElement::make_conditional(Condition::AorG),
+      BackElement::make_conditional(Condition::NotG),
+      BackElement::make_conditional(Condition::AorC),
+      BackElement::make_dependent(Function::Stop3),
+      BackElement::make_dependent(Function::Leu3),
+      BackElement::make_dependent(Function::Arg3),
+      BackElement::make_dependent(Function::AnyD)};
+  for (std::size_t k = 0; k < kElementKindCount; ++k) {
+    ASSERT_EQ(element_kind(kinds[k]), k);
+    for (std::size_t j = 0; j < size; ++j) {
+      const bio::Nucleotide p1 =
+          j >= 1 ? packed.get(j - 1) : bio::Nucleotide::A;
+      const bio::Nucleotide p2 =
+          j >= 2 ? packed.get(j - 2) : bio::Nucleotide::A;
+      const bool bit = (whole.planes[k * stride + j / 64] >> (j % 64)) & 1u;
+      ASSERT_EQ(bit, kinds[k].matches(packed.get(j), p1, p2))
+          << "kind=" << k << " j=" << j;
+    }
+    for (std::size_t i = data_words; i < stride; ++i)
+      ASSERT_EQ(whole.planes[k * stride + i], 0u) << "kind=" << k;
+  }
+
+  const CompiledTile mid =
+      compile_with(portable, packed, 9, 17, static_cast<std::size_t>(-1),
+                   nullptr, stride);
+  for (const ScanKernel* kernel : reachable_kernels()) {
+    const CompiledTile k_whole = compile_with(
+        *kernel, packed, 0, data_words, split - 1, nullptr, stride);
+    EXPECT_EQ(k_whole.planes, whole.planes) << kernel->name;
+    EXPECT_EQ(k_whole.captured.lsb, whole.captured.lsb) << kernel->name;
+    EXPECT_EQ(k_whole.captured.msb, whole.captured.msb) << kernel->name;
+
+    // Tile edge: [0, split) then [split, data_words) from the capture.
+    const CompiledTile first = compile_with(*kernel, packed, 0, split,
+                                            split - 1, nullptr, stride);
+    const CompiledTile second =
+        compile_with(*kernel, packed, split, data_words - split,
+                     static_cast<std::size_t>(-1), &first.captured, stride);
+    for (std::size_t k = 0; k < kElementKindCount; ++k)
+      for (std::size_t i = 0; i < data_words; ++i)
+        EXPECT_EQ(i < split ? first.planes[k * stride + i]
+                            : second.planes[k * stride + i - split],
+                  whole.planes[k * stride + i])
+            << kernel->name << " kind=" << k << " word=" << i;
+
+    // A run starting mid-reference derives its own entry history.
+    EXPECT_EQ(compile_with(*kernel, packed, 9, 17,
+                           static_cast<std::size_t>(-1), nullptr, stride)
+                  .planes,
+              mid.planes)
+        << kernel->name;
+  }
+  for (std::size_t k = 0; k < kElementKindCount; ++k)
+    for (std::size_t i = 0; i < 17; ++i)
+      ASSERT_EQ(mid.planes[k * stride + i], whole.planes[k * stride + 9 + i])
+          << "kind=" << k << " word=" << i;
 }
 
 TEST(ScanKernels, WideKernelsImplyCpuSupport) {

@@ -21,6 +21,7 @@ namespace {
 
 using bio::NucleotideSequence;
 using scan_test::kernel_hits;
+using scan_test::pointers;
 using scan_test::probe_thresholds;
 using scan_test::random_elements;
 using scan_test::reachable_kernels;
@@ -173,17 +174,17 @@ TEST(TileScan, BatchMatchesPerQueryIncludingDegenerates) {
   const std::vector<std::uint32_t> thresholds{4, 0, 10, 22, 1};  // 22 > 21
 
   for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr)}) {
-    const auto outs = scanner.hits_batch(queries, thresholds, pool);
+    const auto outs = scanner.hits_batch(pointers(queries), thresholds, pool);
     ASSERT_EQ(outs.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q)
       EXPECT_EQ(outs[q], golden_hits(raw[q], ref, thresholds[q]))
           << "q=" << q;
   }
   util::ThreadPool pool{3};
-  const auto pooled = scanner.hits_batch(queries, thresholds, &pool);
-  const auto serial = scanner.hits_batch(queries, thresholds);
+  const auto pooled = scanner.hits_batch(pointers(queries), thresholds, &pool);
+  const auto serial = scanner.hits_batch(pointers(queries), thresholds);
   EXPECT_EQ(pooled, serial);
-  EXPECT_THROW(scanner.hits_batch(queries, {thresholds.data(), 2}),
+  EXPECT_THROW(scanner.hits_batch(pointers(queries), {thresholds.data(), 2}),
                std::invalid_argument);
 }
 
@@ -215,7 +216,7 @@ TEST(TileScan, RunLayoutsAgreeWithSerial) {
         packed, {.tile_positions = stealing ? 4096u : 512u}};
     const auto serial = scanner.hits(query, 5);
     EXPECT_EQ(serial, golden_hits(raw, ref, 5));
-    const auto serial_batch = scanner.hits_batch(queries, thresholds);
+    const auto serial_batch = scanner.hits_batch(pointers(queries), thresholds);
     for (std::size_t width : {2u, 5u}) {
       const std::size_t runs = scanner.scan_runs(positions, width);
       if (stealing)
@@ -225,7 +226,8 @@ TEST(TileScan, RunLayoutsAgreeWithSerial) {
       util::ThreadPool pool{width};
       EXPECT_EQ(scanner.hits(query, 5, &pool), serial)
           << "runs=" << runs << " width=" << width;
-      EXPECT_EQ(scanner.hits_batch(queries, thresholds, &pool), serial_batch)
+      EXPECT_EQ(scanner.hits_batch(pointers(queries), thresholds, &pool),
+                serial_batch)
           << "runs=" << runs << " width=" << width;
     }
   }

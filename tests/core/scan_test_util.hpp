@@ -4,7 +4,10 @@
 // element mixes, the threshold probes, the kernels the host can run, and
 // a whole-reference TileScanner scan pinned to one kernel.
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fabp/bio/generate.hpp"
@@ -61,6 +64,16 @@ inline std::vector<const ScanKernel*> reachable_kernels() {
   return kernels;
 }
 
+/// Pointers to each query, in order — the form the batch entry points
+/// (range_batch, hits_batch) read queries through.
+inline std::vector<const BitScanQuery*> pointers(
+    const std::vector<BitScanQuery>& queries) {
+  std::vector<const BitScanQuery*> out;
+  out.reserve(queries.size());
+  for (const BitScanQuery& query : queries) out.push_back(&query);
+  return out;
+}
+
 /// All hits of a full scan of `scanner`'s reference through `kernel` —
 /// what TileScanner::hits returns, with the kernel pinned.
 inline std::vector<Hit> kernel_hits(const ScanKernel& kernel,
@@ -72,6 +85,40 @@ inline std::vector<Hit> kernel_hits(const ScanKernel& kernel,
   scanner.range(kernel, query, threshold, 0,
                 scanner.size() - query.size() + 1, hits);
   return hits;
+}
+
+/// Holds every reachable kernel, at every kTiles size, to golden_hits on
+/// `ref`: each query scanned alone, and all of them in one mixed-length
+/// batch.
+inline void expect_solo_and_batch_match_golden(
+    const std::vector<std::vector<BackElement>>& raw,
+    const std::vector<std::uint32_t>& thresholds,
+    const bio::NucleotideSequence& ref, const std::string& context) {
+  std::vector<BitScanQuery> queries;
+  std::vector<std::vector<Hit>> golden;
+  for (std::size_t q = 0; q < raw.size(); ++q) {
+    queries.emplace_back(raw[q]);
+    golden.push_back(golden_hits(raw[q], ref, thresholds[q]));
+  }
+  const bio::PackedNucleotides packed{ref};
+  for (std::size_t tile : kTiles) {
+    const TileScanner scanner{packed, {.tile_positions = tile}};
+    for (const ScanKernel* kernel : reachable_kernels()) {
+      for (std::size_t q = 0; q < raw.size(); ++q)
+        EXPECT_EQ(kernel_hits(*kernel, scanner, queries[q], thresholds[q]),
+                  golden[q])
+            << kernel->name << " tile=" << tile << " solo q=" << q << " "
+            << context;
+      std::vector<std::vector<Hit>> outs(raw.size());
+      scanner.range_batch(*kernel, pointers(queries).data(),
+                          thresholds.data(), raw.size(), 0, ref.size(),
+                          outs.data());
+      for (std::size_t q = 0; q < raw.size(); ++q)
+        EXPECT_EQ(outs[q], golden[q])
+            << kernel->name << " tile=" << tile << " batch q=" << q << " "
+            << context;
+    }
+  }
 }
 
 }  // namespace fabp::core::scan_test

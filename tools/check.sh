@@ -5,15 +5,20 @@
 #      scan kernel (the widest ISA this machine supports), and
 #   2. an AddressSanitizer build run with FABP_FORCE_ISA=swar64 — sanitizer
 #      coverage over the portable fallback kernel and the env-override
-#      dispatch path, and
+#      dispatch path — plus the kernel differential suites once more as
+#      dispatched, so the widest kernel's own tile compile (PEXT on the
+#      AVX-512 kernels) and the uninitialised tile scratch it fills run
+#      under asan too, and
 #   3. a ThreadSanitizer build running the pooled tiled-scan, thread-pool
 #      and serving-engine tests — race coverage over the tile-parallel
 #      merge and the engine's submit/cancel/coalesce machinery, and
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
 #      retry/degrade state machine — and the kernel differential suites,
-#      once as dispatched and once with FABP_FORCE_ISA=swar64 — UB
-#      coverage over the shared carry-save scorer and the SWAR shift
+#      as dispatched, with FABP_FORCE_ISA=avx512 (its TU differs from
+#      avx512vpopcnt in compile flags, and both compile tiles with PEXT)
+#      and with FABP_FORCE_ISA=swar64 — UB coverage over the shared
+#      carry-save scorer, the per-ISA tile compiles and the SWAR shift
 #      path — and the device cost model suites (width-only Pop36 LUT
 #      count, closed-form beat timing, invocation timing), and
 #   5. the engine stress suite pinned to the swar64 kernel — a
@@ -79,10 +84,12 @@ cmake -B build -S .
 cmake --build build -j"$jobs"
 ctest --test-dir build --output-on-failure -j"$jobs"
 
-echo "== check.sh: asan build, FABP_FORCE_ISA=swar64 =="
+echo "== check.sh: asan build, FABP_FORCE_ISA=swar64 + dispatched kernels =="
 cmake -B build-asan -S . -DFABP_SANITIZE=address
 cmake --build build-asan -j"$jobs"
 FABP_FORCE_ISA=swar64 ctest --test-dir build-asan --output-on-failure -j"$jobs"
+build-asan/tests/core_tests \
+    --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
 
 echo "== check.sh: tsan build, pooled scan + engine + shard tests =="
 cmake -B build-tsan -S . -DFABP_SANITIZE=thread
@@ -105,9 +112,11 @@ build-ubsan/tests/core_tests --gtest_filter='Chaos*'
 # halt_on_error turns any UB report into a failing exit status.
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
     --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
-UBSAN_OPTIONS=halt_on_error=1 FABP_FORCE_ISA=swar64 \
-    build-ubsan/tests/core_tests \
-    --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
+for isa in avx512 swar64; do
+  UBSAN_OPTIONS=halt_on_error=1 FABP_FORCE_ISA="$isa" \
+      build-ubsan/tests/core_tests \
+      --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
+done
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/hw_tests \
     --gtest_filter='Popcounter*'
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \

@@ -218,6 +218,8 @@ int cmd_scan(const std::string& ref_path, const std::string& query_path,
     thresholds.push_back(static_cast<std::uint32_t>(
         threshold_fraction * static_cast<double>(query.size() * 3)));
   }
+  std::vector<const core::BitScanQuery*> batch;
+  for (const core::BitScanQuery& query : compiled) batch.push_back(&query);
 
   util::ThreadPool pool{threads};
   util::Timer timer;
@@ -226,7 +228,7 @@ int cmd_scan(const std::string& ref_path, const std::string& query_path,
             << " positions/tile, " << scanner.tile_count() << " tiles, "
             << pool.size() << " threads)\n";
   const std::vector<std::vector<core::Hit>> outs =
-      scanner.hits_batch(compiled, thresholds, &pool);
+      scanner.hits_batch(batch, thresholds, &pool);
   const double seconds = timer.seconds();
 
   for (std::size_t q = 0; q < queries.size(); ++q) {
