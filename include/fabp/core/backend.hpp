@@ -55,6 +55,19 @@ struct ReferenceStore {
   }
 };
 
+/// The elements [begin, begin + size) of a store's forward strand that a
+/// backend takes for its whole reference: one shard card's DRAM slice
+/// (DESIGN.md §4e).  The default window is the whole store.  A backend
+/// over a card's window accounts only (the router scans the whole store
+/// once; the card's scan_batch throws std::logic_error), and it cuts a
+/// packed image of its window only when a fault, a spot check or a CRC
+/// needs the words.
+struct StoreWindow {
+  static constexpr std::size_t kWhole = static_cast<std::size_t>(-1);
+  std::size_t begin = 0;
+  std::size_t size = kWhole;
+};
+
 // --- versioned reference management (DESIGN.md §4g) ----------------------
 //
 // A service cannot mutate the store a scan is reading.  The versioned path
@@ -62,8 +75,9 @@ struct ReferenceStore {
 // snapshot: in-flight work pins the generation it was admitted under via
 // shared_ptr, a swap publishes a *new* snapshot (with its own backend set
 // built over it) and retires the old one, and the retired generation's
-// memory — packed strands, shard slices, per-backend caches — is reclaimed
-// by the last pin dropping, never by an explicit free racing a scan.
+// memory — packed strands, cut card images, per-backend caches — is
+// reclaimed by the last pin dropping, never by an explicit free racing a
+// scan.
 // Epoch-style reclamation with the shared_ptr control block as the epoch
 // counter.
 
@@ -239,11 +253,13 @@ class ScanBackend {
       std::span<const BackendRequest> requests) = 0;
 };
 
-/// Constructs a backend over `store` for `kind`.  The store and config
-/// must outlive the backend (the engine/Session owns all three).
+/// Constructs a backend over `window` of `store` for `kind`.  The store
+/// and config must outlive the backend (the engine/Session owns all
+/// three).
 std::unique_ptr<ScanBackend> make_backend(BackendKind kind,
                                           const HostConfig& config,
-                                          const ReferenceStore& store);
+                                          const ReferenceStore& store,
+                                          StoreWindow window = {});
 
 /// Turns a backend run into the public HostRunReport: adds the PCIe
 /// transfer model (query upload, readback, optional reference transfer),

@@ -33,10 +33,10 @@
 // the process affinity mask (util::schedulable_cpus()), started beside
 // the engine workers so a sync-only Session spawns no thread.  Every
 // async batch scans on it: TileScanner splits each strand scan into tile
-// runs (TileScanner::scan_runs), and a sharded generation's card workers
-// run their slices' tile runs on the same pool.  Deadlock rule: a
-// scan-pool task never waits on the scan pool.  Only engine workers and
-// card workers wait on it; the chaos splices and the null-list fill in
+// runs (TileScanner::scan_runs), a sharded generation's one whole-store
+// scan included.  Deadlock rule: a scan-pool task never waits on the scan
+// pool.  Only engine workers wait on it; the chaos splices and the
+// null-list fill in
 // ScanBackend::run_many stay serial.  On a 1-CPU mask the pool has one
 // worker and every scan runs in place on its caller.
 
@@ -79,11 +79,11 @@ struct EngineConfig {
   /// Which backend serves requests (the full card model by default).
   BackendKind backend = BackendKind::HwSim;
   /// Reference sharding (DESIGN.md §4e).  shard_count == 1 keeps the
-  /// single-card path; > 1 routes through a ShardedBackend: N backend
-  /// instances each holding a contiguous slice of card DRAM (+ halo),
-  /// per-shard admission queues, scatter/gather with global rebase.
-  /// Applied per database generation — a swap rebuilds the shard plans
-  /// over the new snapshot.
+  /// single-card path; > 1 routes through a ShardedBackend: one scan of
+  /// the whole store, then N card backends each accounting over a
+  /// contiguous window of card DRAM (+ halo), scatter/gather with global
+  /// rebase.  Applied per database generation — a swap rebuilds the
+  /// shard plans over the new snapshot.
   ShardConfig shard{};
   /// Worker threads draining the queue.  A worker claims a batch, hands
   /// its scan to the engine's scan pool (sized by the affinity mask, not
@@ -205,10 +205,11 @@ struct EngineCounters {
 /// One resident generation of a database: the immutable snapshot plus the
 /// backend set built over it.  Constructing the backends over a fresh
 /// snapshot is what "shard plans rebuilt per generation" means — the
-/// ShardedBackend constructor slices the new store immediately — and it
-/// also guarantees no stale derived artifacts (tile CRCs, shard slices) can
-/// survive a swap.  Requests pin this whole object for their lifetime;
-/// the last pin dropping reclaims strands, slices and caches in one sweep
+/// ShardedBackend constructor places its card windows over the new store
+/// — and it also guarantees no stale derived artifacts (tile CRCs, cut
+/// card images) can survive a swap.  Requests pin this whole object for
+/// their lifetime; the last pin dropping reclaims strands, images and
+/// caches in one sweep
 /// (see VersionedStore).
 struct Generation final : ReferenceSnapshot {
   std::unique_ptr<ScanBackend> backend;
@@ -300,7 +301,7 @@ struct RequestState {
 
   /// The generation this request was admitted under.  The shared_ptr IS
   /// the epoch pin: as long as any in-flight request holds it, the
-  /// snapshot (strands, shard slices, caches) cannot be reclaimed.
+  /// snapshot (strands, card images, caches) cannot be reclaimed.
   std::shared_ptr<Generation> generation;
   Database* database = nullptr;     // stable for the engine's lifetime
   TenantQueue* tenant = nullptr;    // stable for the engine's lifetime

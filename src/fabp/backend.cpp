@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "fabp/hw/scheduler.hpp"
@@ -74,14 +75,63 @@ std::vector<Hit> map_reverse_hits(const std::vector<Hit>& raw,
   return mapped;
 }
 
+/// A backend's reference: its window of the shared store.  Accounting
+/// reads only the window's length.  The packed image is the store's own
+/// strand for a whole-store window; a card window's image is cut on first
+/// use and cached, since the store never changes under its backends.
+class StoreView {
+ public:
+  StoreView(const ReferenceStore& store, StoreWindow window) noexcept
+      : store_{store}, window_{window} {}
+
+  bool uploaded() const noexcept { return store_.uploaded; }
+  std::size_t size() const noexcept {
+    return whole() ? store_.forward.size() : window_.size;
+  }
+  std::size_t beat_count() const noexcept {
+    return util::ceil_div(size(), bio::kElementsPerBeat);
+  }
+
+  /// The strand a scan reads: only a whole-store backend scans.
+  const bio::PackedNucleotides& scan_strand(bool reverse_strand) const {
+    if (!whole())
+      throw std::logic_error{
+          "a shard card's window accounts only; the router scans"};
+    return store_.strand(reverse_strand);
+  }
+
+  /// The window's packed image of one strand, for the fault path.  A card
+  /// window's RC image is RC(R)[S - b, S - a) by RC(R[a, b)) =
+  /// RC(R)[S - b, S - a).  Callers serialize, as account() does.
+  const bio::PackedNucleotides& image(bool reverse_strand) {
+    if (whole()) return store_.strand(reverse_strand);
+    bio::PackedNucleotides& cut = cuts_[reverse_strand ? 1 : 0];
+    if (cut.size() != window_.size)
+      cut = reverse_strand
+                ? store_.reverse.slice(
+                      store_.forward.size() - window_.begin - window_.size,
+                      window_.size)
+                : store_.forward.slice(window_.begin, window_.size);
+    return cut;
+  }
+
+ private:
+  bool whole() const noexcept { return window_.size == StoreWindow::kWhole; }
+
+  const ReferenceStore& store_;
+  StoreWindow window_;
+  bio::PackedNucleotides cuts_[2];
+};
+
 // ---------------------------------------------------------------------------
 // Software backend: the tile-fused TileScanner over the resident strands
 // (scan both strands, map the reverse list, report wall time).
 
 class TiledSoftwareBackend final : public ScanBackend {
  public:
-  TiledSoftwareBackend(const HostConfig& config, const ReferenceStore& store)
-      : config_{config}, store_{store} {}
+  TiledSoftwareBackend(const HostConfig& config, const ReferenceStore& store,
+                       StoreWindow window)
+      : config_{config}, view_{store, window} {}
 
   BackendKind kind() const noexcept override { return BackendKind::Tiled; }
 
@@ -92,14 +142,14 @@ class TiledSoftwareBackend final : public ScanBackend {
     std::vector<const BitScanQuery*> scans;
     scans.reserve(queries.size());
     for (const CompiledQueryPtr& query : queries) scans.push_back(&query->scan);
-    return TileScanner{store_.strand(reverse_strand), config_.tile}.hits_batch(
-        scans, thresholds, pool);
+    return TileScanner{view_.scan_strand(reverse_strand), config_.tile}
+        .hits_batch(scans, thresholds, pool);
   }
 
  protected:
   std::vector<Expected<BackendRun>> account(
       std::span<const BackendRequest> requests) override {
-    if (!store_.uploaded)
+    if (!view_.uploaded())
       return std::vector<Expected<BackendRun>>(
           requests.size(),
           Error{ErrorCode::NoReference, "Session: no reference uploaded"});
@@ -111,7 +161,7 @@ class TiledSoftwareBackend final : public ScanBackend {
       out.hits = *request.forward_hits;
       if (config_.search_both_strands)
         out.reverse_hits = map_reverse_hits(
-            *request.reverse_hits, store_.forward.size(), request.query->size());
+            *request.reverse_hits, view_.size(), request.query->size());
       out.kernel_seconds = timer.seconds();
       out.recovery.attempts = config_.search_both_strands ? 2 : 1;
       results.push_back(std::move(out));
@@ -121,7 +171,7 @@ class TiledSoftwareBackend final : public ScanBackend {
 
  private:
   const HostConfig& config_;
-  const ReferenceStore& store_;
+  StoreView view_;
 };
 
 // ---------------------------------------------------------------------------
@@ -132,8 +182,11 @@ class TiledSoftwareBackend final : public ScanBackend {
 
 class HwSimBackend final : public ScanBackend {
  public:
-  HwSimBackend(const HostConfig& config, const ReferenceStore& store)
-      : config_{config}, store_{store}, software_{config, store} {}
+  HwSimBackend(const HostConfig& config, const ReferenceStore& store,
+               StoreWindow window)
+      : config_{config},
+        view_{store, window},
+        software_{config, store, window} {}
 
   BackendKind kind() const noexcept override { return BackendKind::HwSim; }
 
@@ -161,7 +214,7 @@ class HwSimBackend final : public ScanBackend {
       lut.fault_injector = nullptr;
       Accelerator accelerator{lut};
       accelerator.load_encoded(queries[q]->encoded);
-      out.push_back(accelerator.run(store_.strand(reverse_strand)).hits);
+      out.push_back(accelerator.run(view_.scan_strand(reverse_strand)).hits);
     }
     return out;
   }
@@ -198,14 +251,14 @@ class HwSimBackend final : public ScanBackend {
     return positions / bio::kElementsPerWord;
   }
 
-  /// Per-tile CRC32 of the resident store (forward or RC), computed on
+  /// Per-tile CRC32 of the window's image (forward or RC), computed on
   /// first use (fault paths only) and cached: the store is immutable for
   /// the backend's lifetime.
   const std::vector<std::uint32_t>& tile_crcs(bool reverse_strand) {
     auto& crcs = reverse_strand ? rev_crcs_ : ref_crcs_;
     if (crcs.empty()) {
       const std::span<const std::uint64_t> words =
-          store_.strand(reverse_strand).words();
+          view_.image(reverse_strand).words();
       const std::size_t tw = tile_words();
       for (std::size_t wb = 0; wb < words.size(); wb += tw)
         crcs.push_back(util::crc32_words(
@@ -215,7 +268,7 @@ class HwSimBackend final : public ScanBackend {
   }
 
   const HostConfig& config_;
-  const ReferenceStore& store_;
+  StoreView view_;
   TiledSoftwareBackend software_;  // scan_batch off the LUT path
 
   // Fault-tolerance state: upload-time tile checksums (lazy, fault paths
@@ -242,7 +295,6 @@ bool HwSimBackend::faulty_invocation_run(
     std::vector<std::vector<Hit>>& hits, RecoveryStats& stats, Error& error,
     InvocationStrandTiming& timing) {
   const RecoveryConfig& rec = config_.recovery;
-  const bio::PackedNucleotides& store = store_.strand(reverse_strand);
   const std::size_t max_attempts = std::max<std::size_t>(1, rec.max_attempts);
   const std::size_t halo_beats =
       util::ceil_div(lq_max > 0 ? lq_max - 1 : 0, bio::kElementsPerBeat);
@@ -265,7 +317,7 @@ bool HwSimBackend::faulty_invocation_run(
       ++stats.transfer_faults;
     } else {
       run = invocation_strand_timing(
-          config_.accelerator, &injector, store.beat_count(), channels,
+          config_.accelerator, &injector, view_.beat_count(), channels,
           segments, config_.device_batch.pe_count, halo_beats, clean_hits);
       if (rec.watchdog_s > 0.0 && run.seconds > rec.watchdog_s) {
         failure = ErrorCode::Timeout;
@@ -297,8 +349,9 @@ bool HwSimBackend::faulty_invocation_run(
     // while the affected position ranges — and the corrupt/repair splices
     // — are per task, since each query's window width L_q differs.
     const std::vector<hw::FaultEvent> events =
-        injector.data_events(store.beat_count());
-    if (!events.empty() && store.size() > 0) {
+        injector.data_events(view_.beat_count());
+    if (!events.empty() && view_.size() > 0) {
+      const bio::PackedNucleotides& store = view_.image(reverse_strand);
       const std::span<const std::uint64_t> words = store.words();
       const std::size_t tw = tile_words();
       std::vector<std::uint64_t> corrupted =
@@ -415,6 +468,7 @@ bool HwSimBackend::faulty_invocation_run(
       util::Xoshiro256 rng{
           util::SplitMix64{config_.fault.seed ^ (0xfabc0de5ULL + stream)}
               .next()};
+      const bio::PackedNucleotides& store = view_.image(reverse_strand);
       const TileScanner scanner{store, config_.tile};
       for (std::size_t i = 0; i < records.size(); ++i) {
         const CompiledQuery& query = *requests[records[i].task].query;
@@ -496,10 +550,9 @@ void HwSimBackend::commit_invocation(
 
   const std::size_t halo_beats = util::ceil_div(lq_max - 1,
                                                 bio::kElementsPerBeat);
-  const auto clean_timing = [&](const bio::PackedNucleotides& store,
-                                std::size_t total_hits) {
+  const auto clean_timing = [&](std::size_t total_hits) {
     return invocation_strand_timing(
-        config_.accelerator, nullptr, store.beat_count(), channels, segments,
+        config_.accelerator, nullptr, view_.beat_count(), channels, segments,
         config_.device_batch.pe_count, halo_beats, total_hits);
   };
 
@@ -514,10 +567,10 @@ void HwSimBackend::commit_invocation(
   if (!chaos) {
     // Clean fast path: prepared hits are the delivered hits; only the
     // cycle accounting runs.
-    fwd_timing = clean_timing(store_.forward, fwd_hits);
+    fwd_timing = clean_timing(fwd_hits);
     stats.attempts = 1;
     if (config_.search_both_strands) {
-      rev_timing = clean_timing(store_.reverse, rev_hits);
+      rev_timing = clean_timing(rev_hits);
       ++stats.attempts;
     }
   } else {
@@ -596,7 +649,7 @@ void HwSimBackend::commit_invocation(
     BackendRun out;
     out.hits = std::move(fwd[i]);
     if (config_.search_both_strands)
-      out.reverse_hits = map_reverse_hits(rev[i], store_.forward.size(),
+      out.reverse_hits = map_reverse_hits(rev[i], view_.size(),
                                           request.query->encoded.size());
     out.mapping = mappings[i];
     // The invocation's kernel time is shared: apportion it equally (the
@@ -625,7 +678,7 @@ std::vector<Expected<BackendRun>> HwSimBackend::account(
     std::span<const BackendRequest> requests) {
   std::vector<Expected<BackendRun>> results;
   if (requests.empty()) return results;
-  if (!store_.uploaded) {
+  if (!view_.uploaded()) {
     results.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i)
       results.push_back(
@@ -782,14 +835,15 @@ void VersionedStore::prune_locked() const {
 
 std::unique_ptr<ScanBackend> make_backend(BackendKind kind,
                                           const HostConfig& config,
-                                          const ReferenceStore& store) {
+                                          const ReferenceStore& store,
+                                          StoreWindow window) {
   switch (kind) {
     case BackendKind::HwSim:
-      return std::make_unique<HwSimBackend>(config, store);
+      return std::make_unique<HwSimBackend>(config, store, window);
     case BackendKind::Tiled:
-      return std::make_unique<TiledSoftwareBackend>(config, store);
+      return std::make_unique<TiledSoftwareBackend>(config, store, window);
   }
-  return std::make_unique<TiledSoftwareBackend>(config, store);
+  return std::make_unique<TiledSoftwareBackend>(config, store, window);
 }
 
 HostRunReport finalize_run(const HostConfig& config,

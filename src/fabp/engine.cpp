@@ -185,9 +185,9 @@ Engine::~Engine() {
 
 void Engine::build_backends(Generation& gen) const {
   if (config_.shard.shard_count > 1) {
-    // Multi-card scale-out: the router presents N per-slice backends as
-    // one ScanBackend.  Constructing it over the new snapshot slices
-    // immediately — the per-generation shard plan rebuild.
+    // Multi-card scale-out: the router presents N per-window card
+    // backends as one ScanBackend.  Constructing it over the new snapshot
+    // places the card windows — the per-generation shard plan rebuild.
     auto sharded = make_sharded_backend(config_.backend, config_.host,
                                         gen.store, config_.shard);
     gen.sharded = sharded.get();
@@ -245,13 +245,13 @@ std::uint64_t Engine::upload_database(const std::string& name,
     throw FaultError{
         Error{ErrorCode::BadArgument, "database name must be non-empty"}};
   Database& db = ensure_database(name);
-  // Build the entire new generation off-lock: packing the RC strand,
-  // constructing the backend set and recutting shard slices can be
-  // expensive, and in-flight scans keep serving the old snapshot the
-  // whole time.  A scan after the swap can never read stale derived
-  // artifacts (tile checksums) because the new generation's backends were
-  // built over the new store: the re-upload contract host_test.cpp
-  // regression-tests holds by construction.
+  // Build the entire new generation off-lock: packing the RC strand and
+  // constructing the backend set can be expensive, and in-flight scans
+  // keep serving the old snapshot the whole time.  A scan after the swap
+  // can never read stale derived artifacts (tile checksums) because the
+  // new generation's backends were built over the new store: the
+  // re-upload contract host_test.cpp regression-tests holds by
+  // construction.
   auto gen = std::make_shared<Generation>();
   gen->generation = db.versions.next_generation();
   const std::uint64_t published = gen->generation;
@@ -473,7 +473,7 @@ void Engine::worker_loop() {
 
 ScanBackend& Engine::route_backend(Database& db, Generation& gen) {
   // Whole-database fallback (DESIGN.md §4g): PR 8's router already sheds
-  // a single Degraded card's slice onto its per-shard software fallback,
+  // a single Degraded card's window onto its per-card software fallback,
   // bit-identically.  Folding that up a level: when the primary as a
   // whole is beyond per-shard shedding — the unsharded card is lost, or
   // every card of the router is — route the database's batches to one
@@ -486,11 +486,10 @@ ScanBackend& Engine::route_backend(Database& db, Generation& gen) {
     gen.fallback_batches.fetch_add(1, std::memory_order_relaxed);
     return *gen.fallback;
   }
-  if (gen.backend->health() != HealthState::Degraded) return *gen.backend;
-  if (gen.sharded != nullptr) {
-    for (const ShardStatus& shard : gen.sharded->shard_status())
-      if (shard.health != HealthState::Degraded) return *gen.backend;
-  }
+  const bool lost = gen.sharded != nullptr
+                        ? gen.sharded->all_cards_degraded()
+                        : gen.backend->health() == HealthState::Degraded;
+  if (!lost) return *gen.backend;
   if (gen.fallback == nullptr)
     gen.fallback = make_backend(BackendKind::Tiled, config_.host, gen.store);
   gen.fallback_engaged = true;

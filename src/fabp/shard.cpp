@@ -1,13 +1,9 @@
 #include "fabp/core/shard.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
-#include "fabp/util/thread_pool.hpp"
 #include "fabp/util/timer.hpp"
 
 namespace fabp::core {
@@ -43,38 +39,32 @@ Error validate_shard_config(const ShardConfig& config) noexcept {
   return Error{};
 }
 
-// One modeled card: its DRAM slice, its primary backend, a software
-// fallback over the same slice, and a one-worker pool (the card's command
-// queue).  The pool synchronizes itself; the routing counters are relaxed
-// atomics, since scan_batch fans out without the engine's execution lock;
-// the rest is touched only by account() with that lock held, or by the
-// card's worker while account() waits on the fan-out.
+// One modeled card: its window of the shared store (owned range + halo),
+// its primary backend over that window, and a software fallback over the
+// same window.  Touched only by account() and the status readers, which
+// the caller serializes (the engine's execution lock).
 struct ShardedBackend::Shard {
   std::size_t index = 0;
   std::size_t owned_begin = 0;  // global window-start ownership [begin, end)
   std::size_t owned_end = 0;
+  std::size_t slice_elements = 0;  // the window: owned range + halo
 
-  HostConfig config;     // per-card fault stream / chaos gating
-  ReferenceStore store;  // this card's DRAM slice (owned range + halo)
+  HostConfig config;  // per-card fault stream / chaos gating
   std::unique_ptr<ScanBackend> primary;
-  std::unique_ptr<ScanBackend> fallback;  // software path over the same slice
+  std::unique_ptr<ScanBackend> fallback;  // software path over the window
 
   // Router-side lifetime accounting.
-  std::atomic<bool> routed_to_fallback{false};
-  std::atomic<std::size_t> batches_executed{0};
-  std::atomic<std::size_t> fallback_batches{0};
+  bool routed_to_fallback = false;
+  std::size_t batches_executed = 0;
+  std::size_t fallback_batches = 0;
   std::size_t fault_log_consumed = 0;
   RecoveryStats recovery;
-
-  // Declared last so it joins before the backends its tasks use go away.
-  util::ThreadPool worker{1};
 
   std::size_t owned_elements() const noexcept {
     return owned_end - owned_begin;
   }
-  std::size_t slice_elements() const noexcept { return store.forward.size(); }
 
-  /// Ownership filter + rebase of one slice-local forward-coordinate hit
+  /// Ownership filter + rebase of one window-local forward-coordinate hit
   /// list: keeps the hits whose window starts in the owned range and lifts
   /// them to global coordinates.  Halo hits are each owned by the next
   /// shard — dropping them here is the dedup, and ascending-shard
@@ -94,6 +84,7 @@ ShardedBackend::ShardedBackend(BackendKind kind, const HostConfig& config,
   if (Error error = validate_shard_config(shard_config_);
       error.code != ErrorCode::None)
     throw FaultError{std::move(error)};
+  scanner_ = make_backend(kind_, config_, store_);
   const std::size_t total = store_.forward.size();
   const std::size_t count = shard_config_.shard_count;
   const std::size_t halo = shard_config_.max_query_elements - 1;
@@ -110,20 +101,18 @@ ShardedBackend::ShardedBackend(BackendKind kind, const HostConfig& config,
       sh->config.fault.seed = seed;
     }
     // Natural ragged partition of window-start ownership: shard s owns
-    // [s*S/N, (s+1)*S/N); the resident slice extends `halo` elements past
-    // the owned range (clamped at the reference end) so every window
-    // starting in the owned range lies inside the slice.
+    // [s*S/N, (s+1)*S/N); the card's window extends `halo` elements past
+    // the owned range (clamped at the reference end) so every alignment
+    // window starting in the owned range lies inside it.
     sh->owned_begin = s * total / count;
     sh->owned_end = (s + 1) * total / count;
-    if (store_.uploaded) {
-      const std::size_t slice_end = std::min(total, sh->owned_end + halo);
-      sh->store.upload(
-          store_.forward.slice(sh->owned_begin, slice_end - sh->owned_begin),
-          config_.search_both_strands);
-    }
-    sh->primary = make_backend(kind_, sh->config, sh->store);
+    sh->slice_elements =
+        std::min(total, sh->owned_end + halo) - sh->owned_begin;
+    const StoreWindow window{sh->owned_begin, sh->slice_elements};
+    sh->primary = make_backend(kind_, sh->config, store_, window);
     if (kind_ == BackendKind::HwSim)
-      sh->fallback = make_backend(BackendKind::Tiled, sh->config, sh->store);
+      sh->fallback =
+          make_backend(BackendKind::Tiled, sh->config, store_, window);
     shards_.push_back(std::move(sh));
   }
 }
@@ -141,6 +130,12 @@ HealthState ShardedBackend::health() const noexcept {
   return HealthState::Healthy;
 }
 
+bool ShardedBackend::all_cards_degraded() const noexcept {
+  return std::all_of(shards_.begin(), shards_.end(), [](const auto& sh) {
+    return sh->primary->health() == HealthState::Degraded;
+  });
+}
+
 const std::vector<hw::FaultEvent>& ShardedBackend::fault_log()
     const noexcept {
   return merged_fault_log_;
@@ -151,40 +146,6 @@ void ShardedBackend::harvest_shard_stats(Shard& shard) {
   for (std::size_t i = shard.fault_log_consumed; i < log.size(); ++i)
     merged_fault_log_.push_back(log[i]);
   shard.fault_log_consumed = log.size();
-}
-
-void ShardedBackend::for_each_shard(const ShardTask& task) const {
-  std::vector<std::future<void>> done;
-  done.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    sh.batches_executed.fetch_add(1, std::memory_order_relaxed);
-    // A Degraded primary sheds the slice to the software fallback instead
-    // of stalling the card on per-request golden recoveries (or DeviceLost
-    // errors when fallback is disallowed).
-    const bool used_fallback = sh.fallback &&
-                               config_.recovery.allow_software_fallback &&
-                               sh.primary->health() == HealthState::Degraded;
-    if (used_fallback) {
-      sh.routed_to_fallback.store(true, std::memory_order_relaxed);
-      sh.fallback_batches.fetch_add(1, std::memory_order_relaxed);
-    }
-    ScanBackend& target = used_fallback ? *sh.fallback : *sh.primary;
-    done.push_back(sh.worker.submit([&task, s, &target, used_fallback] {
-      task(s, target, used_fallback);
-    }));
-  }
-  // Wait for every card before surfacing any failure: the tasks reference
-  // the caller's frame.
-  std::exception_ptr first_failure;
-  for (std::future<void>& future : done) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_failure) first_failure = std::current_exception();
-    }
-  }
-  if (first_failure) std::rethrow_exception(first_failure);
 }
 
 Expected<BackendRun> ShardedBackend::gather_request(
@@ -200,8 +161,8 @@ Expected<BackendRun> ShardedBackend::gather_request(
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];
     const BackendRun& part = per_shard[s][request_index].value();
-    // The reverse list is already mapped to slice-local *forward*
-    // coordinates by each shard's backend, so the same rule applies.
+    // The reverse list is already mapped to window-local *forward*
+    // coordinates by each card's backend, so the same rule applies.
     sh.append_owned(part.hits, out.hits);
     sh.append_owned(part.reverse_hits, out.reverse_hits);
     // The cards run in parallel: makespan accounting is max over cards,
@@ -237,9 +198,9 @@ std::vector<Expected<BackendRun>> ShardedBackend::account(
   util::Timer scatter_timer;
   const std::size_t total = store_.forward.size();
 
-  // Scatter: one request list per shard, the given hit lists narrowed to
-  // each slice (exactly what that shard's own scan would produce, so the
-  // given-hits contract holds card-locally).
+  // Scatter: one request list per card, the given hit lists narrowed to
+  // each window (exactly what a scan of that card's window would produce,
+  // so the given-hits contract holds card-locally).
   struct ShardBatch {
     std::vector<std::vector<Hit>> forward_arena;
     std::vector<std::vector<Hit>> reverse_arena;
@@ -250,16 +211,16 @@ std::vector<Expected<BackendRun>> ShardedBackend::account(
     Shard& sh = *shards_[s];
     ShardBatch& batch = batches[s];
     const std::size_t slice_begin = sh.owned_begin;
-    const std::size_t slice_end = slice_begin + sh.slice_elements();
+    const std::size_t slice_end = slice_begin + sh.slice_elements;
     batch.forward_arena.resize(requests.size());
     batch.reverse_arena.resize(requests.size());
     batch.requests.reserve(requests.size());
     for (std::size_t j = 0; j < requests.size(); ++j) {
       const BackendRequest& original = requests[j];
       const std::size_t lq = original.query->size();
-      // Slice-local forward list: global positions in [begin, end - lq],
-      // rebased by -begin.  (Positions past end - lq cannot start a
-      // window inside the slice and never appear slice-locally.)
+      // Window-local forward list: global positions in [begin, end - lq],
+      // rebased by -begin.  (Positions past end - lq cannot start an
+      // alignment inside the window and never appear window-locally.)
       const std::vector<Hit>& forward = *original.forward_hits;
       std::vector<Hit>& local_forward = batch.forward_arena[j];
       const std::size_t last =
@@ -269,9 +230,9 @@ std::vector<Expected<BackendRun>> ShardedBackend::account(
            it != end; ++it)
         local_forward.push_back(Hit{it->position - slice_begin, it->score});
       // Raw RC coordinates: the global raw position q maps to forward
-      // start f = S - lq - q; the slice sees windows with f in
+      // start f = S - lq - q; the card sees alignments with f in
       // [begin, end - lq], i.e. q in [S - end, S - lq - begin], shifted
-      // by -(S - end) into the slice's own RC frame.  The global list is
+      // by -(S - end) into the window's own RC frame.  The global list is
       // ascending in q, so the kept subrange stays ascending locally.
       const std::vector<Hit>& reverse = *original.reverse_hits;
       std::vector<Hit>& local_reverse = batch.reverse_arena[j];
@@ -289,14 +250,26 @@ std::vector<Expected<BackendRun>> ShardedBackend::account(
   }
   scatter_s_.fetch_add(scatter_timer.seconds(), std::memory_order_relaxed);
 
-  // Fan out: ONE run_many per shard — the hw-sim cards each pack the
-  // whole batch into device invocations over their own slice.
+  // Account: ONE run_many per card, inline on the caller — the hw-sim
+  // cards each pack the whole batch into device invocations over their
+  // own window.
   std::vector<std::vector<Expected<BackendRun>>> shard_results(shards_.size());
   const std::size_t strands = config_.search_both_strands ? 2 : 1;
-  for_each_shard([&](std::size_t s, ScanBackend& target, bool used_fallback) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = *shards_[s];
+    ++sh.batches_executed;
+    // A Degraded primary sheds the window to the software fallback instead
+    // of stalling the card on per-request golden recoveries (or DeviceLost
+    // errors when fallback is disallowed).
+    const bool used_fallback = sh.fallback &&
+                               config_.recovery.allow_software_fallback &&
+                               sh.primary->health() == HealthState::Degraded;
+    ScanBackend& target = used_fallback ? *sh.fallback : *sh.primary;
     std::vector<Expected<BackendRun>>& results = shard_results[s];
     results = target.run_many(batches[s].requests);
-    if (!used_fallback) return;
+    if (!used_fallback) continue;
+    sh.routed_to_fallback = true;
+    ++sh.fallback_batches;
     // Keep the degraded-path accounting the primary would have produced:
     // these strand runs were served in software.
     for (Expected<BackendRun>& result : results) {
@@ -304,7 +277,7 @@ std::vector<Expected<BackendRun>> ShardedBackend::account(
       result->recovery.fallbacks += strands;
       result->recovery.degraded = true;
     }
-  });
+  }
 
   util::Timer gather_timer;
   for (std::size_t i = 0; i < requests.size(); ++i)
@@ -318,50 +291,13 @@ std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
     std::span<const CompiledQueryPtr> queries,
     std::span<const std::uint32_t> thresholds, bool reverse_strand,
     util::ThreadPool* pool) const {
-  std::vector<std::vector<Hit>> out(queries.size());
-  if (queries.empty() || store_.strand(reverse_strand).size() == 0) return out;
+  if (queries.empty() || store_.strand(reverse_strand).size() == 0)
+    return std::vector<std::vector<Hit>>(queries.size());
   for (const CompiledQueryPtr& query : queries)
     if (query->size() > shard_config_.max_query_elements)
       throw std::invalid_argument{
           "ShardedBackend::scan_batch: query exceeds shard.max_query_elements"};
-
-  // Fan out: one scan_batch per shard.
-  std::vector<std::vector<std::vector<Hit>>> shard_hits(shards_.size());
-  for_each_shard([&](std::size_t s, ScanBackend& target, bool) {
-    shard_hits[s] =
-        target.scan_batch(queries, thresholds, reverse_strand, pool);
-  });
-
-  util::Timer gather_timer;
-  const std::size_t total = store_.forward.size();
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const std::size_t lq = queries[q]->size();
-    std::vector<Hit>& merged = out[q];
-    if (!reverse_strand) {
-      for (std::size_t s = 0; s < shards_.size(); ++s)
-        shards_[s]->append_owned(shard_hits[s][q], merged);
-    } else {
-      // Raw RC coordinates ascend as forward coordinates *descend*, so the
-      // globally sorted raw list is the descending-shard concatenation.
-      // Slice-local raw j maps to local forward start L - lq - j; it is
-      // owned iff that is < owned, i.e. j >= L - lq - owned + 1; the
-      // global raw coordinate is j + (S - slice_end).
-      for (std::size_t s = shards_.size(); s-- > 0;) {
-        Shard& sh = *shards_[s];
-        const std::vector<Hit>& local = shard_hits[s][q];
-        const std::size_t slice = sh.slice_elements();
-        if (slice < lq) continue;
-        const std::size_t owned = sh.owned_elements();
-        const std::size_t lo =
-            slice - lq + 1 > owned ? slice - lq + 1 - owned : 0;
-        const std::size_t shift = total - (sh.owned_begin + slice);
-        for (auto it = hit_lower_bound(local, lo); it != local.end(); ++it)
-          merged.push_back(Hit{it->position + shift, it->score});
-      }
-    }
-  }
-  gather_s_.fetch_add(gather_timer.seconds(), std::memory_order_relaxed);
-  return out;
+  return scanner_->scan_batch(queries, thresholds, reverse_strand, pool);
 }
 
 DevicePipelineStats ShardedBackend::pipeline_stats() const noexcept {
@@ -398,14 +334,11 @@ std::vector<ShardStatus> ShardedBackend::shard_status() const {
     status.index = sh->index;
     status.owned_begin = sh->owned_begin;
     status.owned_end = sh->owned_end;
-    status.slice_elements = sh->slice_elements();
+    status.slice_elements = sh->slice_elements;
     status.health = sh->primary->health();
-    status.routed_to_fallback =
-        sh->routed_to_fallback.load(std::memory_order_relaxed);
-    status.batches_executed =
-        sh->batches_executed.load(std::memory_order_relaxed);
-    status.fallback_batches =
-        sh->fallback_batches.load(std::memory_order_relaxed);
+    status.routed_to_fallback = sh->routed_to_fallback;
+    status.batches_executed = sh->batches_executed;
+    status.fallback_batches = sh->fallback_batches;
     status.fault_events = sh->primary->fault_log().size();
     status.recovery = sh->recovery;
     status.pipeline = sh->primary->pipeline_stats();

@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fabp/bio/codon.hpp"
@@ -212,8 +214,8 @@ TEST(Shard, BatchPrecomputePathsMatchUnsharded) {
 }
 
 // Raw RC coordinates (the precompute contract): the sharded scan_batch
-// must reproduce the unsharded raw reverse list — descending-shard
-// concatenation with the S - slice_end shift.
+// must reproduce the unsharded raw lists of both strands at every shard
+// count.
 TEST(Shard, RawReverseScanBatchMatchesUnsharded) {
   util::Xoshiro256 rng{616};
   const NucleotideSequence ref = bio::random_dna(5000, rng);
@@ -251,8 +253,9 @@ TEST(Shard, RawReverseScanBatchMatchesUnsharded) {
   }
 }
 
-// A throw from inside every card's task: the router waits for all cards,
-// rethrows the first failure and stays usable for the next batch.
+// A throw from inside the router's one scan (the whole-store TileScanner
+// rejects mismatched spans) reaches the caller, and the router stays
+// usable for the next batch.
 TEST(Shard, ThrowingCardDrainsAndRouterRecovers) {
   util::Xoshiro256 rng{919};
   const NucleotideSequence ref = bio::random_dna(5000, rng);
@@ -283,8 +286,8 @@ TEST(Shard, ThrowingCardDrainsAndRouterRecovers) {
     std::unique_ptr<ShardedBackend> sharded = make_sharded_backend(
         BackendKind::Tiled, config, sharded_store, shard);
 
-    // Two thresholds for four queries: every card's TileScanner rejects
-    // the mismatched spans after the fan-out has started.
+    // Two thresholds for four queries: the scan rejects the mismatched
+    // spans.
     EXPECT_THROW(sharded->scan_batch(queries, {thresholds.data(), 2}, false,
                                      nullptr),
                  std::invalid_argument)
@@ -297,9 +300,9 @@ TEST(Shard, ThrowingCardDrainsAndRouterRecovers) {
 }
 
 // scan_batch is const and takes no lock: two scanning threads and one
-// run_many caller share a 4-card hw-sim router's card workers and routing
-// counters at once — a tsan leg target for the scan-outside-the-lock
-// contract.
+// run_many caller share a 4-card hw-sim router at once — a tsan leg
+// target for the scan-outside-the-lock contract.  The scans touch no
+// card, so each card counts only the kRounds batches it accounted.
 TEST(Shard, ConcurrentScanBatchWithRunMany) {
   util::Xoshiro256 rng{626};
   const bio::PackedNucleotides packed{bio::random_dna(12000, rng)};
@@ -354,16 +357,15 @@ TEST(Shard, ConcurrentScanBatchWithRunMany) {
   }
   for (std::thread& scanner : scanners) scanner.join();
   for (const ShardStatus& status : sharded->shard_status())
-    EXPECT_EQ(status.batches_executed, 3 * kRounds) << "shard " << status.index;
+    EXPECT_EQ(status.batches_executed, kRounds) << "shard " << status.index;
 }
 
 // Concurrent coalesced serving through the router — the tsan leg target,
 // and the sharded twin of Engine.CoalescedEqualsSequentialAllBackends:
 // both strands, HwSim, Tiled and the LUT path, held hit-for-hit to the
-// unsharded align_sync truth.  Each card's tile runs execute on the
-// engine's scan pool while its card worker waits; the 6.7 kbp slices are
-// one default tile, 4 tiles at 2048 positions and 27 at 256, so the
-// small tiles make every card's pooled scan split.
+// unsharded align_sync truth.  The router's one scan runs on the engine's
+// scan pool; the 20 kbp store is one default tile, 10 tiles at 2048
+// positions and 79 at 256, so the small tiles make the pooled scan split.
 TEST(Shard, CoalescedConcurrentSubmitMatchesSequential) {
   util::Xoshiro256 rng{717};
   const NucleotideSequence ref = bio::random_dna(20000, rng);
@@ -566,6 +568,34 @@ TEST(Shard, UnshardedEngineHasNoRouter) {
   EXPECT_EQ(engine.shard_overhead_seconds(), 0.0);
 }
 
+/// Threads of this process (Threads: in /proc/self/status).
+std::size_t thread_count() {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+// The router accounts inline on its caller: building, republishing and
+// serving sharded generations starts no thread of its own (align_sync
+// scans on its caller, and no submit starts the engine's workers).
+TEST(Shard, RouterStartsNoThreads) {
+  util::Xoshiro256 rng{1424};
+  const ProteinSequence query = bio::random_protein(8, rng);
+  const std::size_t before = thread_count();
+  ASSERT_GT(before, 0u);
+  {
+    Engine engine{sharded_config(BackendKind::HwSim, 8)};
+    for (std::size_t generation = 0; generation < 3; ++generation) {
+      engine.upload_reference(bio::random_dna(6000, rng));
+      ASSERT_TRUE(
+          engine.align_sync(query, exactish_threshold(query)).has_value());
+    }
+    EXPECT_LE(thread_count(), before);
+  }
+}
+
 // --- chaos ---------------------------------------------------------------
 
 // Faults injected into ONE shard's stream: results stay golden (recovery
@@ -682,6 +712,220 @@ TEST(ShardChaos, DegradedWithoutFallbackIsDeviceLost) {
   Expected<HostRunReport> second = engine.align_sync(query, 12);
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.error().code, ErrorCode::DeviceLost);
+}
+
+// Card s draws its fault stream from the configured seed plus s + 1
+// golden-ratio strides (the router's per-card seed rule, restated here).
+constexpr std::uint64_t kCardSeedStride = 0x9e3779b97f4a7c15ull;
+
+void expect_same_recovery(const RecoveryStats& actual,
+                          const RecoveryStats& expected,
+                          const std::string& label) {
+  EXPECT_EQ(actual.attempts, expected.attempts) << label;
+  EXPECT_EQ(actual.retries, expected.retries) << label;
+  EXPECT_EQ(actual.transfer_faults, expected.transfer_faults) << label;
+  EXPECT_EQ(actual.timeouts, expected.timeouts) << label;
+  EXPECT_EQ(actual.crc_faults, expected.crc_faults) << label;
+  EXPECT_EQ(actual.readback_faults, expected.readback_faults) << label;
+  EXPECT_EQ(actual.rescanned_tiles, expected.rescanned_tiles) << label;
+  EXPECT_EQ(actual.spot_checks, expected.spot_checks) << label;
+  EXPECT_EQ(actual.spot_check_faults, expected.spot_check_faults) << label;
+  EXPECT_EQ(actual.fallbacks, expected.fallbacks) << label;
+  EXPECT_EQ(actual.degraded, expected.degraded) << label;
+  EXPECT_EQ(actual.recovery_s, expected.recovery_s) << label;
+}
+
+void expect_same_pipeline(const DevicePipelineStats& actual,
+                          const DevicePipelineStats& expected,
+                          const std::string& label) {
+  EXPECT_EQ(actual.invocations, expected.invocations) << label;
+  EXPECT_EQ(actual.tasks, expected.tasks) << label;
+  EXPECT_EQ(actual.retried_invocations, expected.retried_invocations)
+      << label;
+  EXPECT_EQ(actual.pe_count, expected.pe_count) << label;
+  EXPECT_EQ(actual.buffer_depth, expected.buffer_depth) << label;
+  EXPECT_EQ(actual.largest_invocation, expected.largest_invocation) << label;
+  EXPECT_EQ(actual.transfer_s, expected.transfer_s) << label;
+  EXPECT_EQ(actual.compute_s, expected.compute_s) << label;
+  EXPECT_EQ(actual.serial_s, expected.serial_s) << label;
+  EXPECT_EQ(actual.pipelined_s, expected.pipelined_s) << label;
+  EXPECT_EQ(actual.pe_busy_s, expected.pe_busy_s) << label;
+}
+
+// Each card's accounting is exactly a standalone hw-sim backend's over a
+// store uploaded from that card's slice (owned range + halo), with that
+// card's seed, fed that slice's own scan: every fault schedule, CRC
+// verdict, splice, spot check, cycle count and recovery figure matches
+// bit for bit, per request and per card, with integrity checks on and
+// off.  Pins what a card holds as its DRAM image, whatever the router
+// keeps resident.
+TEST(ShardChaos, CardAccountingMatchesSliceBackend) {
+  util::Xoshiro256 rng{1323};
+  const bio::PackedNucleotides packed{bio::random_dna(9001, rng)};
+  const std::size_t total = packed.size();
+  std::vector<CompiledQueryPtr> queries;
+  std::vector<std::uint32_t> thresholds;
+  for (std::size_t i = 0; i < 5; ++i) {
+    queries.push_back(compile_query(bio::random_protein(6 + i, rng)));
+    thresholds.push_back(
+        static_cast<std::uint32_t>(queries.back()->size() * 2 / 3));
+  }
+  constexpr std::size_t kShards = 3;
+  constexpr std::size_t kRounds = 4;
+
+  for (const bool verify : {true, false}) {
+    const std::string mode = verify ? "verify" : "no-verify";
+    HostConfig config;
+    config.search_both_strands = true;
+    config.tile.tile_positions = 256;  // several integrity tiles per slice
+    config.device_batch.invocation_tasks = 2;
+    config.fault.flip_rate = 2e-4;
+    config.fault.drop_rate = 0.05;
+    config.fault.dup_rate = 0.05;
+    config.fault.stall_rate = 0.05;
+    config.fault.transfer_fail_rate = 0.05;
+    config.fault.readback_flip_rate = 0.5;
+    config.recovery.spot_check_samples = 2;
+    config.recovery.verify_integrity = verify;
+    ShardConfig shard;
+    shard.shard_count = kShards;
+    shard.max_query_elements = 64;
+    ReferenceStore store;
+    store.upload(packed, true);
+    const std::unique_ptr<ShardedBackend> router =
+        make_sharded_backend(BackendKind::HwSim, config, store, shard);
+
+    struct Card {
+      std::size_t begin = 0;
+      std::size_t owned = 0;
+      HostConfig config;
+      ReferenceStore store;
+      std::unique_ptr<ScanBackend> backend;
+      RecoveryStats recovery;
+      std::size_t fault_log_consumed = 0;
+    };
+    std::vector<std::unique_ptr<Card>> cards;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      auto card = std::make_unique<Card>();
+      card->begin = s * total / kShards;
+      card->owned = (s + 1) * total / kShards - card->begin;
+      const std::size_t end = std::min(
+          total, card->begin + card->owned + shard.max_query_elements - 1);
+      card->config = config;
+      card->config.fault.seed += kCardSeedStride * (s + 1);
+      card->store.upload(packed.slice(card->begin, end - card->begin), true);
+      card->backend =
+          make_backend(BackendKind::HwSim, card->config, card->store);
+      cards.push_back(std::move(card));
+    }
+
+    std::vector<hw::FaultEvent> merged_log;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      // A different batch shape each round: rotating subsets of 2..5.
+      std::vector<CompiledQueryPtr> batch;
+      std::vector<std::uint32_t> batch_thresholds;
+      for (std::size_t j = 0; j < 2 + round; ++j) {
+        batch.push_back(queries[(round + j) % queries.size()]);
+        batch_thresholds.push_back(thresholds[(round + j) % queries.size()]);
+      }
+      const auto lists = [&](const ScanBackend& backend) {
+        std::vector<std::vector<Hit>> out[2];
+        for (const bool rc : {false, true})
+          out[rc] = backend.scan_batch(batch, batch_thresholds, rc, nullptr);
+        return std::pair{std::move(out[0]), std::move(out[1])};
+      };
+      const auto requests_over =
+          [&](const std::pair<std::vector<std::vector<Hit>>,
+                              std::vector<std::vector<Hit>>>& scanned) {
+            std::vector<BackendRequest> out;
+            for (std::size_t j = 0; j < batch.size(); ++j)
+              out.push_back(BackendRequest{batch[j].get(), batch_thresholds[j],
+                                           &scanned.first[j],
+                                           &scanned.second[j]});
+            return out;
+          };
+
+      const auto global = lists(*router);
+      const std::vector<Expected<BackendRun>> actual =
+          router->run_many(requests_over(global));
+
+      std::vector<std::vector<Expected<BackendRun>>> per_card;
+      for (const auto& card : cards) {
+        const auto local = lists(*card->backend);
+        per_card.push_back(card->backend->run_many(requests_over(local)));
+        const std::vector<hw::FaultEvent>& log = card->backend->fault_log();
+        merged_log.insert(merged_log.end(),
+                          log.begin() + static_cast<std::ptrdiff_t>(
+                                            card->fault_log_consumed),
+                          log.end());
+        card->fault_log_consumed = log.size();
+      }
+
+      ASSERT_EQ(actual.size(), batch.size()) << mode;
+      for (std::size_t j = 0; j < batch.size(); ++j) {
+        const std::string label =
+            mode + " round " + std::to_string(round) + " request " +
+            std::to_string(j);
+        BackendRun want;
+        for (std::size_t s = 0; s < kShards; ++s) {
+          ASSERT_TRUE(per_card[s][j].has_value()) << label;
+          const BackendRun& part = per_card[s][j].value();
+          Card& card = *cards[s];
+          for (const Hit& hit : part.hits)
+            if (hit.position < card.owned)
+              want.hits.push_back(Hit{hit.position + card.begin, hit.score});
+          for (const Hit& hit : part.reverse_hits)
+            if (hit.position < card.owned)
+              want.reverse_hits.push_back(
+                  Hit{hit.position + card.begin, hit.score});
+          want.cycles = std::max(want.cycles, part.cycles);
+          want.kernel_seconds =
+              std::max(want.kernel_seconds, part.kernel_seconds);
+          want.recovery.merge(part.recovery);
+          card.recovery.merge(part.recovery);
+        }
+        ASSERT_TRUE(actual[j].has_value()) << label;
+        EXPECT_EQ(actual[j]->hits, want.hits) << label;
+        EXPECT_EQ(actual[j]->reverse_hits, want.reverse_hits) << label;
+        EXPECT_EQ(actual[j]->cycles, want.cycles) << label;
+        EXPECT_EQ(actual[j]->kernel_seconds, want.kernel_seconds) << label;
+        expect_same_recovery(actual[j]->recovery, want.recovery, label);
+      }
+    }
+
+    const std::vector<ShardStatus> status = router->shard_status();
+    ASSERT_EQ(status.size(), kShards) << mode;
+    std::size_t events = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      const std::string label = mode + " card " + std::to_string(s);
+      const Card& card = *cards[s];
+      EXPECT_EQ(status[s].fault_events, card.backend->fault_log().size())
+          << label;
+      expect_same_recovery(status[s].recovery, card.recovery, label);
+      expect_same_pipeline(status[s].pipeline,
+                           card.backend->pipeline_stats(), label);
+      EXPECT_EQ(status[s].health, HealthState::Healthy) << label;
+      events += status[s].fault_events;
+    }
+    EXPECT_EQ(router->fault_log(), merged_log) << mode;
+    // The faults were real: injected, and (with checks on) detected.
+    EXPECT_GT(events, 0u) << mode;
+    RecoveryStats fleet;
+    for (const ShardStatus& card : status) fleet.merge(card.recovery);
+    EXPECT_GT(fleet.spot_checks, 0u) << mode;
+    if (verify) {
+      EXPECT_GT(fleet.crc_faults, 0u) << mode;
+    }
+  }
+
+  // A backend over a card's window accounts only: the router scans.
+  HostConfig config;
+  ReferenceStore store;
+  store.upload(packed, false);
+  const std::unique_ptr<ScanBackend> card =
+      make_backend(BackendKind::HwSim, config, store, StoreWindow{0, 3000});
+  EXPECT_THROW(card->scan_batch(queries, thresholds, false, nullptr),
+               std::logic_error);
 }
 
 // --- stats aggregation ---------------------------------------------------

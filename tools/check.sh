@@ -9,9 +9,11 @@
 #      dispatched, so the widest kernel's own tile compile (PEXT on the
 #      AVX-512 kernels) and the uninitialised tile scratch it fills run
 #      under asan too, and
-#   3. a ThreadSanitizer build running the pooled tiled-scan, thread-pool
-#      and serving-engine tests — race coverage over the tile-parallel
-#      merge and the engine's submit/cancel/coalesce machinery, and
+#   3. a ThreadSanitizer build running the pooled tiled-scan, thread-pool,
+#      serving-engine and shard router tests — race coverage over the
+#      tile-parallel merge, the engine's submit/cancel/coalesce machinery
+#      and the router's lock-free whole-store scan beside its inline card
+#      accounting, and
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
 #      retry/degrade state machine — and the kernel differential suites,
@@ -20,7 +22,9 @@
 #      and with FABP_FORCE_ISA=swar64 — UB coverage over the shared
 #      carry-save scorer, the per-ISA tile compiles and the SWAR shift
 #      path — and the device cost model suites (width-only Pop36 LUT
-#      count, closed-form beat timing, invocation timing), and
+#      count, closed-form beat timing, invocation timing) and the shard
+#      chaos suite — UB coverage over the card windows' offset arithmetic
+#      and the RC image cut on the fault path, and
 #   5. the engine stress suite pinned to the swar64 kernel — a
 #      deterministic-ISA concurrency exercise of the coalescing scheduler
 #      (same kernel on every machine, so schedules differ but hit lists
@@ -43,8 +47,10 @@
 #      path users would pin it with — plus a small bench_bitscan run,
 #      which exits 1 on any hit mismatch between its engines, and
 #   8. the shard router leg — the sharded-vs-unsharded differential, the
-#      shard chaos/fault-isolation suite and the TCP serve smoke
-#      (spawn server, loadgen over localhost, SIGTERM, clean drain), and
+#      shard chaos/fault-isolation suite (each card's accounting held bit
+#      for bit to a standalone backend over an uploaded slice), the
+#      no-router-threads check and the TCP serve smoke (spawn server,
+#      loadgen over localhost, SIGTERM, clean drain), and
 #   9. the net-chaos leg — the service-resilience suite (deadline
 #      propagation, typed shedding, malformed frames, EINTR/short-write
 #      resume, slow-loris reaping, bounded drain, fault-injected chaos
@@ -59,8 +65,9 @@
 #      failed requests, retired generations reclaimed), and
 #  11. the 1-CPU leg — the engine, shard and tenant suites under
 #      `taskset -c 0`, which sizes the engine's scan pool to one worker, so
-#      every pooled scan runs in place on its caller (skipped with a
-#      message when taskset is absent), and
+#      every pooled scan, a sharded generation's one scan included, runs
+#      in place on its caller (skipped with a message when taskset is
+#      absent), and
 #  12. the servebench leg — 5 s traced runs of the hit_heavy and
 #      swap_churn serving workloads (`servebench/run.py --trace 1`), which
 #      fail on any wrong hit list.  Their layer replay drives
@@ -99,14 +106,15 @@ cmake --build build-tsan -j"$jobs" \
 build-tsan/tests/core_tests --gtest_filter='TileScan*'
 build-tsan/tests/util_tests --gtest_filter='ThreadPool*'
 build-tsan/tests/engine_tests
-# Race coverage over the shard router's per-card pool fan-out and the
-# TCP server's connection threads (sharded differential + chaos + net).
+# Race coverage over the shard router's lock-free scan beside its inline
+# card accounting and the TCP server's connection threads (sharded
+# differential + chaos + net).
 build-tsan/tests/shard_tests
 build-tsan/tests/net_tests
 
 echo "== check.sh: ubsan build, fault + chaos + kernel suites =="
 cmake -B build-ubsan -S . -DFABP_SANITIZE=undefined
-cmake --build build-ubsan -j"$jobs" --target core_tests hw_tests
+cmake --build build-ubsan -j"$jobs" --target core_tests hw_tests shard_tests
 build-ubsan/tests/hw_tests --gtest_filter='Fault*:CorruptWords*'
 build-ubsan/tests/core_tests --gtest_filter='Chaos*'
 # halt_on_error turns any UB report into a failing exit status.
@@ -121,6 +129,8 @@ UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/hw_tests \
     --gtest_filter='Popcounter*'
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
     --gtest_filter='StreamBeatTiming*:InvocationStrandTiming*'
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/shard_tests \
+    --gtest_filter='ShardChaos*'
 
 echo "== check.sh: engine stress, FABP_FORCE_ISA=swar64 =="
 FABP_FORCE_ISA=swar64 build/tests/engine_tests \

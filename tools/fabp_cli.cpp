@@ -448,8 +448,9 @@ sigset_t drain_signal_set() {
 // Real TCP server over the engine: accept loop on this thread, graceful
 // drain on SIGTERM/SIGINT via a dedicated sigwait thread.  The caller
 // must have blocked drain_signal_set() *before spawning any thread* (the
-// shard router's workers start in the Engine constructor) — a single
-// unmasked thread would take the default fatal action instead.
+// engine's workers and scan pool start with its first request, the
+// server's threads here) — a single unmasked thread would take the
+// default fatal action instead.
 int cmd_serve_tcp(core::Engine& engine, net::ServerConfig server_config) {
   const sigset_t mask = drain_signal_set();
   // SwapDatabase admin frames publish a new generation on the live
@@ -517,9 +518,10 @@ int cmd_serve(std::size_t bases, std::size_t query_aa, std::size_t requests,
               const std::vector<std::pair<std::string, std::string>>& dbs,
               std::vector<core::TenantConfig> tenants) {
   if (tcp) {
-    // Must precede the Engine (and its shard worker threads): every
-    // thread inherits this mask, routing SIGTERM/SIGINT to the sigwait
-    // drain thread instead of the default fatal disposition.
+    // Must precede every thread (the engine's workers and scan pool, the
+    // server's): every thread inherits this mask, routing SIGTERM/SIGINT
+    // to the sigwait drain thread instead of the default fatal
+    // disposition.
     const sigset_t mask = drain_signal_set();
     pthread_sigmask(SIG_BLOCK, &mask, nullptr);
   }
