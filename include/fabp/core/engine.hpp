@@ -159,8 +159,9 @@ struct DatabaseStatus {
   double qps = 0.0;               ///< completed / engine uptime
   double p50_ms = 0.0;            ///< admit-to-outcome latency percentiles
   double p99_ms = 0.0;
-  bool degraded = false;          ///< whole-database fallback engaged
-  std::size_t fallback_batches = 0;
+  /// The active generation's card is lost (the worst card when
+  /// sharded): its requests are served in software with zero card time.
+  bool degraded = false;
   std::size_t reclaimed_generations = 0;
   /// Active + still-pinned retired generations with live refcounts.
   std::vector<VersionedStore::GenerationStatus> generations;
@@ -212,14 +213,8 @@ struct EngineCounters {
 /// caches in one sweep
 /// (see VersionedStore).
 struct Generation final : ReferenceSnapshot {
-  std::unique_ptr<ScanBackend> backend;
+  std::unique_ptr<ScanBackend> backend;  ///< serves healthy and lost cards
   ShardedBackend* sharded = nullptr;  ///< backend downcast when sharded
-  /// Whole-database software fallback (engaged only on the async serving
-  /// path): built lazily when the primary degrades beyond what per-shard
-  /// shedding can absorb.
-  std::unique_ptr<ScanBackend> fallback;
-  bool fallback_engaged = false;  ///< guarded by the owning db's exec mutex
-  std::atomic<std::size_t> fallback_batches{0};
 };
 
 /// Small mutex-guarded circular window of request latencies (ms), shared
@@ -259,7 +254,6 @@ struct Database {
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> failed{0};
   std::atomic<std::size_t> swaps{0};
-  std::atomic<bool> degraded{false};
   LatencyRing latency;
 };
 
@@ -521,10 +515,6 @@ class Engine {
   /// Min-pass non-empty tenant whose head request matches `match` (any
   /// generation when null); caller holds queue_mutex_.
   detail::TenantQueue* pick_tenant_locked(const detail::Generation* match);
-  /// The backend a batch should run on, engaging the whole-database
-  /// software fallback when the primary is beyond per-shard shedding.
-  /// Caller holds db.exec_mutex.
-  ScanBackend& route_backend(detail::Database& db, detail::Generation& gen);
 
   EngineConfig config_;
   mutable QueryCompiler compiler_;

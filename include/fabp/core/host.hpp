@@ -59,8 +59,8 @@ struct RecoveryConfig {
   /// machine degrades to the software path.
   std::size_t degrade_after = 3;
   /// Degraded sessions (and invocations that exhausted their attempts)
-  /// serve hits from the pure-software TileScanner path with zero card
-  /// time; with this off they return typed errors instead.
+  /// serve the hit lists the software scan already produced with zero
+  /// card time; with this off they return typed errors instead.
   bool allow_software_fallback = true;
 };
 

@@ -31,11 +31,11 @@
 // its own fault stream, health machine and pipeline stats.  A card cuts
 // a packed image of its window from the shared store only when a fault,
 // a spot check or a CRC needs the words, so a clean run holds no copy.
-// The router starts no thread.  The health machine folds into routing: a
-// card whose primary backend has degraded sheds its window to a software
-// fallback backend over the same window instead of stalling its card, and
-// the gathered hits stay bit-identical (the fallback reads the same DRAM
-// image).
+// The router starts no thread.  A card the health machine has given up on
+// stays in the fleet: its hw-sim backend's degraded branch serves the
+// window's given lists with zero card time and counts a fallback per
+// strand, so the gathered hits stay bit-identical and the router needs no
+// second backend per card.
 
 #include <atomic>
 #include <cstddef>
@@ -75,16 +75,14 @@ struct ShardStatus {
   std::size_t owned_end = 0;
   std::size_t slice_elements = 0;  ///< the card's window: owned + halo
   HealthState health = HealthState::Healthy;
-  bool routed_to_fallback = false;  ///< window shed to the software backend
   std::size_t batches_executed = 0;  ///< batches this card accounted
-  std::size_t fallback_batches = 0;  ///< of those, served by the fallback
   std::size_t fault_events = 0;      ///< injected faults on this card
   RecoveryStats recovery;            ///< merged over the shard's lifetime
   DevicePipelineStats pipeline;      ///< this card's scheduler accounting
 };
 
 /// N ScanBackend cards behind one ScanBackend face.  kind() reports the
-/// primary backend kind, so the engine and facade stay oblivious.
+/// cards' backend kind, so the engine and facade stay oblivious.
 /// Thread-safety contract matches every other backend: run/run_many (and
 /// the status readers) are serialized externally (the engine's
 /// per-database exec_mutex), while scan_batch is const, touches no card,
@@ -109,9 +107,6 @@ class ShardedBackend final : public ScanBackend {
       util::ThreadPool* pool) const override;
   /// Worst health over the fleet (Degraded if any card degraded).
   HealthState health() const noexcept override;
-  /// True once every card's primary has degraded: the router as a whole
-  /// is beyond per-card shedding.
-  bool all_cards_degraded() const noexcept;
   /// Union of every card's fault log, appended in gather order.
   const std::vector<hw::FaultEvent>& fault_log() const noexcept override;
 

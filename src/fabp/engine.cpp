@@ -25,7 +25,7 @@ struct StrandHits {
 };
 
 /// The one place the engine's hits come from: scan_batch on the
-/// generation's primary backend, per strand, whatever its health (every
+/// generation's backend, per strand, whatever its health (every
 /// backend's scan_batch returns the golden lists).  Reads only the
 /// immutable snapshot, so callers run it before taking the execution lock.
 /// A scan that throws comes back typed BadArgument.
@@ -471,33 +471,6 @@ void Engine::worker_loop() {
   }
 }
 
-ScanBackend& Engine::route_backend(Database& db, Generation& gen) {
-  // Whole-database fallback (DESIGN.md §4g): PR 8's router already sheds
-  // a single Degraded card's window onto its per-card software fallback,
-  // bit-identically.  Folding that up a level: when the primary as a
-  // whole is beyond per-shard shedding — the unsharded card is lost, or
-  // every card of the router is — route the database's batches to one
-  // software backend over the same snapshot instead of paying per-run
-  // recovery inside the dead primary.  Engaged only on the async serving
-  // path; the synchronous facade keeps the backend-internal fallback
-  // accounting byte-compatibly.
-  if (!config_.host.recovery.allow_software_fallback) return *gen.backend;
-  if (gen.fallback_engaged) {
-    gen.fallback_batches.fetch_add(1, std::memory_order_relaxed);
-    return *gen.fallback;
-  }
-  const bool lost = gen.sharded != nullptr
-                        ? gen.sharded->all_cards_degraded()
-                        : gen.backend->health() == HealthState::Degraded;
-  if (!lost) return *gen.backend;
-  if (gen.fallback == nullptr)
-    gen.fallback = make_backend(BackendKind::Tiled, config_.host, gen.store);
-  gen.fallback_engaged = true;
-  db.degraded.store(true, std::memory_order_relaxed);
-  gen.fallback_batches.fetch_add(1, std::memory_order_relaxed);
-  return *gen.fallback;
-}
-
 void Engine::execute_batch(std::vector<StatePtr> batch) {
   // The claim loop pinned every entry to the same generation; the batch
   // holds the epoch pin until the last promise is fulfilled, so a
@@ -579,8 +552,8 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
   // the scanned lists: the hw-sim backend packs it into device invocations
   // and pipelines them (double-buffered DMA + multi-PE, DESIGN.md §4d);
   // software backends account per request.  Outcomes stay per request,
-  // bit-identical to sequential align_sync calls.
-  ScanBackend& backend = route_backend(db, *gen);
+  // bit-identical to sequential align_sync calls, a lost card's included
+  // (its degraded branch serves the lists with zero card time).
   std::vector<BackendRequest> requests;
   requests.reserve(batch.size());
   for (const StatePtr& state : batch)
@@ -590,7 +563,7 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
 
   std::vector<Expected<BackendRun>> runs;
   try {
-    runs = backend.run_many(requests);
+    runs = gen->backend->run_many(requests);
   } catch (const std::exception& e) {
     const Error error{ErrorCode::BadArgument, e.what()};
     for (const StatePtr& state : batch) fulfil(*state, error);
@@ -751,8 +724,6 @@ std::vector<DatabaseStatus> Engine::database_status() const {
     status.name = name;
     const std::shared_ptr<Generation> gen = pin_active(*db);
     status.active_generation = gen->generation;
-    status.fallback_batches =
-        gen->fallback_batches.load(std::memory_order_relaxed);
     status.swaps = db->swaps.load(std::memory_order_relaxed);
     status.submitted = db->submitted.load(std::memory_order_relaxed);
     status.completed = db->completed.load(std::memory_order_relaxed);
@@ -761,7 +732,7 @@ std::vector<DatabaseStatus> Engine::database_status() const {
     const std::vector<double> window = db->latency.snapshot();
     status.p50_ms = util::percentile(window, 50.0);
     status.p99_ms = util::percentile(window, 99.0);
-    status.degraded = db->degraded.load(std::memory_order_relaxed);
+    status.degraded = gen->backend->health() == HealthState::Degraded;
     status.reclaimed_generations = db->versions.reclaimed();
     status.generations = db->versions.status();
     out.push_back(std::move(status));

@@ -39,10 +39,10 @@ Error validate_shard_config(const ShardConfig& config) noexcept {
   return Error{};
 }
 
-// One modeled card: its window of the shared store (owned range + halo),
-// its primary backend over that window, and a software fallback over the
-// same window.  Touched only by account() and the status readers, which
-// the caller serializes (the engine's execution lock).
+// One modeled card: its window of the shared store (owned range + halo)
+// and its backend over that window.  Touched only by account() and the
+// status readers, which the caller serializes (the engine's execution
+// lock).
 struct ShardedBackend::Shard {
   std::size_t index = 0;
   std::size_t owned_begin = 0;  // global window-start ownership [begin, end)
@@ -50,13 +50,10 @@ struct ShardedBackend::Shard {
   std::size_t slice_elements = 0;  // the window: owned range + halo
 
   HostConfig config;  // per-card fault stream / chaos gating
-  std::unique_ptr<ScanBackend> primary;
-  std::unique_ptr<ScanBackend> fallback;  // software path over the window
+  std::unique_ptr<ScanBackend> backend;
 
   // Router-side lifetime accounting.
-  bool routed_to_fallback = false;
   std::size_t batches_executed = 0;
-  std::size_t fallback_batches = 0;
   std::size_t fault_log_consumed = 0;
   RecoveryStats recovery;
 
@@ -109,10 +106,7 @@ ShardedBackend::ShardedBackend(BackendKind kind, const HostConfig& config,
     sh->slice_elements =
         std::min(total, sh->owned_end + halo) - sh->owned_begin;
     const StoreWindow window{sh->owned_begin, sh->slice_elements};
-    sh->primary = make_backend(kind_, sh->config, store_, window);
-    if (kind_ == BackendKind::HwSim)
-      sh->fallback =
-          make_backend(BackendKind::Tiled, sh->config, store_, window);
+    sh->backend = make_backend(kind_, sh->config, store_, window);
     shards_.push_back(std::move(sh));
   }
 }
@@ -125,15 +119,9 @@ std::size_t ShardedBackend::shard_count() const noexcept {
 
 HealthState ShardedBackend::health() const noexcept {
   for (const auto& sh : shards_)
-    if (sh->primary->health() == HealthState::Degraded)
+    if (sh->backend->health() == HealthState::Degraded)
       return HealthState::Degraded;
   return HealthState::Healthy;
-}
-
-bool ShardedBackend::all_cards_degraded() const noexcept {
-  return std::all_of(shards_.begin(), shards_.end(), [](const auto& sh) {
-    return sh->primary->health() == HealthState::Degraded;
-  });
 }
 
 const std::vector<hw::FaultEvent>& ShardedBackend::fault_log()
@@ -142,7 +130,7 @@ const std::vector<hw::FaultEvent>& ShardedBackend::fault_log()
 }
 
 void ShardedBackend::harvest_shard_stats(Shard& shard) {
-  const std::vector<hw::FaultEvent>& log = shard.primary->fault_log();
+  const std::vector<hw::FaultEvent>& log = shard.backend->fault_log();
   for (std::size_t i = shard.fault_log_consumed; i < log.size(); ++i)
     merged_fault_log_.push_back(log[i]);
   shard.fault_log_consumed = log.size();
@@ -252,31 +240,13 @@ std::vector<Expected<BackendRun>> ShardedBackend::account(
 
   // Account: ONE run_many per card, inline on the caller — the hw-sim
   // cards each pack the whole batch into device invocations over their
-  // own window.
+  // own window.  A lost card is still its own backend: its degraded
+  // branch serves the window's lists with zero card time.
   std::vector<std::vector<Expected<BackendRun>>> shard_results(shards_.size());
-  const std::size_t strands = config_.search_both_strands ? 2 : 1;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = *shards_[s];
     ++sh.batches_executed;
-    // A Degraded primary sheds the window to the software fallback instead
-    // of stalling the card on per-request golden recoveries (or DeviceLost
-    // errors when fallback is disallowed).
-    const bool used_fallback = sh.fallback &&
-                               config_.recovery.allow_software_fallback &&
-                               sh.primary->health() == HealthState::Degraded;
-    ScanBackend& target = used_fallback ? *sh.fallback : *sh.primary;
-    std::vector<Expected<BackendRun>>& results = shard_results[s];
-    results = target.run_many(batches[s].requests);
-    if (!used_fallback) continue;
-    sh.routed_to_fallback = true;
-    ++sh.fallback_batches;
-    // Keep the degraded-path accounting the primary would have produced:
-    // these strand runs were served in software.
-    for (Expected<BackendRun>& result : results) {
-      if (!result) continue;
-      result->recovery.fallbacks += strands;
-      result->recovery.degraded = true;
-    }
+    shard_results[s] = sh.backend->run_many(batches[s].requests);
   }
 
   util::Timer gather_timer;
@@ -303,7 +273,7 @@ std::vector<std::vector<Hit>> ShardedBackend::scan_batch(
 DevicePipelineStats ShardedBackend::pipeline_stats() const noexcept {
   DevicePipelineStats out;
   for (const auto& sh : shards_) {
-    const DevicePipelineStats part = sh->primary->pipeline_stats();
+    const DevicePipelineStats part = sh->backend->pipeline_stats();
     out.invocations += part.invocations;
     // Every routed request reaches every card: "tasks served by the
     // fleet" is the busiest card's count, not the N-fold sum — so
@@ -335,13 +305,11 @@ std::vector<ShardStatus> ShardedBackend::shard_status() const {
     status.owned_begin = sh->owned_begin;
     status.owned_end = sh->owned_end;
     status.slice_elements = sh->slice_elements;
-    status.health = sh->primary->health();
-    status.routed_to_fallback = sh->routed_to_fallback;
+    status.health = sh->backend->health();
     status.batches_executed = sh->batches_executed;
-    status.fallback_batches = sh->fallback_batches;
-    status.fault_events = sh->primary->fault_log().size();
+    status.fault_events = sh->backend->fault_log().size();
     status.recovery = sh->recovery;
-    status.pipeline = sh->primary->pipeline_stats();
+    status.pipeline = sh->backend->pipeline_stats();
     out.push_back(std::move(status));
   }
   return out;

@@ -353,5 +353,83 @@ TEST(Engine, CoalescingEngagesUnderBurstLoad) {
   EXPECT_LE(stats.largest_batch, config.max_coalesce);
 }
 
+bool default_database_degraded(const Engine& engine) {
+  for (const DatabaseStatus& status : engine.database_status())
+    if (status.name == Engine::kDefaultDatabase) return status.degraded;
+  ADD_FAILURE() << "no default database";
+  return false;
+}
+
+// A lost card has one behaviour: the hw-sim backend's degraded branch
+// serves the scanned lists with zero card time and counts a fallback per
+// strand, whether the request came through align_sync or submit(), on one
+// card or on every card of a router.  The database reports degraded while
+// its active generation's card is lost, and a new generation starts
+// healthy.
+TEST(Engine, DegradedCardServesAsyncLikeSync) {
+  util::Xoshiro256 rng{1024};
+  const NucleotideSequence ref = bio::random_dna(9000, rng);
+  const ProteinSequence query = bio::random_protein(10, rng);
+  const std::uint32_t threshold = half_threshold(query);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineConfig config;
+    config.host.search_both_strands = true;
+    config.host.fault.transfer_fail_rate = 1.0;
+    config.host.recovery.max_attempts = 1;
+    config.host.recovery.degrade_after = 1;
+    config.shard.shard_count = shards;
+    config.shard.max_query_elements = 64;
+    Engine engine{config};
+    engine.upload_reference(NucleotideSequence{ref});
+    EXPECT_FALSE(default_database_degraded(engine));
+
+    ASSERT_TRUE(engine.align_sync(query, threshold).has_value());
+    EXPECT_EQ(engine.health(), HealthState::Degraded);
+    EXPECT_TRUE(default_database_degraded(engine));
+
+    Expected<HostRunReport> async = engine.submit(query, threshold).wait();
+    Expected<HostRunReport> sync = engine.align_sync(query, threshold);
+    ASSERT_TRUE(async.has_value());
+    ASSERT_TRUE(sync.has_value());
+    EXPECT_FALSE(sync->hits.empty());
+    EXPECT_EQ(async->hits, sync->hits);
+    EXPECT_EQ(async->reverse_hits, sync->reverse_hits);
+
+    const RecoveryStats& a = async->recovery;
+    const RecoveryStats& s = sync->recovery;
+    EXPECT_EQ(s.attempts, 0u);
+    EXPECT_EQ(s.fallbacks, 2 * shards);  // one per strand per card
+    EXPECT_TRUE(s.degraded);
+    EXPECT_EQ(a.attempts, s.attempts);
+    EXPECT_EQ(a.retries, s.retries);
+    EXPECT_EQ(a.transfer_faults, s.transfer_faults);
+    EXPECT_EQ(a.timeouts, s.timeouts);
+    EXPECT_EQ(a.crc_faults, s.crc_faults);
+    EXPECT_EQ(a.readback_faults, s.readback_faults);
+    EXPECT_EQ(a.rescanned_tiles, s.rescanned_tiles);
+    EXPECT_EQ(a.spot_checks, s.spot_checks);
+    EXPECT_EQ(a.spot_check_faults, s.spot_check_faults);
+    EXPECT_EQ(a.fallbacks, s.fallbacks);
+    EXPECT_EQ(a.degraded, s.degraded);
+    EXPECT_EQ(a.recovery_s, s.recovery_s);
+
+    EXPECT_EQ(sync->kernel_s, 0.0);
+    EXPECT_EQ(async->kernel_s, sync->kernel_s);
+    EXPECT_GT(sync->watts, 0.0);
+    EXPECT_EQ(async->watts, sync->watts);
+    EXPECT_EQ(sync->mapping.query_elements, query.size() * 3);
+    EXPECT_EQ(async->mapping.query_elements, sync->mapping.query_elements);
+    EXPECT_EQ(async->mapping.segments, sync->mapping.segments);
+    EXPECT_EQ(async->mapping.channels, sync->mapping.channels);
+    EXPECT_EQ(async->mapping.lut_util, sync->mapping.lut_util);
+
+    engine.upload_reference(NucleotideSequence{ref});
+    EXPECT_EQ(engine.health(), HealthState::Healthy);
+    EXPECT_FALSE(default_database_degraded(engine));
+  }
+}
+
 }  // namespace
 }  // namespace fabp::core

@@ -3,8 +3,8 @@
 // count, backend kind and strand — with exact-match windows planted
 // *straddling every shard boundary* so the halo/rebase math is actually
 // exercised, not just the easy interior.  Plus fault isolation: one bad
-// card must not perturb its peers, and a degraded card's slice falls back
-// to software with correct global offsets.
+// card must not perturb its peers, and a degraded card's window is served
+// in software with correct global offsets.
 
 #include "fabp/core/shard.hpp"
 
@@ -640,10 +640,11 @@ TEST(ShardChaos, FaultIsolationSingleShard) {
   EXPECT_EQ(status[2].health, HealthState::Healthy);
 }
 
-// A shard whose card dies degrades and its slice is shed to the software
-// fallback: requests keep succeeding with correct *global* offsets (a hit
-// planted inside the degraded shard's owned range must surface), while the
-// healthy shards keep serving their slices on the primary path.
+// A shard whose card dies degrades and its window is served in software
+// (its hw-sim backend's degraded branch hands back the scanned lists):
+// requests keep succeeding with correct *global* offsets (a hit planted
+// inside the degraded shard's owned range must surface), while the healthy
+// shards keep accounting their windows on the card.
 TEST(ShardChaos, DegradedShardFallsBackToSoftware) {
   util::Xoshiro256 rng{1020};
   const ProteinSequence query = bio::random_protein(10, rng);
@@ -685,12 +686,11 @@ TEST(ShardChaos, DegradedShardFallsBackToSoftware) {
   const std::vector<ShardStatus> status = engine.shard_status();
   ASSERT_EQ(status.size(), 3u);
   EXPECT_EQ(status[1].health, HealthState::Degraded);
-  EXPECT_TRUE(status[1].routed_to_fallback);
-  EXPECT_GT(status[1].fallback_batches, 0u);
+  EXPECT_GT(status[1].recovery.fallbacks, 0u);
   EXPECT_EQ(status[0].health, HealthState::Healthy);
   EXPECT_EQ(status[2].health, HealthState::Healthy);
-  EXPECT_EQ(status[0].fallback_batches, 0u);
-  EXPECT_EQ(status[2].fallback_batches, 0u);
+  EXPECT_EQ(status[0].recovery.fallbacks, 0u);
+  EXPECT_EQ(status[2].recovery.fallbacks, 0u);
   EXPECT_EQ(engine.health(), HealthState::Degraded);
 }
 
@@ -757,8 +757,10 @@ void expect_same_pipeline(const DevicePipelineStats& actual,
 // card's seed, fed that slice's own scan: every fault schedule, CRC
 // verdict, splice, spot check, cycle count and recovery figure matches
 // bit for bit, per request and per card, with integrity checks on and
-// off.  Pins what a card holds as its DRAM image, whatever the router
-// keeps resident.
+// off, and on a fleet whose every card is lost after its first failed
+// transfer (a lost card is still its own hw-sim backend, degraded).
+// Pins what a card holds as its DRAM image, whatever the router keeps
+// resident.
 TEST(ShardChaos, CardAccountingMatchesSliceBackend) {
   util::Xoshiro256 rng{1323};
   const bio::PackedNucleotides packed{bio::random_dna(9001, rng)};
@@ -773,8 +775,12 @@ TEST(ShardChaos, CardAccountingMatchesSliceBackend) {
   constexpr std::size_t kShards = 3;
   constexpr std::size_t kRounds = 4;
 
-  for (const bool verify : {true, false}) {
-    const std::string mode = verify ? "verify" : "no-verify";
+  enum class Input { Verify, NoVerify, LostCards };
+  for (const Input input : {Input::Verify, Input::NoVerify, Input::LostCards}) {
+    const bool verify = input != Input::NoVerify;
+    const bool lost = input == Input::LostCards;
+    const std::string mode =
+        lost ? "lost-cards" : (verify ? "verify" : "no-verify");
     HostConfig config;
     config.search_both_strands = true;
     config.tile.tile_positions = 256;  // several integrity tiles per slice
@@ -787,6 +793,11 @@ TEST(ShardChaos, CardAccountingMatchesSliceBackend) {
     config.fault.readback_flip_rate = 0.5;
     config.recovery.spot_check_samples = 2;
     config.recovery.verify_integrity = verify;
+    if (lost) {
+      config.fault.transfer_fail_rate = 1.0;
+      config.recovery.max_attempts = 1;
+      config.recovery.degrade_after = 1;
+    }
     ShardConfig shard;
     shard.shard_count = kShards;
     shard.max_query_elements = 64;
@@ -904,7 +915,9 @@ TEST(ShardChaos, CardAccountingMatchesSliceBackend) {
       expect_same_recovery(status[s].recovery, card.recovery, label);
       expect_same_pipeline(status[s].pipeline,
                            card.backend->pipeline_stats(), label);
-      EXPECT_EQ(status[s].health, HealthState::Healthy) << label;
+      EXPECT_EQ(status[s].health,
+                lost ? HealthState::Degraded : HealthState::Healthy)
+          << label;
       events += status[s].fault_events;
     }
     EXPECT_EQ(router->fault_log(), merged_log) << mode;
@@ -912,9 +925,13 @@ TEST(ShardChaos, CardAccountingMatchesSliceBackend) {
     EXPECT_GT(events, 0u) << mode;
     RecoveryStats fleet;
     for (const ShardStatus& card : status) fleet.merge(card.recovery);
-    EXPECT_GT(fleet.spot_checks, 0u) << mode;
-    if (verify) {
-      EXPECT_GT(fleet.crc_faults, 0u) << mode;
+    if (lost) {
+      EXPECT_GT(fleet.fallbacks, 0u) << mode;
+    } else {
+      EXPECT_GT(fleet.spot_checks, 0u) << mode;
+      if (verify) {
+        EXPECT_GT(fleet.crc_faults, 0u) << mode;
+      }
     }
   }
 

@@ -71,7 +71,7 @@ TEST(Wire, RejectsTruncatedPayloads) {
   AlignResponse full;
   full.id = 9;
   full.hits = {{100, 5}};
-  full.error = "e";
+  full.error = std::string(1, 'e');
   const std::string payload = encode(full);
   // Every strict prefix must fail soft, never crash or mis-parse.
   for (std::size_t n = 0; n < payload.size(); ++n) {

@@ -22,9 +22,13 @@
 #      and with FABP_FORCE_ISA=swar64 — UB coverage over the shared
 #      carry-save scorer, the per-ISA tile compiles and the SWAR shift
 #      path — and the device cost model suites (width-only Pop36 LUT
-#      count, closed-form beat timing, invocation timing) and the shard
+#      count, closed-form beat timing, invocation timing), the shard
 #      chaos suite — UB coverage over the card windows' offset arithmetic
-#      and the RC image cut on the fault path, and
+#      and the RC image cut on the fault path — and the engine's
+#      degraded-card test: a lost card, one or every card of a router,
+#      serves its scanned lists from its own hw-sim backend's degraded
+#      branch on the sync and async paths alike.  Every run in this leg
+#      sets UBSAN_OPTIONS=halt_on_error=1, so a UB report fails it, and
 #   5. the engine stress suite pinned to the swar64 kernel — a
 #      deterministic-ISA concurrency exercise of the coalescing scheduler
 #      (same kernel on every machine, so schedules differ but hit lists
@@ -112,12 +116,15 @@ build-tsan/tests/engine_tests
 build-tsan/tests/shard_tests
 build-tsan/tests/net_tests
 
-echo "== check.sh: ubsan build, fault + chaos + kernel suites =="
+echo "== check.sh: ubsan build, fault + chaos + kernel + degraded-card suites =="
 cmake -B build-ubsan -S . -DFABP_SANITIZE=undefined
-cmake --build build-ubsan -j"$jobs" --target core_tests hw_tests shard_tests
-build-ubsan/tests/hw_tests --gtest_filter='Fault*:CorruptWords*'
-build-ubsan/tests/core_tests --gtest_filter='Chaos*'
+cmake --build build-ubsan -j"$jobs" \
+    --target core_tests hw_tests shard_tests engine_tests
 # halt_on_error turns any UB report into a failing exit status.
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/hw_tests \
+    --gtest_filter='Fault*:CorruptWords*'
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
+    --gtest_filter='Chaos*'
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
     --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
 for isa in avx512 swar64; do
@@ -131,6 +138,8 @@ UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
     --gtest_filter='StreamBeatTiming*:InvocationStrandTiming*'
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/shard_tests \
     --gtest_filter='ShardChaos*'
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/engine_tests \
+    --gtest_filter='Engine.Degraded*'
 
 echo "== check.sh: engine stress, FABP_FORCE_ISA=swar64 =="
 FABP_FORCE_ISA=swar64 build/tests/engine_tests \

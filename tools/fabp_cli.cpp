@@ -398,9 +398,8 @@ std::string serve_stats_text(core::Engine& engine) {
         << " health="
         << (shard.health == core::HealthState::Degraded ? "degraded"
                                                         : "healthy")
-        << (shard.routed_to_fallback ? "(fallback)" : "")
-        << " batches=" << shard.batches_executed << " fallback-batches="
-        << shard.fallback_batches << " faults=" << shard.fault_events
+        << " batches=" << shard.batches_executed
+        << " faults=" << shard.fault_events
         << " retries=" << shard.recovery.retries << " rescans="
         << shard.recovery.rescanned_tiles << " fallbacks="
         << shard.recovery.fallbacks << "\n";
@@ -419,8 +418,7 @@ std::string serve_stats_text(core::Engine& engine) {
         << " completed=" << db.completed << " failed=" << db.failed
         << " qps=" << db.qps << " p50=" << db.p50_ms << "ms p99="
         << db.p99_ms << "ms degraded=" << (db.degraded ? 1 : 0)
-        << " fallback-batches=" << db.fallback_batches << " reclaimed="
-        << db.reclaimed_generations << "\n";
+        << " reclaimed=" << db.reclaimed_generations << "\n";
     for (const auto& gen : db.generations)
       out << "  generation " << gen.generation << ": pins=" << gen.pins
           << (gen.active ? " active" : " retired") << "\n";
