@@ -1,7 +1,8 @@
 // E8 — microbenchmarks (google-benchmark): per-component throughput of the
 // encoding, comparator, golden scan, the 4 Mbp tile scan split into plane
 // compile and scoring, pop-counter netlist, DP aligners, the TBLASTN
-// stages and the hw-sim device accounting.  These attribute where time
+// stages, the hw-sim device accounting and the reply path (CRC32, wire
+// encode/decode of a hit-dense response).  These attribute where time
 // goes in the software models; the paper-level numbers live in the
 // bench_fig6_*/bench_table1 harnesses.
 
@@ -24,6 +25,8 @@
 #include "fabp/core/instance.hpp"
 #include "fabp/hw/optimize.hpp"
 #include "fabp/hw/popcount.hpp"
+#include "fabp/net/wire.hpp"
+#include "fabp/util/crc32.hpp"
 
 namespace {
 
@@ -308,6 +311,51 @@ void BM_BackTranslate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 250);
 }
 BENCHMARK(BM_BackTranslate);
+
+// Reply path of a hit-dense request: a `hit_heavy` reply carries ~2,094
+// hits, ~25 KB on the wire, and every frame is CRC'd once per side.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buffer(25 * 1024);
+  for (auto& b : buffer) b = static_cast<unsigned char>(rng().next());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(util::crc32(buffer.data(), buffer.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32);
+
+void BM_WireAlignResponse(benchmark::State& state) {
+  net::AlignResponse response;
+  response.id = 42;
+  response.server_seconds = 5e-4;
+  response.generation = 1;
+  std::size_t position = 0;
+  for (int i = 0; i < 2094; ++i) {
+    position += 1 + rng().next() % 900;
+    response.hits.push_back({position, 12 + static_cast<std::uint32_t>(
+                                                rng().next() % 9)});
+  }
+  // Server side: encode + frame; client side: CRC verify + decode.
+  const auto round_trip = [&](net::AlignResponse& decoded) {
+    const std::string framed = net::frame(net::encode(response));
+    std::string_view payload;
+    const bool ok = net::verify_frame_body(
+                        std::string_view{framed}.substr(4), payload) &&
+                    net::decode(payload, decoded);
+    return ok ? framed.size() : 0;
+  };
+  net::AlignResponse check;
+  const std::size_t bytes = round_trip(check);
+  if (bytes == 0 || check.hits != response.hits)
+    state.SkipWithError("wire round trip lost the hit list");
+  for (auto _ : state) {
+    net::AlignResponse decoded;
+    benchmark::DoNotOptimize(round_trip(decoded));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_WireAlignResponse);
 
 }  // namespace
 

@@ -11,6 +11,7 @@
 // real implementation run.
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,12 @@ struct VerilogModule {
   /// Counts occurrences of a primitive instantiation (e.g. "LUT6").
   std::size_t instance_count(const std::string& primitive) const;
 };
+
+/// `stem` followed by the decimal `index` ("b7", "count3", "w42"): the
+/// net and bus-bit names every emitter uses.  Appends to the stem rather
+/// than prepending a literal to a temporary, which GCC 12 misreads as an
+/// overlapping copy (-Wrestrict) at -O3.
+std::string indexed_name(std::string_view stem, std::size_t index);
 
 /// Emits `netlist` as a structural module.  Every primary input consumed
 /// by logic should appear in `inputs` (unlisted inputs become internal

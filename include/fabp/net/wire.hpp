@@ -34,7 +34,11 @@
 // u32 score) pairs.  Encode/decode are pure byte-vector transforms with no
 // socket dependency, so the protocol is unit-testable without I/O; the
 // decoders bounds-check every read and fail soft (false + untouched
-// output) on truncated or alien payloads.
+// output) on truncated or alien payloads.  A hit list is checked once,
+// count x 12 against the remaining bytes, then read in one tight loop.
+// Encoding sizes each message once and writes it with fixed-width
+// little-endian stores; a hit-dense reply costs about a memory copy plus
+// the CRC.  tests/net/wire_test.cpp pins v3 byte for byte.
 
 #include <cstdint>
 #include <string>
@@ -117,6 +121,8 @@ struct SwapDatabaseResponse {
 };
 
 // --- encoding (payload only; frame() adds length prefix + CRC) ----------
+// Each encode() reserves its payload's exact size once and fills it in
+// one pass.
 
 std::string encode(const AlignRequest& message);
 std::string encode(const AlignResponse& message);
@@ -128,6 +134,10 @@ std::string encode(const SwapDatabaseResponse& message);
 /// Wraps a payload into a ready-to-send frame: u32 length of
 /// (payload + 4), the payload, then the payload's CRC32 (LE).
 std::string frame(std::string_view payload);
+
+/// The same frame bytes, appended to `out` in place (one payload copy):
+/// the server's output buffer takes frames this way.
+void append_frame(std::string& out, std::string_view payload);
 
 /// Splits a received frame body (payload + CRC trailer) and verifies the
 /// checksum.  On success `payload` views into `body`; on a short body or

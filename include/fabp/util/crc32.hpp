@@ -4,9 +4,10 @@
 // the packed reference once at upload, the (modeled) card reports the CRC
 // of what it actually streamed, and a mismatch localises corruption to one
 // tile instead of poisoning a whole scan.  Also used over readback hit
-// buffers.  Table-driven, one byte per step; fast enough that a full pass
-// over a reference is a small fraction of one scan (and it only runs on
-// fault paths or once per upload).
+// buffers, and over every wire frame's payload (net/wire), where hit-dense
+// replies make it a per-request cost.  Slicing-by-16: sixteen constexpr
+// tables fold 16 bytes per step from two explicit little-endian 8-byte
+// loads, with a bytewise tail; one portable path, no ISA dispatch.
 
 #include <cstddef>
 #include <cstdint>

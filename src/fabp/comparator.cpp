@@ -118,7 +118,7 @@ hw::VerilogModule emit_comparator_module() {
   const ComparatorPorts ports = build_comparator(nl);
   std::vector<hw::VerilogPort> inputs;
   for (unsigned b = 0; b < 6; ++b)
-    inputs.push_back(hw::VerilogPort{"q" + std::to_string(b), ports.q[b]});
+    inputs.push_back(hw::VerilogPort{hw::indexed_name("q", b), ports.q[b]});
   inputs.push_back(hw::VerilogPort{"ref0", ports.ref0});
   inputs.push_back(hw::VerilogPort{"ref1", ports.ref1});
   inputs.push_back(hw::VerilogPort{"ref_im1_msb", ports.ref_im1_msb});

@@ -134,17 +134,17 @@ hw::VerilogModule emit_instance_module(const InstanceConfig& config) {
   for (std::size_t i = 0; i < ports.query.size(); ++i)
     for (unsigned b = 0; b < 6; ++b)
       inputs.push_back(hw::VerilogPort{
-          "q" + std::to_string(i) + "_" + std::to_string(b),
+          hw::indexed_name(hw::indexed_name("q", i) + "_", b),
           ports.query[i][b]});
   for (std::size_t i = 0; i < ports.ref.size(); ++i)
     for (unsigned b = 0; b < 2; ++b)
       inputs.push_back(hw::VerilogPort{
-          "r" + std::to_string(i) + "_" + std::to_string(b),
+          hw::indexed_name(hw::indexed_name("r", i) + "_", b),
           ports.ref[i][b]});
   std::vector<hw::VerilogPort> outputs;
   for (std::size_t b = 0; b < ports.score.size(); ++b)
     outputs.push_back(
-        hw::VerilogPort{"score" + std::to_string(b), ports.score[b]});
+        hw::VerilogPort{hw::indexed_name("score", b), ports.score[b]});
   outputs.push_back(hw::VerilogPort{"hit", ports.hit});
   return hw::emit_verilog(nl, "fabp_instance", inputs, outputs);
 }

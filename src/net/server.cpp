@@ -457,11 +457,11 @@ void WireServer::handle_connection(Socket conn,
   // Appends one payload to outbuf as a wire frame, routed through the
   // per-connection fault plan when chaos is on.
   const auto emit = [&](std::string_view payload) {
-    std::string framed = frame(payload);
     if (!faulty) {
-      outbuf += framed;
+      append_frame(outbuf, payload);
       return;
     }
+    std::string framed = frame(payload);
     const FramePlan plan = injector.plan_frame(framed.size());
     if (plan.delay_ms > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(plan.delay_ms));

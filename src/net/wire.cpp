@@ -1,46 +1,54 @@
 #include "fabp/net/wire.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "fabp/util/crc32.hpp"
 
 namespace fabp::net {
 namespace {
 
-// Little-endian append/read helpers.  memcpy keeps them alignment-safe;
-// the reader tracks a cursor and fails soft past the end.
+// Fixed-width little-endian stores and loads.  Both are written as byte
+// shifts so the wire order does not depend on the host; compilers merge
+// them into single unaligned moves on little-endian targets.
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+template <class T>
+void store_le(char* p, T v) noexcept {
+  for (std::size_t i = 0; i < sizeof v; ++i)
+    p[i] = static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+template <class T>
+T load_le(const char* p) noexcept {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof v; ++i)
+    v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+  return v;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
+constexpr std::size_t kHitBytes = 12;  // u64 position + u32 score
 
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
+/// Appends one fixed-width field (u8, u32 or u64).
+template <class T>
+void put(std::string& out, T v) {
+  char bytes[sizeof v];
+  store_le(bytes, v);
+  out.append(bytes, sizeof v);
 }
 
 void put_string(std::string& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
+  put(out, static_cast<std::uint32_t>(s.size()));
   out.append(s);
 }
 
 void put_hits(std::string& out, const std::vector<core::Hit>& hits) {
-  put_u32(out, static_cast<std::uint32_t>(hits.size()));
+  put(out, static_cast<std::uint32_t>(hits.size()));
+  const std::size_t at = out.size();
+  out.resize(at + kHitBytes * hits.size());
+  char* p = out.data() + at;
   for (const core::Hit& h : hits) {
-    put_u64(out, h.position);
-    put_u32(out, h.score);
+    store_le(p, static_cast<std::uint64_t>(h.position));
+    store_le(p + 8, h.score);
+    p += kHitBytes;
   }
 }
 
@@ -48,38 +56,14 @@ class Reader {
  public:
   explicit Reader(std::string_view data) : data_{data} {}
 
-  bool u8(std::uint8_t& v) {
-    if (data_.size() - pos_ < 1) return fail();
-    v = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  bool u32(std::uint32_t& v) {
-    if (data_.size() - pos_ < 4) return fail();
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool u64(std::uint64_t& v) {
-    if (data_.size() - pos_ < 8) return fail();
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    pos_ += 8;
-    return true;
-  }
+  bool u8(std::uint8_t& v) { return get(v); }
+  bool u32(std::uint32_t& v) { return get(v); }
+  bool u64(std::uint64_t& v) { return get(v); }
 
   bool f64(double& v) {
     std::uint64_t bits = 0;
     if (!u64(bits)) return false;
-    std::memcpy(&v, &bits, sizeof v);
+    v = std::bit_cast<double>(bits);
     return true;
   }
 
@@ -94,17 +78,17 @@ class Reader {
   bool hits(std::vector<core::Hit>& v) {
     std::uint32_t n = 0;
     if (!u32(n)) return false;
-    // 12 bytes per entry; a lying count must not reserve gigabytes.
-    if (data_.size() - pos_ < std::size_t{n} * 12) return fail();
-    v.clear();
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      core::Hit h;
-      std::uint64_t pos = 0;
-      if (!u64(pos) || !u32(h.score)) return false;
-      h.position = static_cast<std::size_t>(pos);
-      v.push_back(h);
+    // One bound for the whole list: a lying count must not reserve
+    // gigabytes, and past it every entry is known to be in range.
+    if (data_.size() - pos_ < std::size_t{n} * kHitBytes) return fail();
+    v.resize(n);
+    const char* p = data_.data() + pos_;
+    for (core::Hit& h : v) {
+      h.position = static_cast<std::size_t>(load_le<std::uint64_t>(p));
+      h.score = load_le<std::uint32_t>(p + 8);
+      p += kHitBytes;
     }
+    pos_ += std::size_t{n} * kHitBytes;
     return true;
   }
 
@@ -114,6 +98,14 @@ class Reader {
   bool ok() const noexcept { return ok_; }
 
  private:
+  template <class T>
+  bool get(T& v) {
+    if (data_.size() - pos_ < sizeof v) return fail();
+    v = load_le<T>(data_.data() + pos_);
+    pos_ += sizeof v;
+    return true;
+  }
+
   bool fail() noexcept {
     ok_ = false;
     return false;
@@ -133,8 +125,8 @@ bool read_header(Reader& r, MessageType expected) {
 }
 
 void put_header(std::string& out, MessageType type) {
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u8(out, kProtocolVersion);
+  put(out, static_cast<std::uint8_t>(type));
+  put(out, kProtocolVersion);
 }
 
 }  // namespace
@@ -144,9 +136,9 @@ std::string encode(const AlignRequest& message) {
   out.reserve(2 + 8 + 4 + 4 + 12 + message.protein.size() +
               message.database.size() + message.tenant.size());
   put_header(out, MessageType::AlignRequest);
-  put_u64(out, message.id);
-  put_u32(out, message.threshold);
-  put_u32(out, message.deadline_ms);
+  put(out, message.id);
+  put(out, message.threshold);
+  put(out, message.deadline_ms);
   put_string(out, message.protein);
   put_string(out, message.database);
   put_string(out, message.tenant);
@@ -155,14 +147,16 @@ std::string encode(const AlignRequest& message) {
 
 std::string encode(const AlignResponse& message) {
   std::string out;
-  out.reserve(2 + 8 + 1 + 8 + 4 + message.error.size() +
-              12 * (message.hits.size() + message.reverse_hits.size()) + 8);
+  // Exact size: the fixed fields, the error string and both hit lists
+  // with their u32 counts.
+  out.reserve(2 + 8 + 1 + 4 + 8 + 8 + 4 + message.error.size() + 4 + 4 +
+              kHitBytes * (message.hits.size() + message.reverse_hits.size()));
   put_header(out, MessageType::AlignResponse);
-  put_u64(out, message.id);
-  put_u8(out, message.status);
-  put_u32(out, message.retry_after_ms);
-  put_f64(out, message.server_seconds);
-  put_u64(out, message.generation);
+  put(out, message.id);
+  put(out, message.status);
+  put(out, message.retry_after_ms);
+  put(out, std::bit_cast<std::uint64_t>(message.server_seconds));
+  put(out, message.generation);
   put_string(out, message.error);
   put_hits(out, message.hits);
   put_hits(out, message.reverse_hits);
@@ -184,8 +178,8 @@ std::string encode(const SwapDatabaseResponse& message) {
   std::string out;
   out.reserve(2 + 1 + 8 + 4 + message.error.size());
   put_header(out, MessageType::SwapDatabaseResponse);
-  put_u8(out, message.status);
-  put_u64(out, message.generation);
+  put(out, message.status);
+  put(out, message.generation);
   put_string(out, message.error);
   return out;
 }
@@ -204,29 +198,28 @@ std::string encode(const StatsResponse& message) {
   return out;
 }
 
-std::string frame(std::string_view payload) {
+void append_frame(std::string& out, std::string_view payload) {
   // Body = payload + CRC32(payload): corruption anywhere in the payload
   // is detected end-to-end, whichever direction the frame travels.  (A
   // flipped bit in the 4-byte length prefix still surfaces as a desync /
   // oversized frame, which the existing malformed-frame hardening
   // already drops.)
+  put(out, static_cast<std::uint32_t>(payload.size()) + kFrameCrcBytes);
+  out.append(payload);
+  put(out, util::crc32(payload.data(), payload.size()));
+}
+
+std::string frame(std::string_view payload) {
   std::string out;
   out.reserve(4 + payload.size() + kFrameCrcBytes);
-  put_u32(out,
-          static_cast<std::uint32_t>(payload.size()) + kFrameCrcBytes);
-  out.append(payload);
-  put_u32(out, util::crc32(payload.data(), payload.size()));
+  append_frame(out, payload);
   return out;
 }
 
 bool verify_frame_body(std::string_view body, std::string_view& payload) {
   if (body.size() < kFrameCrcBytes) return false;
   const std::string_view data = body.substr(0, body.size() - kFrameCrcBytes);
-  std::uint32_t carried = 0;
-  for (int i = 0; i < 4; ++i)
-    carried |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
-                   body[body.size() - kFrameCrcBytes + i]))
-               << (8 * i);
+  const auto carried = load_le<std::uint32_t>(body.data() + data.size());
   if (carried != util::crc32(data.data(), data.size())) return false;
   payload = data;
   return true;

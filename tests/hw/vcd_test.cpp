@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "fabp/hw/verilog.hpp"
+
 namespace fabp::hw {
 namespace {
 
@@ -101,9 +103,9 @@ TEST(Vcd, ManySignalsGetDistinctIds) {
   Netlist nl;
   VcdTrace trace{"dut"};
   std::vector<NetId> nets;
-  for (int i = 0; i < 200; ++i) {
+  for (std::size_t i = 0; i < 200; ++i) {
     nets.push_back(nl.add_input());
-    trace.watch(nets.back(), "s" + std::to_string(i));
+    trace.watch(nets.back(), indexed_name("s", i));
   }
   trace.sample(nl);
   std::ostringstream os;

@@ -137,6 +137,100 @@ TEST(Wire, FrameAddsLengthPrefixAndCrcTrailer) {
   EXPECT_EQ(payload, "abc");
 }
 
+// --- wire v3 pinned byte for byte ---------------------------------------
+// The literals were written from the layout in wire.hpp (little-endian
+// fields, u32-prefixed strings and hit lists) with the frame CRC computed
+// by an independent CRC-32/ISO-HDLC implementation; any codec change that
+// moves a byte fails here.
+
+std::string from_hex(std::string_view hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string{hex.substr(i, 2)}, nullptr, 16)));
+  return bytes;
+}
+
+AlignResponse golden_response() {
+  AlignResponse m;
+  m.id = 0x1122334455667788ULL;
+  m.status = static_cast<std::uint8_t>(core::ErrorCode::QueueFull);
+  m.retry_after_ms = 250;
+  m.server_seconds = 0.125;
+  m.generation = 0x100000007ULL;
+  m.error = "queue full";
+  m.hits = {{0x100000005ULL, 48}, {0x200000010ULL, 7}, {0xFFFFFFFFFFULL, 1}};
+  m.reverse_hits = {{3, 20}, {0x123456789ULL, 0xDEADBEEFu}};
+  return m;
+}
+
+TEST(Wire, GoldenAlignRequestFrame) {
+  AlignRequest m;
+  m.id = 0x0123456789abcdefULL;
+  m.threshold = 42;
+  m.deadline_ms = 1500;
+  m.protein = "MKWVTF";
+  m.database = "genome-v2";
+  m.tenant = "acme";
+  const std::string golden = from_hex(
+      "350000000103efcdab89674523012a000000dc050000060000004d4b57565446"
+      "0900000067656e6f6d652d76320400000061636d65713db783");
+  ASSERT_EQ(golden.size(), 57u);
+  EXPECT_EQ(frame(encode(m)), golden);
+
+  std::string_view payload;
+  ASSERT_TRUE(verify_frame_body(std::string_view{golden}.substr(4), payload));
+  AlignRequest out;
+  ASSERT_TRUE(decode(payload, out));
+  EXPECT_EQ(out.id, m.id);
+  EXPECT_EQ(out.threshold, m.threshold);
+  EXPECT_EQ(out.deadline_ms, m.deadline_ms);
+  EXPECT_EQ(out.protein, m.protein);
+  EXPECT_EQ(out.database, m.database);
+  EXPECT_EQ(out.tenant, m.tenant);
+}
+
+TEST(Wire, GoldenAlignResponseFrame) {
+  const AlignResponse m = golden_response();
+  const std::string golden = from_hex(
+      "750000000203887766554433221108fa000000000000000000c03f0700000001"
+      "0000000a00000071756575652066756c6c030000000500000001000000300000"
+      "00100000000200000007000000ffffffffff0000000100000002000000030000"
+      "0000000000140000008967452301000000efbeaddeecc87a1f");
+  ASSERT_EQ(golden.size(), 121u);
+  EXPECT_EQ(frame(encode(m)), golden);
+
+  std::string_view payload;
+  ASSERT_TRUE(verify_frame_body(std::string_view{golden}.substr(4), payload));
+  AlignResponse out;
+  ASSERT_TRUE(decode(payload, out));
+  EXPECT_EQ(out.id, m.id);
+  EXPECT_EQ(out.status, m.status);
+  EXPECT_EQ(out.retry_after_ms, m.retry_after_ms);
+  EXPECT_EQ(out.server_seconds, m.server_seconds);
+  EXPECT_EQ(out.generation, m.generation);
+  EXPECT_EQ(out.error, m.error);
+  EXPECT_EQ(out.hits, m.hits);
+  EXPECT_EQ(out.reverse_hits, m.reverse_hits);
+}
+
+TEST(Wire, GoldenAlignResponseTruncationLeavesOutputUntouched) {
+  const std::string payload = encode(golden_response());
+  AlignResponse sentinel;
+  sentinel.id = 77;
+  sentinel.error = "untouched";
+  sentinel.hits = {{1, 2}};
+  sentinel.reverse_hits = {{3, 4}, {5, 6}};
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    AlignResponse out = sentinel;
+    EXPECT_FALSE(decode(std::string_view{payload.data(), n}, out)) << n;
+    EXPECT_EQ(out.id, sentinel.id) << n;
+    EXPECT_EQ(out.error, sentinel.error) << n;
+    EXPECT_EQ(out.hits, sentinel.hits) << n;
+    EXPECT_EQ(out.reverse_hits, sentinel.reverse_hits) << n;
+  }
+}
+
 TEST(Wire, VerifyFrameBodyCatchesEveryOneByteCorruption) {
   AlignRequest request;
   request.id = 5;

@@ -27,8 +27,12 @@
 #      and the RC image cut on the fault path — and the engine's
 #      degraded-card test: a lost card, one or every card of a router,
 #      serves its scanned lists from its own hw-sim backend's degraded
-#      branch on the sync and async paths alike.  Every run in this leg
-#      sets UBSAN_OPTIONS=halt_on_error=1, so a UB report fails it, and
+#      branch on the sync and async paths alike — and the CRC32 and wire
+#      codec suites — UB coverage over the slicing-by-16 CRC's shifts and
+#      8-byte loads, the wire encoder's fixed-width stores into its
+#      pre-sized buffer and the decoder's single count x 12 bound per hit
+#      list.  Every run in this leg sets UBSAN_OPTIONS=halt_on_error=1, so
+#      a UB report fails it, and
 #   5. the engine stress suite pinned to the swar64 kernel — a
 #      deterministic-ISA concurrency exercise of the coalescing scheduler
 #      (same kernel on every machine, so schedules differ but hit lists
@@ -116,10 +120,10 @@ build-tsan/tests/engine_tests
 build-tsan/tests/shard_tests
 build-tsan/tests/net_tests
 
-echo "== check.sh: ubsan build, fault + chaos + kernel + degraded-card suites =="
+echo "== check.sh: ubsan build, fault + chaos + kernel + degraded-card + crc/wire suites =="
 cmake -B build-ubsan -S . -DFABP_SANITIZE=undefined
 cmake --build build-ubsan -j"$jobs" \
-    --target core_tests hw_tests shard_tests engine_tests
+    --target core_tests hw_tests shard_tests engine_tests util_tests net_tests
 # halt_on_error turns any UB report into a failing exit status.
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/hw_tests \
     --gtest_filter='Fault*:CorruptWords*'
@@ -140,6 +144,10 @@ UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/shard_tests \
     --gtest_filter='ShardChaos*'
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/engine_tests \
     --gtest_filter='Engine.Degraded*'
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/util_tests \
+    --gtest_filter='Crc32*'
+UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/net_tests \
+    --gtest_filter='Wire*'
 
 echo "== check.sh: engine stress, FABP_FORCE_ISA=swar64 =="
 FABP_FORCE_ISA=swar64 build/tests/engine_tests \
