@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
   std::cout << "  cpu: " << util::cpu_isa_summary()
             << ", dispatched kernel: " << core::active_scan_kernel().name
             << "\n  (set FABP_FORCE_ISA=scalar|swar64|avx2|avx512|"
-               "avx512vpopcnt to pin)\n"
+               "avx512vbmi2 to pin)\n"
             << "  host: " << env.hardware_threads << " hw threads, "
             << env.affinity_cpus << " schedulable, governor "
             << env.governor << "\n\n";
@@ -418,7 +418,7 @@ int main(int argc, char** argv) {
   std::vector<const core::ScanKernel*> kernels;
   for (core::ScanIsa isa :
        {core::ScanIsa::Swar64, core::ScanIsa::Avx2, core::ScanIsa::Avx512,
-        core::ScanIsa::Avx512Vpopcnt})
+        core::ScanIsa::Avx512Vbmi2})
     if (const core::ScanKernel* kernel = core::scan_kernel_for(isa))
       kernels.push_back(kernel);
 

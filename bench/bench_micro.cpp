@@ -126,6 +126,31 @@ BENCHMARK(BM_TileScan4M)
     ->ArgsProduct({{20, 80}, {650, 1000}})
     ->Unit(benchmark::kMillisecond);
 
+void BM_TileScan1M(benchmark::State& state) {
+  // The hit_heavy shape, one thread: an L2-resident 1 Mbp reference, a
+  // 20 aa query at threshold 0.6 (arguments as BM_TileScan4M).  Reference
+  // and query come from generators of their own, so the row times the
+  // same input however often it is called and leaves the suite's shared
+  // generator, and every row after it, as they were.
+  static const bio::PackedNucleotides packed = [] {
+    util::Xoshiro256 gen{1};
+    return bio::PackedNucleotides{bio::random_dna(1'000'000, gen)};
+  }();
+  const auto residues = static_cast<std::size_t>(state.range(0));
+  util::Xoshiro256 gen{residues};
+  const auto elements =
+      core::back_translate(bio::random_protein(residues, gen));
+  const core::BitScanQuery query{elements};
+  const auto threshold = static_cast<std::uint32_t>(
+      elements.size() * static_cast<std::size_t>(state.range(1)) / 1000);
+  const core::TileScanner scanner{packed};
+  for (auto _ : state) benchmark::DoNotOptimize(scanner.hits(query, threshold));
+  state.SetLabel(core::active_scan_kernel().name);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(packed.size()) / 4);
+}
+BENCHMARK(BM_TileScan1M)->Args({20, 600})->Unit(benchmark::kMillisecond);
+
 void BM_TileCompile4M(benchmark::State& state) {
   // The active kernel's tile plane compile alone over the same 4 Mbp, in
   // default-size tiles with the entry history carried across edges — the

@@ -40,14 +40,14 @@
 //
 // The kernels are ISA-dispatched: the same carry-save scorer is
 // instantiated at 64 lanes (portable uint64_t SWAR), 256 lanes (AVX2) and
-// 512 lanes (AVX-512F + BMI2, and again in an AVX-512 VPOPCNTDQ TU that
-// differs only in its compile flags), each compiled in its own TU with the
-// matching -m flags so the binary stays runnable on any x86-64.
-// The widest kernel the CPU + OS support is selected once at startup
-// (util/cpuid.hpp); the
-// FABP_FORCE_ISA=scalar|swar64|avx2|avx512|avx512vpopcnt environment
+// 512 lanes (AVX-512F + BMI2, and again with AVX-512 VBMI2, whose funnel
+// shift loads each element's bits in one instruction), each compiled in
+// its own TU with the matching -m flags so the binary stays runnable on
+// any x86-64.  The widest kernel the CPU + OS support is selected once at
+// startup (util/cpuid.hpp); the
+// FABP_FORCE_ISA=scalar|swar64|avx2|avx512|avx512vbmi2 environment
 // variable overrides the choice — tile compile included — for testing
-// (ignored when the named ISA is unavailable).
+// (ignored when the named ISA is unavailable or the name unknown).
 
 #include <array>
 #include <cstdint>
@@ -155,17 +155,18 @@ struct TileCompileJob {
 /// the slowest path, kept reachable for differential testing; Swar64 is
 /// the portable baseline, always available.  Every other ISA runs the same
 /// carry-save scorer; the two AVX-512 kernels also compact the tile codes
-/// with BMI2 PEXT and need its CPUID bit.  Avx512Vpopcnt no longer differs
-/// from Avx512 in algorithm, only in being compiled with -mavx512vpopcntdq
-/// and requiring the AVX512_VPOPCNTDQ CPUID bit.
-enum class ScanIsa { Scalar, Swar64, Avx2, Avx512, Avx512Vpopcnt };
+/// with BMI2 PEXT and need its CPUID bit.  Avx512Vbmi2 differs from Avx512
+/// only in its element load (one VPSHRDVQ funnel shift instead of two
+/// shifts and an OR) and needs the AVX512_VBMI2 CPUID bit.  Avx512Vbmi2
+/// keeps position 4, the AVX-512 VPOPCNTDQ build it replaced.
+enum class ScanIsa { Scalar, Swar64, Avx2, Avx512, Avx512Vbmi2 };
 
 inline constexpr std::size_t kScanIsaCount = 5;
 
 /// All ISA values, widest/most specialised last — handy for test sweeps.
 inline constexpr std::array<ScanIsa, kScanIsaCount> kAllScanIsas{
     ScanIsa::Scalar, ScanIsa::Swar64, ScanIsa::Avx2, ScanIsa::Avx512,
-    ScanIsa::Avx512Vpopcnt};
+    ScanIsa::Avx512Vbmi2};
 
 /// One scan implementation at a fixed lane width: the tile plane compile
 /// and the per-block scorer (plane fetch → carry-save counter add →
@@ -175,7 +176,7 @@ inline constexpr std::array<ScanIsa, kScanIsaCount> kAllScanIsas{
 struct ScanKernel {
   ScanIsa isa;
   const char* name;     // "scalar" | "swar64" | "avx2" | "avx512" |
-                        // "avx512vpopcnt"
+                        // "avx512vbmi2"
   unsigned lanes;       // positions scored per block (1, 64, 256, 512)
 
   /// Writes plane k's word i of `job` to planes[k * stride + i] for every
@@ -200,7 +201,7 @@ struct ScanKernel {
 const ScanKernel* scan_kernel_for(ScanIsa isa) noexcept;
 
 /// Parses a FABP_FORCE_ISA value ("scalar", "swar64", "avx2", "avx512",
-/// "avx512vpopcnt"); returns false on unknown names.
+/// "avx512vbmi2"); returns false on unknown names.
 bool scan_isa_from_name(std::string_view name, ScanIsa& out) noexcept;
 
 /// The kernel every TileScanner entry point without an explicit kernel

@@ -211,8 +211,9 @@ class WireServer {
   /// ticket) to state->pending.  Returns false when the connection must
   /// close (alien/oversized frame).
   bool process_frame(std::string_view payload, ConnState& state);
-  /// Consume a finished ticket into an encoded AlignResponse payload.
-  std::string finish_align(PendingReply& slot);
+  /// Consume a finished ticket into an AlignResponse frame appended to
+  /// `out` (encoded in place, no payload temporary).
+  void finish_align(PendingReply& slot, std::string& out);
   void record_latency(double seconds);
   double recent_percentile_ms(double pct) const;  // callers hold mutex_
   std::uint32_t retry_hint_ms(std::size_t depth) const;

@@ -139,6 +139,13 @@ std::string frame(std::string_view payload);
 /// the server's output buffer takes frames this way.
 void append_frame(std::string& out, std::string_view payload);
 
+/// append_frame(out, encode(message)) with no payload copy: the payload is
+/// encoded straight into `out` behind a 4-byte placeholder, the prefix is
+/// then set from the bytes written and the CRC taken over them in place —
+/// how the server writes align replies.  A payload over kMaxFrameBytes is
+/// cut back off: returns false with `out`'s contents as they were.
+bool append_frame(std::string& out, const AlignResponse& message);
+
 /// Splits a received frame body (payload + CRC trailer) and verifies the
 /// checksum.  On success `payload` views into `body`; on a short body or
 /// CRC mismatch returns false — the caller surfaces a typed

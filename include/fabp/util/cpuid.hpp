@@ -14,16 +14,16 @@ bool cpu_has_avx2() noexcept;
 /// CPU + OS support for AVX-512F (opmask + zmm state enabled in XCR0).
 bool cpu_has_avx512f() noexcept;
 
-/// CPU + OS support for AVX-512 VPOPCNTDQ (per-lane 64-bit popcount);
-/// implies cpu_has_avx512f().
-bool cpu_has_avx512vpopcntdq() noexcept;
+/// CPU + OS support for AVX-512 VBMI2 (VPSHRDV funnel shifts); implies
+/// cpu_has_avx512f().
+bool cpu_has_avx512vbmi2() noexcept;
 
 /// CPU support for BMI2 (PEXT/PDEP); general-purpose registers only, so
 /// no OS state is involved.
 bool cpu_has_bmi2() noexcept;
 
 /// Human-readable summary of the probes above, e.g.
-/// "avx2+avx512f+vpopcntdq", "avx2+avx512f", "avx2", or "baseline" — for
+/// "avx2+avx512f+vbmi2", "avx2+avx512f", "avx2", or "baseline" — for
 /// bench/CLI banners.
 const char* cpu_isa_summary() noexcept;
 

@@ -96,9 +96,9 @@ const ScanKernel* scan_kernel_for(ScanIsa isa) noexcept {
       return util::cpu_has_avx512f() && util::cpu_has_bmi2()
                  ? detail::avx512_kernel()
                  : nullptr;
-    case ScanIsa::Avx512Vpopcnt:
-      return util::cpu_has_avx512vpopcntdq() && util::cpu_has_bmi2()
-                 ? detail::avx512vpopcnt_kernel()
+    case ScanIsa::Avx512Vbmi2:
+      return util::cpu_has_avx512vbmi2() && util::cpu_has_bmi2()
+                 ? detail::avx512vbmi2_kernel()
                  : nullptr;
   }
   return nullptr;
@@ -109,7 +109,7 @@ bool scan_isa_from_name(std::string_view name, ScanIsa& out) noexcept {
   else if (name == "swar64") out = ScanIsa::Swar64;
   else if (name == "avx2") out = ScanIsa::Avx2;
   else if (name == "avx512") out = ScanIsa::Avx512;
-  else if (name == "avx512vpopcnt") out = ScanIsa::Avx512Vpopcnt;
+  else if (name == "avx512vbmi2") out = ScanIsa::Avx512Vbmi2;
   else return false;
   return true;
 }
@@ -124,7 +124,7 @@ const ScanKernel& active_scan_kernel() noexcept {
         if (const ScanKernel* kernel = scan_kernel_for(isa)) return kernel;
     }
     for (ScanIsa isa :
-         {ScanIsa::Avx512Vpopcnt, ScanIsa::Avx512, ScanIsa::Avx2})
+         {ScanIsa::Avx512Vbmi2, ScanIsa::Avx512, ScanIsa::Avx2})
       if (const ScanKernel* kernel = scan_kernel_for(isa)) return kernel;
     return scan_kernel_for(ScanIsa::Swar64);  // always present
   }();

@@ -1,6 +1,6 @@
 #pragma once
-// The AVX-512 Traits (see bitscan_kernel_impl.hpp) shared by the avx512 and
-// avx512vpopcnt kernel TUs, which differ only in their compile flags.
+// The AVX-512 Traits (see bitscan_kernel_impl.hpp) of the avx512 kernel TU,
+// which the avx512vbmi2 TU derives from to replace load_bits alone.
 // Include it only from a TU compiled with -mavx512f -mbmi2.  The struct
 // sits in an anonymous namespace on purpose: each including TU gets its
 // own type, so every instantiation over it stays TU-local and no comdat
@@ -26,12 +26,11 @@ struct Avx512Traits {
   static Vec broadcast(std::uint64_t x) noexcept {
     return _mm512_set1_epi64(static_cast<long long>(x));
   }
-  static Vec load_bits(const std::uint64_t* plane, std::size_t w,
-                       unsigned s) noexcept {
-    // lane k = (plane[w+k] >> s) | (plane[w+k+1] << (64-s)); shift counts
-    // >= 64 yield 0, so s == 0 needs no branch.
-    const Vec lo = _mm512_loadu_si512(plane + w);
-    const Vec hi = _mm512_loadu_si512(plane + w + 1);
+  static Vec load_bits(const std::uint64_t* at, std::uint64_t s) noexcept {
+    // lane k = (at[k] >> s) | (at[k+1] << (64-s)); shift counts >= 64
+    // yield 0, so s == 0 needs no branch.
+    const Vec lo = _mm512_loadu_si512(at);
+    const Vec hi = _mm512_loadu_si512(at + 1);
     return _mm512_or_si512(
         _mm512_srli_epi64(lo, static_cast<unsigned>(s)),
         _mm512_slli_epi64(hi, static_cast<unsigned>(64 - s)));

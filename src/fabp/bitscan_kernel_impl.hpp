@@ -1,6 +1,6 @@
 #pragma once
 // Private, ISA-agnostic core of the scan kernels.  Each kernel TU
-// (bitscan_kernels_{swar,avx2,avx512,avx512vpopcnt}.cpp) defines a Traits
+// (bitscan_kernels_{swar,avx2,avx512,avx512vbmi2}.cpp) defines a Traits
 // type mapping the vertical-counter algorithm onto its vector substrate and
 // instantiates compile_tile_t / scan_batch_t with it.  This header contains
 // no intrinsics, so it compiles identically under every per-TU -m flag
@@ -14,12 +14,11 @@
 //   static constexpr unsigned kWords;
 //   static V zero();
 //   static V broadcast(std::uint64_t x);          // x in every 64-bit lane
-//   static V load_bits(const std::uint64_t* plane, std::size_t w,
-//                      unsigned s);
-//     // 64*kWords plane bits starting at bit offset 64*w + s, i.e.
-//     // lane k = (plane[w+k] >> s) | (plane[w+k+1] << (64 - s));
-//     // reads plane[w .. w + kWords], which the kScanGuardWords padding
-//     // every PlaneView plane carries keeps in bounds.
+//   static V load_bits(const std::uint64_t* at, std::uint64_t s);
+//     // 64*kWords plane bits starting at bit s (0..63) of at[0], i.e.
+//     // lane k = (at[k] >> s) | (at[k+1] << (64 - s));
+//     // reads at[0 .. kWords], which the kScanGuardWords padding every
+//     // PlaneView plane carries keeps in bounds.
 //   static V and_(V, V); or_(V, V); xor_(V, V);
 //   static V andnot(V a, V b);                    // ~a & b
 //   static V not_(V);
@@ -55,7 +54,7 @@ const ScanKernel* scalar_kernel() noexcept;
 const ScanKernel* swar64_kernel() noexcept;
 const ScanKernel* avx2_kernel() noexcept;
 const ScanKernel* avx512_kernel() noexcept;
-const ScanKernel* avx512vpopcnt_kernel() noexcept;
+const ScanKernel* avx512vbmi2_kernel() noexcept;
 
 namespace {
 
@@ -135,28 +134,55 @@ inline void full_add(typename Traits::Vec& carry, typename Traits::Vec& sum,
   carry = Traits::or_(Traits::and_(a, b), Traits::and_(ab, c));
 }
 
-/// Adds `carry` (one bit per lane, weight 2^b) into the counters from
-/// plane b up; stops as soon as no lane carries any further.
+/// Adds `carry` (one bit per lane, weight 2^b) into counters[b, nbits);
+/// the sum fits nbits planes, so nothing carries out of the top one.  On
+/// the vector kernels every level runs, with no test for a carry that
+/// died out: with nbits a compile-time width the loop unrolls into
+/// straight-line code over counters that stay in registers, and a vector
+/// any-bit test costs more than the levels it skips.  A 64-lane word
+/// tests in one compare, and stopping there is faster.
 template <typename Traits>
 inline void ripple_add(typename Traits::Vec* counters, unsigned b,
-                       typename Traits::Vec carry) {
-  for (; Traits::any(carry); ++b) {
+                       unsigned nbits, typename Traits::Vec carry) {
+  for (; b < nbits; ++b) {
+    if constexpr (Traits::kWords == 1)
+      if (!Traits::any(carry)) return;
     const auto overflow = Traits::and_(counters[b], carry);
     counters[b] = Traits::xor_(counters[b], carry);
     carry = overflow;
   }
 }
 
-/// One query prepared for the block loop: the plane and query offset of
-/// each scored element in score_order(), the always-match fold, and the
-/// clamped scan bounds.  A query the preamble rejects (empty, longer than
-/// the reference, threshold above qlen) gets end == begin and is skipped
-/// by the loops below.
+/// Counter widths score_block is instantiated for: the serving shapes,
+/// 20 aa (60 elements) and 80 aa (240).  A query takes the narrowest
+/// class that holds bit_width(scored); a count above the largest (more
+/// than 255 scored elements) takes class 0, the one runtime-width
+/// instance.  Unused planes of a class stay zero.
+inline constexpr unsigned kCounterClasses[] = {6, 8};
+
+inline constexpr unsigned counter_class(unsigned nbits) noexcept {
+  for (unsigned width : kCounterClasses)
+    if (nbits <= width) return width;
+  return 0;
+}
+
+/// A scored element's plane bits at the scan's first position: bit
+/// `shift` of `*word` is its match at position `begin`.  Blocks sit on
+/// whole words from `begin`, so the block w words on reads word + w at
+/// the same shift.
+struct ElementRef {
+  const std::uint64_t* word;
+  std::uint64_t shift;  // 0..63
+};
+
+/// One query prepared for the block loop: each scored element's plane
+/// address in score_order(), the always-match fold, the counter width and
+/// the clamped scan bounds.  A query the preamble rejects (empty, longer
+/// than the reference, threshold above qlen) gets end == begin and is
+/// skipped by the loops below.
 struct PreparedQuery {
-  std::vector<const std::uint64_t*> planes;  // [j]: plane of element j
-  const std::uint32_t* offsets = nullptr;    // [j]: its query offset
-  std::size_t scored = 0;      // elements loaded: qlen - bias
-  unsigned nbits = 0;          // counter planes: bit_width(scored)
+  std::vector<ElementRef> elements;  // [j]: element score_order()[j]
+  unsigned width = 0;  // counter_class(bit_width(elements.size()))
   // Always-matching (AnyD) elements.  Every scored window lies inside the
   // reference, where their plane is all ones, so they add exactly `bias`
   // to every position's score: the scored elements face threshold - bias
@@ -180,52 +206,57 @@ inline PreparedQuery prepare_query(const BitScanQuery& query,
   if (threshold > qlen) return p;  // scores never exceed the element count
   p.end = end;
   const std::vector<std::uint32_t>& order = query.score_order();
-  p.scored = order.size();
-  p.nbits = static_cast<unsigned>(std::bit_width(p.scored));
+  p.width =
+      counter_class(static_cast<unsigned>(std::bit_width(order.size())));
   p.bias = static_cast<std::uint32_t>(query.always_matching());
   p.threshold = threshold > p.bias ? threshold - p.bias : 0;
-  p.offsets = order.data();
-  p.planes.resize(p.scored);
+  p.elements.resize(order.size());
   const std::vector<std::uint8_t>& kinds = query.kinds();
-  for (std::size_t j = 0; j < p.scored; ++j)
-    p.planes[j] = reference.plane(kinds[order[j]]);
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    const std::size_t bit = begin + order[j];
+    p.elements[j] = {reference.plane(kinds[order[j]]) + (bit >> 6),
+                     bit & 63};
+  }
   return p;
 }
 
 /// Scores one block of 64 * Traits::kWords candidate positions starting at
-/// `base` and appends the `block` leading lanes that reach the threshold.
+/// `base`, `word` plane words past the scan's begin, and appends the
+/// `block` leading lanes that reach the threshold.
 ///
 /// Per-position scores accumulate in vertical counters: lane j of counter
-/// plane b is bit b of the scored sum at position base + j (it never
-/// exceeds p.scored, so only the first nbits planes are touched).  The
-/// scored elements are added in p's order (selective first), folded
-/// kScoreGroup at a time through a Harley–Seal carry-save tree of 15 full
-/// adders into counters[0..3] (ones, twos, fours, eights) — the software
-/// shape of FabP's Pop36 column compression — so only the tree's sixteens
-/// output ripples into counters[4..nbits).  A tail of fewer than kScoreGroup
-/// elements folds pairwise through one full adder, then one element alone.
+/// plane b is bit b of the scored sum at position base + j.  kBits planes
+/// exist (kBits == 0: bit_width(scored) of kMaxCounterBits), a
+/// compile-time width so the counters live in registers.  The scored
+/// elements are added in p's order (selective first), folded kScoreGroup
+/// at a time through a Harley–Seal carry-save tree of 15 full adders into
+/// counters[0..3] (ones, twos, fours, eights) — the software shape of
+/// FabP's Pop36 column compression — so only the tree's sixteens output
+/// ripples into counters[4..).  A tail of fewer than kScoreGroup elements
+/// folds pairwise through one full adder, then one element alone.
 ///
 /// After every group that does not end the query, the counters are exact
 /// and a feasibility check abandons the block when no lane can still reach
 /// the threshold even if every remaining element matches — exact, since
 /// such a lane can never produce a hit.  Rare matchers first keep the
 /// partial sums low, so the check fires after fewer groups.
-template <typename Traits>
-inline void score_block(const PreparedQuery& p, std::size_t base,
-                        std::size_t block, std::vector<Hit>& out) {
+template <typename Traits, unsigned kBits>
+inline void score_block(const PreparedQuery& p, std::size_t word,
+                        std::size_t base, std::size_t block,
+                        std::vector<Hit>& out) {
   using V = typename Traits::Vec;
   static_assert(kScoreGroup == 16, "the tree below folds exactly 16 elements");
-  const std::size_t scored = p.scored;
-  const unsigned nbits = p.nbits;
+  const ElementRef* const elements = p.elements.data();
+  const std::size_t scored = p.elements.size();
+  const unsigned nbits =
+      kBits != 0 ? kBits : static_cast<unsigned>(std::bit_width(scored));
   const std::uint32_t threshold = p.threshold;
 
-  V counters[kMaxCounterBits];
+  V counters[kBits != 0 ? kBits : kMaxCounterBits];
   for (unsigned b = 0; b < nbits; ++b) counters[b] = Traits::zero();
 
   const auto element = [&](std::size_t j) {
-    const std::size_t offset = base + p.offsets[j];
-    return Traits::load_bits(p.planes[j], offset >> 6,
-                             static_cast<unsigned>(offset & 63));
+    return Traits::load_bits(elements[j].word + word, elements[j].shift);
   };
 
   std::size_t i = 0;
@@ -260,7 +291,7 @@ inline void score_block(const PreparedQuery& p, std::size_t base,
       const V b = fold8(i + 8);
       V sixteens;
       full_add<Traits>(sixteens, eights, eights, a, b);
-      ripple_add<Traits>(counters, 4, sixteens);
+      ripple_add<Traits>(counters, 4, nbits, sixteens);
 
       // A lane can still hit iff partial + remaining >= threshold.
       const std::size_t remaining = scored - (i + kScoreGroup);
@@ -277,9 +308,9 @@ inline void score_block(const PreparedQuery& p, std::size_t base,
     V carry;
     full_add<Traits>(carry, counters[0], counters[0], element(i),
                      element(i + 1));
-    ripple_add<Traits>(counters, 1, carry);
+    ripple_add<Traits>(counters, 1, nbits, carry);
   }
-  if (i < scored) ripple_add<Traits>(counters, 0, element(i));
+  if (i < scored) ripple_add<Traits>(counters, 0, nbits, element(i));
 
   // score >= threshold per lane: no borrow-out of (score - threshold).
   const V borrow = counter_borrow<Traits>(counters, nbits, threshold);
@@ -306,12 +337,23 @@ void scan_batch_t(const BitScanQuery* const* queries,
   // planes per query.  Blocks are aligned to `begin` whatever the batch,
   // so each outs[q] matches a one-query scan bit for bit.
   constexpr std::size_t kLanes = 64ull * Traits::kWords;
-  for (std::size_t base = begin; base < max_end; base += kLanes) {
+  for (std::size_t base = begin, word = 0; base < max_end;
+       base += kLanes, word += Traits::kWords) {
     for (std::size_t q = 0; q < count; ++q) {
       const PreparedQuery& p = prepared[q];
       if (base >= p.end) continue;
       const std::size_t block = std::min(kLanes, p.end - base);
-      score_block<Traits>(p, base, block, outs[q]);
+      switch (p.width) {  // one case per kCounterClasses entry
+        case 6:
+          score_block<Traits, 6>(p, word, base, block, outs[q]);
+          break;
+        case 8:
+          score_block<Traits, 8>(p, word, base, block, outs[q]);
+          break;
+        default:
+          score_block<Traits, 0>(p, word, base, block, outs[q]);
+          break;
+      }
     }
   }
 }

@@ -22,15 +22,13 @@ struct Avx2Traits {
   static Vec broadcast(std::uint64_t x) noexcept {
     return _mm256_set1_epi64x(static_cast<long long>(x));
   }
-  static Vec load_bits(const std::uint64_t* plane, std::size_t w,
-                       unsigned s) noexcept {
-    // lane k = (plane[w+k] >> s) | (plane[w+k+1] << (64-s)); VPSLLQ with a
-    // count >= 64 yields 0, so s == 0 needs no branch (unlike the C++
-    // shift in the SWAR kernel).
-    const Vec lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(plane + w));
-    const Vec hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(plane + w + 1));
+  static Vec load_bits(const std::uint64_t* at, std::uint64_t s) noexcept {
+    // lane k = (at[k] >> s) | (at[k+1] << (64-s)); VPSLLQ with a count
+    // >= 64 yields 0, so s == 0 needs no branch (unlike the C++ shift in
+    // the SWAR kernel).
+    const Vec lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at));
+    const Vec hi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at + 1));
     return _mm256_or_si256(
         _mm256_srli_epi64(lo, static_cast<int>(s)),
         _mm256_slli_epi64(hi, static_cast<int>(64 - s)));

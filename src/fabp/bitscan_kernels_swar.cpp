@@ -14,10 +14,9 @@ struct Swar64Traits {
   static constexpr unsigned kWords = 1;
   static Vec zero() noexcept { return 0; }
   static Vec broadcast(std::uint64_t x) noexcept { return x; }
-  static Vec load_bits(const std::uint64_t* plane, std::size_t w,
-                       unsigned s) noexcept {
-    std::uint64_t match = plane[w] >> s;
-    if (s != 0) match |= plane[w + 1] << (64 - s);
+  static Vec load_bits(const std::uint64_t* at, std::uint64_t s) noexcept {
+    std::uint64_t match = at[0] >> s;
+    if (s != 0) match |= at[1] << (64 - s);
     return match;
   }
   static Vec and_(Vec a, Vec b) noexcept { return a & b; }
@@ -58,10 +57,10 @@ void scalar_position_range(const PreparedQuery& p, std::size_t begin,
                            std::vector<Hit>& out) {
   for (std::size_t pos = begin; pos < p.end; ++pos) {
     std::uint32_t score = 0;
-    for (std::size_t j = 0; j < p.scored; ++j) {
-      const std::size_t offset = pos + p.offsets[j];
-      score += static_cast<std::uint32_t>(
-          (p.planes[j][offset >> 6] >> (offset & 63)) & 1u);
+    for (const ElementRef& e : p.elements) {
+      const std::size_t bit = e.shift + (pos - begin);
+      score += static_cast<std::uint32_t>((e.word[bit >> 6] >> (bit & 63)) &
+                                          1u);
     }
     if (score >= p.threshold) out.push_back(Hit{pos, score + p.bias});
   }

@@ -260,7 +260,7 @@ std::uint32_t WireServer::retry_hint_ms(std::size_t depth) const {
   return static_cast<std::uint32_t>(std::clamp(hint, 1.0, 2000.0));
 }
 
-std::string WireServer::finish_align(PendingReply& slot) {
+void WireServer::finish_align(PendingReply& slot, std::string& out) {
   AlignResponse response;
   response.id = slot.id;
   auto outcome = slot.ticket.wait();
@@ -279,8 +279,7 @@ std::string WireServer::finish_align(PendingReply& slot) {
   const double seconds = seconds_between(slot.t0, Clock::now());
   response.server_seconds = seconds;
   record_latency(seconds);
-  std::string encoded = encode(response);
-  if (encoded.size() > kMaxFrameBytes) {
+  if (!append_frame(out, response)) {
     // The wire contract forbids emitting this; answer with the typed
     // error instead of a frame the client must reject.
     response.hits.clear();
@@ -288,14 +287,13 @@ std::string WireServer::finish_align(PendingReply& slot) {
     response.status =
         static_cast<std::uint8_t>(core::ErrorCode::BadArgument);
     response.error = "hit list exceeds the response frame limit";
-    encoded = encode(response);
+    append_frame(out, response);
   }
   {
     std::lock_guard lock{mutex_};
     ++requests_;
     if (response.status != 0) ++errors_;
   }
-  return encoded;
 }
 
 bool WireServer::process_frame(std::string_view payload, ConnState& state) {
@@ -454,14 +452,17 @@ void WireServer::handle_connection(Socket conn,
   auto last_rx = Clock::now();
   auto last_tx = last_rx;
 
-  // Appends one payload to outbuf as a wire frame, routed through the
-  // per-connection fault plan when chaos is on.
-  const auto emit = [&](std::string_view payload) {
-    if (!faulty) {
-      append_frame(outbuf, payload);
-      return;
-    }
-    std::string framed = frame(payload);
+  // Appends one reply to outbuf as a wire frame; align replies are encoded
+  // straight into outbuf.  With chaos on, the frame is built aside and
+  // routed through the per-connection fault plan.
+  const auto emit = [&](PendingReply& slot) {
+    std::string framed;
+    std::string& out = faulty ? framed : outbuf;
+    if (slot.has_ticket)
+      finish_align(slot, out);
+    else
+      append_frame(out, slot.ready_payload);
+    if (!faulty) return;
     const FramePlan plan = injector.plan_frame(framed.size());
     if (plan.delay_ms > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(plan.delay_ms));
@@ -496,7 +497,7 @@ void WireServer::handle_connection(Socket conn,
         if (front.has_ticket && !front.ticket.ready()) break;
         PendingReply slot = std::move(front);
         state->pending.pop_front();
-        emit(slot.has_ticket ? finish_align(slot) : slot.ready_payload);
+        emit(slot);
       }
       inflight = state->pending.size();
     }

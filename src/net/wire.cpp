@@ -129,6 +129,25 @@ void put_header(std::string& out, MessageType type) {
   put(out, kProtocolVersion);
 }
 
+/// Exact payload size, the reserve hint: the fixed fields, the error
+/// string and both hit lists with their u32 counts.
+std::size_t payload_size(const AlignResponse& message) noexcept {
+  return 2 + 8 + 1 + 4 + 8 + 8 + 4 + message.error.size() + 4 + 4 +
+         kHitBytes * (message.hits.size() + message.reverse_hits.size());
+}
+
+void put_payload(std::string& out, const AlignResponse& message) {
+  put_header(out, MessageType::AlignResponse);
+  put(out, message.id);
+  put(out, message.status);
+  put(out, message.retry_after_ms);
+  put(out, std::bit_cast<std::uint64_t>(message.server_seconds));
+  put(out, message.generation);
+  put_string(out, message.error);
+  put_hits(out, message.hits);
+  put_hits(out, message.reverse_hits);
+}
+
 }  // namespace
 
 std::string encode(const AlignRequest& message) {
@@ -147,19 +166,8 @@ std::string encode(const AlignRequest& message) {
 
 std::string encode(const AlignResponse& message) {
   std::string out;
-  // Exact size: the fixed fields, the error string and both hit lists
-  // with their u32 counts.
-  out.reserve(2 + 8 + 1 + 4 + 8 + 8 + 4 + message.error.size() + 4 + 4 +
-              kHitBytes * (message.hits.size() + message.reverse_hits.size()));
-  put_header(out, MessageType::AlignResponse);
-  put(out, message.id);
-  put(out, message.status);
-  put(out, message.retry_after_ms);
-  put(out, std::bit_cast<std::uint64_t>(message.server_seconds));
-  put(out, message.generation);
-  put_string(out, message.error);
-  put_hits(out, message.hits);
-  put_hits(out, message.reverse_hits);
+  out.reserve(payload_size(message));
+  put_payload(out, message);
   return out;
 }
 
@@ -207,6 +215,25 @@ void append_frame(std::string& out, std::string_view payload) {
   put(out, static_cast<std::uint32_t>(payload.size()) + kFrameCrcBytes);
   out.append(payload);
   put(out, util::crc32(payload.data(), payload.size()));
+}
+
+bool append_frame(std::string& out, const AlignResponse& message) {
+  // The prefix is patched from the bytes put_payload wrote, so it can
+  // never disagree with the body.
+  const std::size_t start = out.size();
+  out.reserve(start + 4 + payload_size(message) + kFrameCrcBytes);
+  out.resize(start + 4);
+  const std::size_t at = out.size();
+  put_payload(out, message);
+  const std::size_t size = out.size() - at;
+  if (size > kMaxFrameBytes) {
+    out.resize(start);
+    return false;
+  }
+  store_le(out.data() + start,
+           static_cast<std::uint32_t>(size + kFrameCrcBytes));
+  put(out, util::crc32(out.data() + at, size));
+  return true;
 }
 
 std::string frame(std::string_view payload) {

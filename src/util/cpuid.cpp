@@ -23,7 +23,7 @@ std::uint64_t xcr0() noexcept {
 struct Features {
   bool avx2 = false;
   bool avx512f = false;
-  bool avx512vpopcntdq = false;
+  bool avx512vbmi2 = false;
   bool bmi2 = false;
 };
 
@@ -41,9 +41,10 @@ Features probe() noexcept {
   const bool zmm_ok = (x & 0xE6) == 0xE6;          // + opmask, zmm, hi16_zmm
   f.avx2 = ymm_ok && (ebx & (1u << 5)) != 0;       // leaf 7.0 EBX.AVX2
   f.avx512f = zmm_ok && (ebx & (1u << 16)) != 0;   // leaf 7.0 EBX.AVX512F
-  // Leaf 7.0 ECX.AVX512_VPOPCNTDQ; gated on AVX512F so the implication in
-  // the header holds even on hypothetical CPUID combinations.
-  f.avx512vpopcntdq = f.avx512f && (ecx & (1u << 14)) != 0;
+  // Leaf 7.0 ECX.AVX512_VBMI2; gated on AVX512F (and so on the zmm state)
+  // so the implication in the header holds even on hypothetical CPUID
+  // combinations.
+  f.avx512vbmi2 = f.avx512f && (ecx & (1u << 6)) != 0;
   return f;
 }
 
@@ -52,7 +53,7 @@ Features probe() noexcept {
 struct Features {
   bool avx2 = false;
   bool avx512f = false;
-  bool avx512vpopcntdq = false;
+  bool avx512vbmi2 = false;
   bool bmi2 = false;
 };
 
@@ -71,15 +72,13 @@ bool cpu_has_avx2() noexcept { return features().avx2; }
 
 bool cpu_has_avx512f() noexcept { return features().avx512f; }
 
-bool cpu_has_avx512vpopcntdq() noexcept {
-  return features().avx512vpopcntdq;
-}
+bool cpu_has_avx512vbmi2() noexcept { return features().avx512vbmi2; }
 
 bool cpu_has_bmi2() noexcept { return features().bmi2; }
 
 const char* cpu_isa_summary() noexcept {
   const Features& f = features();
-  if (f.avx512vpopcntdq) return "avx2+avx512f+vpopcntdq";
+  if (f.avx512vbmi2) return "avx2+avx512f+vbmi2";
   if (f.avx512f) return "avx2+avx512f";
   if (f.avx2) return "avx2";
   return "baseline";

@@ -1,6 +1,6 @@
 // Differential coverage of the carry-save scorer (score_block in
 // src/fabp/bitscan_kernel_impl.hpp) that every SIMD kernel — swar64, avx2,
-// avx512, avx512vpopcnt — instantiates: 16 query elements per Harley–Seal
+// avx512, avx512vbmi2 — instantiates: 16 query elements per Harley–Seal
 // group through a tree of 15 full adders into the four low counter planes,
 // the sixteens carry rippled into the planes above, a pairwise tail, and a
 // feasibility early exit at every group boundary that does not end the
@@ -14,7 +14,9 @@
 // shifted by their count) are pinned at their edges: all-AnyD queries,
 // thresholds at or below the fold, thresholds 0 and qlen, Type III
 // elements at offsets 0 and 1, and rare elements at the query's tail —
-// each alone and in mixed-length batches.
+// each alone and in mixed-length batches.  Every counter width the scorer
+// is instantiated at is reached from both sides of its edge, with scans
+// that begin mid-word.
 
 #include <gtest/gtest.h>
 
@@ -347,6 +349,83 @@ TEST(ScanCsa, RareElementsAtTheTail) {
   thresholds.push_back(5);
   EXPECT_FALSE(golden_hits(query, ref, qlen).empty());
   expect_solo_and_batch_match_golden(raw, thresholds, ref, "rare tail");
+}
+
+// n elements of every kind but AnyD, with no Type III element at offset 0
+// or 1 (where it may compile to AnyD): all n are scored.
+std::vector<BackElement> scored_elements(std::size_t n,
+                                         util::Xoshiro256& rng) {
+  std::vector<BackElement> query = random_elements(n, rng);
+  for (std::size_t i = 0; i < n; ++i)
+    if (query[i].type == ElementType::DependentIII &&
+        (i < 2 || query[i].func == Function::AnyD))
+      query[i] = exact(static_cast<std::uint8_t>(rng.next() % 4));
+  return query;
+}
+
+TEST(ScanCsa, EveryCounterWidthClass) {
+  // score_block keeps its counters in registers at a fixed width per
+  // query: 6 or 8 planes, the narrowest holding bit_width(scored); one
+  // runtime-width instance takes counts above 255.  Scored counts below a
+  // full 16-element group, on both sides of every class edge and past
+  // the largest, each scanned alone and all in one mixed-width batch.
+  // Threshold 0 reads every lane's counters back; threshold qlen keeps
+  // only the planted full match.  Splitting the scan at a mid-word
+  // position (1, 63, 257) starts a tile off the word grid, so every
+  // element's precomputed plane word and shift must account for the
+  // scan's begin.
+  util::Xoshiro256 rng{461};
+  NucleotideSequence ref = bio::random_dna(4000, rng);
+  std::vector<std::vector<BackElement>> raw;
+  std::vector<std::uint32_t> thresholds;
+  std::size_t at = 0;
+  for (std::size_t n : {1u, 15u, 16u, 63u, 64u, 255u, 256u, 1024u}) {
+    const auto query = scored_elements(n, rng);
+    ASSERT_EQ(BitScanQuery{query}.score_order().size(), n);
+    plant_exact_match(query, ref, at);
+    at += n + 20;
+    for (std::uint32_t t : probe_thresholds(n)) {
+      raw.push_back(query);
+      thresholds.push_back(t);
+    }
+  }
+  ASSERT_LE(at, ref.size());
+  for (std::size_t q = 2; q < raw.size(); q += 3)
+    EXPECT_FALSE(golden_hits(raw[q], ref, thresholds[q]).empty()) << q;
+  expect_solo_and_batch_match_golden(raw, thresholds, ref, "width classes");
+
+  std::vector<BitScanQuery> queries;
+  std::vector<std::vector<Hit>> golden;
+  for (std::size_t q = 0; q < raw.size(); ++q) {
+    queries.emplace_back(raw[q]);
+    golden.push_back(golden_hits(raw[q], ref, thresholds[q]));
+  }
+  const bio::PackedNucleotides packed{ref};
+  for (std::size_t tile : kTiles) {
+    const TileScanner scanner{packed, {.tile_positions = tile}};
+    for (const ScanKernel* kernel : reachable_kernels()) {
+      for (std::size_t split : {1u, 63u, 257u}) {
+        const std::string where = std::string{kernel->name} +
+                                  " tile=" + std::to_string(tile) +
+                                  " split=" + std::to_string(split);
+        for (std::size_t q = 0; q < raw.size(); ++q) {
+          std::vector<Hit> hits;
+          scanner.range(*kernel, queries[q], thresholds[q], 0, split, hits);
+          scanner.range(*kernel, queries[q], thresholds[q], split,
+                        ref.size(), hits);
+          EXPECT_EQ(hits, golden[q]) << where << " solo q=" << q;
+        }
+        std::vector<std::vector<Hit>> outs(raw.size());
+        for (const auto& [lo, hi] :
+             {std::pair{std::size_t{0}, split}, {split, ref.size()}})
+          scanner.range_batch(*kernel, pointers(queries).data(),
+                              thresholds.data(), raw.size(), lo, hi,
+                              outs.data());
+        for (std::size_t q = 0; q < raw.size(); ++q)
+          EXPECT_EQ(outs[q], golden[q]) << where << " batch q=" << q;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential coverage of the ISA-dispatched scan kernels: every kernel
 // reachable on the host (scalar, swar64 and — CPU permitting — avx2,
-// avx512, avx512vpopcnt) must produce output bit-for-bit identical to the
+// avx512, avx512vbmi2) must produce output bit-for-bit identical to the
 // golden scalar oracle on the same inputs, for single-query ranges and
 // for multi-query batches, including block-boundary, guard-word and
 // size < 64 edge cases.  Each kernel runs through TileScanner twice: with
@@ -47,8 +47,10 @@ TEST(ScanKernels, IsaNamesParse) {
   EXPECT_EQ(isa, ScanIsa::Avx2);
   EXPECT_TRUE(scan_isa_from_name("avx512", isa));
   EXPECT_EQ(isa, ScanIsa::Avx512);
-  EXPECT_TRUE(scan_isa_from_name("avx512vpopcnt", isa));
-  EXPECT_EQ(isa, ScanIsa::Avx512Vpopcnt);
+  EXPECT_TRUE(scan_isa_from_name("avx512vbmi2", isa));
+  EXPECT_EQ(isa, ScanIsa::Avx512Vbmi2);
+  // The retired VPOPCNTDQ build's name is unknown: auto-detection wins.
+  EXPECT_FALSE(scan_isa_from_name("avx512vpopcnt", isa));
   EXPECT_FALSE(scan_isa_from_name("sse9", isa));
   EXPECT_FALSE(scan_isa_from_name("", isa));
 }
@@ -365,8 +367,8 @@ TEST(ScanKernels, WideKernelsImplyCpuSupport) {
   if (const ScanKernel* kernel = scan_kernel_for(ScanIsa::Avx512)) {
     EXPECT_EQ(kernel->lanes, 512u);
   }
-  if (const ScanKernel* kernel = scan_kernel_for(ScanIsa::Avx512Vpopcnt)) {
-    // Implies the plain AVX-512 path too: vpopcnt is a superset.
+  if (const ScanKernel* kernel = scan_kernel_for(ScanIsa::Avx512Vbmi2)) {
+    // Implies the plain AVX-512 path too: VBMI2 is a superset.
     EXPECT_EQ(kernel->lanes, 512u);
     EXPECT_NE(scan_kernel_for(ScanIsa::Avx512), nullptr);
   }

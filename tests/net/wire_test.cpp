@@ -214,6 +214,20 @@ TEST(Wire, GoldenAlignResponseFrame) {
   EXPECT_EQ(out.reverse_hits, m.reverse_hits);
 }
 
+TEST(Wire, AlignResponseFramedInPlaceMatchesGolden) {
+  // The server's path: the payload encoded straight into an output buffer
+  // that already holds earlier frames, behind its own length prefix.
+  const std::string golden = frame(encode(golden_response()));
+  std::string out = "earlier frames";
+  ASSERT_TRUE(append_frame(out, golden_response()));
+  EXPECT_EQ(out, "earlier frames" + golden);
+  AlignResponse empty;
+  empty.id = 9;
+  out.clear();
+  ASSERT_TRUE(append_frame(out, empty));
+  EXPECT_EQ(out, frame(encode(empty)));
+}
+
 TEST(Wire, GoldenAlignResponseTruncationLeavesOutputUntouched) {
   const std::string payload = encode(golden_response());
   AlignResponse sentinel;

@@ -17,11 +17,13 @@
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
 #      retry/degrade state machine — and the kernel differential suites,
-#      as dispatched, with FABP_FORCE_ISA=avx512 (its TU differs from
-#      avx512vpopcnt in compile flags, and both compile tiles with PEXT)
-#      and with FABP_FORCE_ISA=swar64 — UB coverage over the shared
-#      carry-save scorer, the per-ISA tile compiles and the SWAR shift
-#      path — and the device cost model suites (width-only Pop36 LUT
+#      as dispatched, and forced to each of avx512, avx512vbmi2 and swar64
+#      (the two AVX-512 kernels differ in their element load: two shifts
+#      and an OR against one VPSHRDVQ funnel shift, and both compile
+#      tiles with PEXT) — UB coverage over the shared carry-save scorer
+#      at every counter width, the per-tile element addressing, the
+#      per-ISA tile compiles and the SWAR shift path — and the device
+#      cost model suites (width-only Pop36 LUT
 #      count, closed-form beat timing, invocation timing), the shard
 #      chaos suite — UB coverage over the card windows' offset arithmetic
 #      and the RC image cut on the fault path — and the engine's
@@ -48,7 +50,7 @@
 #      `fabp serve --backend hwsim` smoke run that must report the
 #      pipeline stats line in its metrics dump, and
 #   7. the kernel differential suites once per forced ISA the host can
-#      actually run (swar64|avx2|avx512|avx512vpopcnt, probed via
+#      actually run (swar64|avx2|avx512|avx512vbmi2, probed via
 #      `fabp isa`; unsupported ISAs are skipped) — every SIMD kernel is
 #      held, through TileScanner, to the scalar oracle, the encoded-query
 #      oracle and the accelerator's LUT path via the same env-override
@@ -131,7 +133,7 @@ UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
     --gtest_filter='Chaos*'
 UBSAN_OPTIONS=halt_on_error=1 build-ubsan/tests/core_tests \
     --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
-for isa in avx512 swar64; do
+for isa in avx512 avx512vbmi2 swar64; do
   UBSAN_OPTIONS=halt_on_error=1 FABP_FORCE_ISA="$isa" \
       build-ubsan/tests/core_tests \
       --gtest_filter='BitScan*:ScanKernels*:ScanCsa*:TileScan*'
@@ -165,7 +167,7 @@ build/tools/fabp serve 50000 16 128 2 --backend hwsim \
     || { echo "serve --backend hwsim printed no pipeline stats"; exit 1; }
 
 echo "== check.sh: kernel differential suites per forced ISA =="
-for isa in swar64 avx2 avx512 avx512vpopcnt; do
+for isa in swar64 avx2 avx512 avx512vbmi2; do
   if build/tools/fabp isa | grep -qx "$isa"; then
     echo "-- FABP_FORCE_ISA=$isa"
     FABP_FORCE_ISA="$isa" build/tests/core_tests \
