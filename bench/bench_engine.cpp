@@ -3,7 +3,7 @@
 // harness records sustained queries/second, p50/p99 request latency and
 // the coalesced-batch occupancy the scheduler achieved, for the tiled
 // software backend and the full hw-sim card model.  The 1-client
-// sequential row (Session-facade path, no queue) is the baseline every
+// sequential row (align_sync, no queue) is the baseline every
 // sweep point is compared against, and every completed request's hit
 // list is checked against that baseline — a throughput number from a
 // wrong answer is worthless.  Alongside the console tables the harness
@@ -93,7 +93,7 @@ EngineConfig engine_config(BackendKind kind, std::size_t requests) {
   return config;
 }
 
-// Sequential baseline: the Session-facade path, one align_sync at a time
+// Sequential baseline: the synchronous path, one align_sync at a time
 // on a single thread.  No queue, no coalescing — per-request latency is
 // exactly one full scan.
 LoadPoint run_sequential(Engine& engine,
@@ -243,13 +243,13 @@ std::vector<PipelinePoint> run_hwsim_pipeline(
     requests.push_back(request);
   }
 
-  // Serial hw-sim truth: one run() per request.
+  // Serial hw-sim truth: one single-request run_many per request.
   const core::HostConfig serial_config;
   const auto serial =
       core::make_backend(BackendKind::HwSim, serial_config, store);
   std::vector<std::vector<Hit>> expected;
   for (const core::BackendRequest& request : requests) {
-    auto run = serial->run(request);
+    auto run = std::move(serial->run_many({&request, 1}).front());
     if (!run.has_value()) std::abort();
     expected.push_back(std::move(run->hits));
   }

@@ -23,9 +23,9 @@ int run_fasta(const char* ref_path, const char* query_path) {
   for (const auto& record : bio::read_fasta_file(query_path))
     queries.push_back(bio::ProteinSequence::parse(record.sequence));
 
-  core::Session session;
-  session.upload_reference(db.packed());
-  const auto batch = session.align_batch(queries, 0.85);
+  core::Engine engine;
+  engine.upload_reference(db.packed());
+  const auto batch = engine.align_batch_sync(queries, 0.85).value_or_throw();
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const auto annotated =
         core::annotate_hits(batch.per_query[q].hits, db, queries[q]);
@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
     truth.push_back(g);
   }
 
-  core::Session session;
-  session.upload_reference(db.packed());
-  const auto batch = session.align_batch(queries, 0.85);
+  core::Engine engine;
+  engine.upload_reference(db.packed());
+  const auto batch = engine.align_batch_sync(queries, 0.85).value_or_throw();
 
   std::size_t correct = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {

@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   qspec.seed = seed + 1;
   const bio::QuerySet queries = bio::sample_queries(db, n_queries, qspec);
 
-  core::Session session;
-  session.upload_reference(db.dna);
+  core::Engine engine;
+  engine.upload_reference(db.dna);
 
   blast::TblastnConfig blast_cfg;
   blast_cfg.evalue_cutoff = 1e-6;
@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
     // FabP: threshold at 85% of the elements (tolerates the divergence).
     const auto threshold =
         static_cast<std::uint32_t>(query.size() * 3 * 85 / 100);
-    const core::HostRunReport fabp = session.align(query, threshold);
+    const core::HostRunReport fabp =
+        engine.align_sync(query, threshold).value_or_throw();
     fabp_model_s += fabp.total_s;
 
     bool fabp_found = false;
@@ -72,8 +73,8 @@ int main(int argc, char** argv) {
 
     // TBLASTN on the same query.
     util::Timer timer;
-    blast::Tblastn engine{query, blast_cfg};
-    const blast::TblastnResult tr = engine.search(db.dna);
+    blast::Tblastn tblastn{query, blast_cfg};
+    const blast::TblastnResult tr = tblastn.search(db.dna);
     blast_wall_s += timer.seconds();
     bool blast_found = false;
     for (const auto& hit : tr.hits)

@@ -1,5 +1,5 @@
 // Quickstart: align one protein query against a small DNA reference with
-// the FabP host session, print the hits, and show what the encoding looks
+// the FabP host engine, print the hits, and show what the encoding looks
 // like.  Mirrors the flow of Fig. 1: back-translate -> encode -> align.
 
 #include <iostream>
@@ -35,11 +35,12 @@ int main() {
 
   // Align on the modeled Kintex-7 card.  Threshold: at least 90% of the
   // 3 * |query| elements must match.
-  core::Session session;
-  session.upload_reference(reference);
+  core::Engine engine;
+  engine.upload_reference(reference);
   const auto threshold =
       static_cast<std::uint32_t>(elements.size() * 9 / 10);
-  const core::HostRunReport report = session.align(query, threshold);
+  const core::HostRunReport report =
+      engine.align_sync(query, threshold).value_or_throw();
 
   std::cout << "hits (threshold " << threshold << "/" << elements.size()
             << "):\n";

@@ -7,8 +7,8 @@
 // device invocations and wrapped in the fault-detection/recovery
 // machinery.  Every backend consumes a CompiledQuery (the compile layer's
 // artifact) and returns hits + per-run stats through one uniform
-// BackendRun, so the engine's coalescing scheduler and the Session facade
-// schedule them interchangeably — the architecture ASAP and the
+// BackendRun, so the engine's coalescing scheduler and its synchronous
+// path schedule them interchangeably — the architecture ASAP and the
 // FPGA-alignment surveys frame for alignment accelerators behind a host
 // runtime.
 //
@@ -207,10 +207,6 @@ class ScanBackend {
   virtual BackendKind kind() const noexcept = 0;
   std::string_view name() const noexcept { return to_string(kind()); }
 
-  /// One aligned search (both strands when the config says so): a
-  /// one-request run_many.  Typed errors only.
-  Expected<BackendRun> run(const BackendRequest& request);
-
   /// A coalesced batch as one call, in request order: element [i] is the
   /// result for requests[i].  Device accounting plus fault detection and
   /// repair over the given hit lists; the hw-sim backend packs the batch
@@ -254,8 +250,7 @@ class ScanBackend {
 };
 
 /// Constructs a backend over `window` of `store` for `kind`.  The store
-/// and config must outlive the backend (the engine/Session owns all
-/// three).
+/// and config must outlive the backend (the engine owns all three).
 std::unique_ptr<ScanBackend> make_backend(BackendKind kind,
                                           const HostConfig& config,
                                           const ReferenceStore& store,
@@ -263,14 +258,13 @@ std::unique_ptr<ScanBackend> make_backend(BackendKind kind,
 
 /// Turns a backend run into the public HostRunReport: adds the PCIe
 /// transfer model (query upload, readback, optional reference transfer),
-/// charges recovery time, and prices energy — exactly the accounting the
-/// pre-refactor Session::finish performed.
+/// charges recovery time, and prices energy.
 HostRunReport finalize_run(const HostConfig& config,
                            const CompiledQuery& query, BackendRun run,
                            std::size_t reference_bytes);
 
 /// Timing-only projection against a hypothetical reference of `bytes`
-/// packed bytes (Session::estimate's engine).
+/// packed bytes (Engine::estimate).
 HostRunReport estimate_run(const HostConfig& config,
                            const CompiledQuery& query, std::uint32_t threshold,
                            std::size_t bytes);

@@ -1,8 +1,8 @@
 #pragma once
 // Engine layer of the serving runtime (DESIGN.md §"Layered host runtime").
 //
-// The Session facade answers one query at a time on the caller's thread.
-// A deployment answers many callers at once against one card: requests
+// align_sync and align_batch_sync answer on the caller's thread.  A
+// deployment answers many callers at once against one card: requests
 // arrive concurrently, wait in a bounded admission queue, and the scarce
 // resource — one pass over the resident reference — wants to be shared.
 // The Engine is that serving loop: submit() enqueues a request and hands
@@ -26,12 +26,12 @@
 // refusals.
 //
 // Determinism contract: the hits of a coalesced request are bit-for-bit
-// the hits of Session::align on the same query/threshold and generation
-// (pinned by the engine differential tests for all three backends).
+// the hits of align_sync on the same query/threshold and generation
+// (pinned by the engine differential tests for every backend).
 //
 // Scan pool: the engine owns one util::ThreadPool, one worker per CPU in
 // the process affinity mask (util::schedulable_cpus()), started beside
-// the engine workers so a sync-only Session spawns no thread.  Every
+// the engine workers so a sync-only caller spawns no thread.  Every
 // async batch scans on it: TileScanner splits each strand scan into tile
 // runs (TileScanner::scan_runs), a sharded generation's one whole-store
 // scan included.  Deadlock rule: a scan-pool task never waits on the scan
@@ -45,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -106,7 +107,7 @@ struct EngineConfig {
   bool autostart = true;
   /// Pre-registered tenants (weight/quota overrides).  Unlisted tenant
   /// names are admitted with the defaults below.
-  std::vector<TenantConfig> tenants;
+  std::vector<TenantConfig> tenants{};
   double default_tenant_weight = 1.0;
   std::size_t default_tenant_quota = 0;
 };
@@ -360,15 +361,15 @@ Error validate_engine_config(const EngineConfig& config) noexcept;
 class Engine {
  public:
   /// The database upload_reference() publishes to and requests with no
-  /// database name are routed to (the single-database facade view).
+  /// database name are routed to.
   static constexpr const char* kDefaultDatabase = "default";
   /// The tenant unlabelled requests are billed to.
   static constexpr const char* kDefaultTenant = "default";
 
   /// Throws FaultError{InvalidConfig} when validate_engine_config rejects
   /// the configuration.  Worker threads start lazily on the first
-  /// submit(), so purely synchronous use (the Session facade) never
-  /// spawns a thread.
+  /// submit(), so purely synchronous use (align_sync, align_batch_sync
+  /// without a pool, software_hits) never spawns a thread.
   explicit Engine(EngineConfig config = {});
   ~Engine();
 
@@ -376,7 +377,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // --- reference lifecycle ------------------------------------------------
-  /// Single-database facade (the Session path): publishes a new generation
+  /// Transfers the reference to card DRAM: publishes a new generation
   /// of kDefaultDatabase.  In-flight requests finish on the snapshot they
   /// were admitted under; fresh backends per generation preserve the
   /// "no stale CRCs after re-upload" contract by construction.
@@ -413,26 +414,42 @@ class Engine {
   /// Only needed with autostart off.
   void start();
 
-  // --- synchronous paths (the Session facade) ----------------------------
-  /// One aligned search on the caller's thread, exactly Session::try_align:
-  /// a one-query scan_batch per strand, then the accounting run.  Runs
-  /// against the default database's active generation.
+  // --- synchronous paths -------------------------------------------------
+  /// End-to-end aligned search of one protein query on the caller's
+  /// thread, against the default database's active generation.  Under an
+  /// injected fault schedule the recovery machinery retries, repairs and
+  /// (if allowed) degrades, so the returned hits are always bit-exact with
+  /// the golden model; a typed error comes back only when the schedule is
+  /// unrecoverable or no reference is uploaded (NoReference).  Callers
+  /// that want an exception use value_or_throw().  An unencodable residue
+  /// throws.
   Expected<HostRunReport> align_sync(const bio::ProteinSequence& query,
                                      std::uint32_t threshold);
 
-  /// Batch align on the caller's thread: one multi-query scan produces
-  /// every hit list, then per-query runs account for them — exactly
-  /// Session::try_align_batch.
+  /// Aligns a batch against the resident reference (the paper's
+  /// deployment model: the database is transferred once, queries stream
+  /// through).  Thresholds are per-query fractions of the query's element
+  /// count.  One multi-query pass over the reference (chunked over `pool`
+  /// when given) produces every hit list; each query is then accounted as
+  /// its own device invocation, so every per-query report is bit-for-bit
+  /// what align_sync returns for it.  The first failing query's error is
+  /// returned for the whole batch.
   Expected<BatchReport> align_batch_sync(
       std::span<const bio::ProteinSequence> queries, double threshold_fraction,
       util::ThreadPool* pool = nullptr);
 
-  /// Timing-only projection (Session::estimate).
+  /// Timing-only estimate against a hypothetical reference of `bytes`
+  /// bytes (2-bit packed), for database-scale projections.
   HostRunReport estimate(const bio::ProteinSequence& query,
                          std::uint32_t threshold, std::size_t bytes) const;
 
-  /// Pure-software scans of the resident reference (Session::software_hits
-  /// contracts; caller must have uploaded a reference).
+  /// Pure-software scan of the resident forward strand (no accelerator
+  /// timing model): exactly the hits align_sync reports for it.  The
+  /// batch form scores every query in one tile-fused pass; element [q]
+  /// equals software_hits(queries[q], thresholds[q]).  Pass a pool to
+  /// chunk the scan over threads (output is identical either way).
+  /// Throws std::logic_error when no reference is uploaded and
+  /// std::invalid_argument when thresholds.size() != queries.size().
   std::vector<Hit> software_hits(const bio::ProteinSequence& query,
                                  std::uint32_t threshold,
                                  util::ThreadPool* pool = nullptr);
@@ -464,9 +481,8 @@ class Engine {
   double uptime_seconds() const;
 
   /// Backend health / fault schedule of the default database's active
-  /// generation.  Stable only while no worker is executing (the
-  /// single-threaded facade pattern, or after draining) and until the
-  /// next upload.
+  /// generation.  Stable only while no worker is executing (synchronous
+  /// use, or after draining) and until the next upload.
   HealthState health() const;
   const std::vector<hw::FaultEvent>& fault_log() const;
 
@@ -500,6 +516,16 @@ class Engine {
   /// scheduler's unit), then fulfils.  The calling worker only waits on
   /// the scan.
   void execute_batch(std::vector<StatePtr> batch);
+  /// The one synchronous body behind align_sync and align_batch_sync:
+  /// pins the default database, fails typed NoReference before an
+  /// upload, compiles, scans every query with one scan_strands call (on
+  /// `pool`, or in place when null), then under the execution lock
+  /// accounts each query with its own one-request run_many and finalizes
+  /// it.  The first failing query's error is the result.
+  Expected<std::vector<HostRunReport>> run_sync(
+      std::span<const bio::ProteinSequence> queries,
+      const std::function<std::uint32_t(const CompiledQuery&)>& threshold_of,
+      util::ThreadPool* pool);
 
   /// Looks up a resident database (nullptr when unknown).
   detail::Database* find_database(const std::string& name) const;

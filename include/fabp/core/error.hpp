@@ -1,15 +1,15 @@
 #pragma once
-// Typed error surface for the Session API boundary.
+// Typed error surface for the Engine API boundary.
 //
 // The host runtime used to have exactly one failure mode: throw
 // std::logic_error and die.  With the fault-tolerance layer the interesting
 // outcomes are *recoverable* — a transfer retried, a tile re-scanned, the
-// session degraded to software — and the unrecoverable ones need to say
+// card degraded to software — and the unrecoverable ones need to say
 // precisely what gave up.  `Expected<T>` is the non-throwing boundary
 // (std::expected is C++23; this repo targets C++20, so a thin variant-based
-// equivalent).  The throwing convenience wrappers (`Session::align`) funnel
-// through `value_or_throw`, which raises `FaultError` carrying the same
-// typed payload.
+// equivalent).  Callers that prefer exceptions call `value_or_throw`
+// (`engine.align_sync(q, t).value_or_throw()`), which raises `FaultError`
+// carrying the same typed payload.
 
 #include <cstdint>
 #include <stdexcept>
@@ -27,7 +27,7 @@ enum class ErrorCode : std::uint8_t {
   Timeout,           ///< kernel watchdog deadline exceeded on every attempt
   IntegrityFailure,  ///< corruption detected and not repairable
   DeviceLost,        ///< health machine gave up and fallback is disabled
-  InvalidConfig,     ///< rejected at Session/Engine construction
+  InvalidConfig,     ///< rejected at Engine construction
   QueueFull,         ///< engine admission queue at capacity
   Cancelled,         ///< request cancelled before it started running
   DeadlineExceeded,  ///< request deadline passed before it started running
@@ -64,8 +64,7 @@ struct Error {
   std::size_t attempts = 0;  ///< kernel attempts consumed before giving up
 };
 
-/// Exception form of Error, thrown by the convenience API (Session::align)
-/// when the underlying try_align returns an error.
+/// Exception form of Error, thrown by Expected::value_or_throw.
 class FaultError : public std::runtime_error {
  public:
   explicit FaultError(Error error)

@@ -7,20 +7,18 @@
 // time that includes reading both query and reference sequences from the
 // FPGA DRAM, aligning the sequences, and writing the results").
 //
-// Since the layering refactor (DESIGN.md §"Layered host runtime") the
-// machinery lives in three layers under this header's types:
+// This header holds the host-side configuration and report types; the
+// machinery that uses them lives in three layers (DESIGN.md §"Layered
+// host runtime"):
 //   - compile:  core/query_compiler.hpp  (query -> CompiledQuery, LRU)
 //   - backend:  core/backend.hpp         (ScanBackend: hw-sim + recovery,
 //                                         tiled)
-//   - engine:   core/engine.hpp          (queue, workers, coalescing)
-// `Session` remains the stable public API: a thin synchronous facade over
-// one Engine, with behavior bit-for-bit identical to the pre-refactor
-// monolith (pinned by tests/core/host_test.cpp and chaos_test.cpp).
+//   - engine:   core/engine.hpp          (the client API: synchronous
+//                                         align_sync/align_batch_sync, and
+//                                         submit with queue, workers and
+//                                         coalescing)
 
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "fabp/core/accelerator.hpp"
@@ -32,9 +30,7 @@
 
 namespace fabp::core {
 
-class Engine;
-
-/// Detection + bounded-retry policy for the session (the host side of the
+/// Detection + bounded-retry policy for the card (the host side of the
 /// fault-tolerance layer; injection rates live in HostConfig::fault).
 struct RecoveryConfig {
   /// Kernel attempts per strand before the invocation counts as failed.
@@ -55,10 +51,10 @@ struct RecoveryConfig {
   /// re-scored from the resident store and compared against the returned
   /// hits.  Catches corruption even with CRC checking off.  0 disables.
   std::size_t spot_check_samples = 0;
-  /// Consecutive failed invocations before the session health-state
+  /// Consecutive failed invocations before the card's health-state
   /// machine degrades to the software path.
   std::size_t degrade_after = 3;
-  /// Degraded sessions (and invocations that exhausted their attempts)
+  /// Degraded cards (and invocations that exhausted their attempts)
   /// serve the hit lists the software scan already produced with zero
   /// card time; with this off they return typed errors instead.
   bool allow_software_fallback = true;
@@ -76,13 +72,13 @@ struct RecoveryStats {
   std::size_t spot_checks = 0;       ///< golden spot-check windows sampled
   std::size_t spot_check_faults = 0; ///< windows that failed and were fixed
   std::size_t fallbacks = 0;         ///< strand runs served in software
-  bool degraded = false;             ///< session Degraded after this run
+  bool degraded = false;             ///< card Degraded after this run
   double recovery_s = 0.0;           ///< modeled time lost to recovery
 
   void merge(const RecoveryStats& other) noexcept;
 };
 
-/// Session health-state machine: Healthy until `degrade_after` consecutive
+/// Card health-state machine: Healthy until `degrade_after` consecutive
 /// invocations exhaust their attempts, then Degraded (software path or
 /// DeviceLost errors, per RecoveryConfig::allow_software_fallback).
 enum class HealthState { Healthy, Degraded };
@@ -137,9 +133,7 @@ struct HostRunReport {
   std::uint64_t generation = 0;
 };
 
-/// Batch-align report (kept at namespace scope since the layering refactor
-/// — the Engine returns it too; Session::BatchReport aliases it for source
-/// compatibility).
+/// Batch-align report (Engine::align_batch_sync).
 struct BatchReport {
   std::vector<HostRunReport> per_query;
   double total_s = 0.0;
@@ -147,101 +141,6 @@ struct BatchReport {
   std::size_t total_hits = 0;
   double queries_per_second = 0.0;  // modeled card throughput
   RecoveryStats recovery;           // merged over the whole batch
-};
-
-/// One attached "card": owns the reference database in FPGA DRAM and runs
-/// queries against it.  A thin synchronous facade over core::Engine (which
-/// adds the admission queue, worker pool and request coalescing for
-/// concurrent serving; see core/engine.hpp) — everything here executes on
-/// the caller's thread and no worker threads are ever spawned.
-class Session {
- public:
-  /// Throws FaultError{InvalidConfig} when the configuration is rejected
-  /// by validate_host_config (zero tile sizes, zero retry budgets,
-  /// non-positive bandwidths, out-of-range fault rates, ...).
-  explicit Session(HostConfig config = {});
-  ~Session();
-  Session(Session&&) noexcept;
-  Session& operator=(Session&&) noexcept;
-
-  /// Transfers the reference database to FPGA DRAM (models the one-time
-  /// cost; recorded and amortized per config.reference_resident).
-  void upload_reference(const bio::NucleotideSequence& reference);
-  void upload_reference(bio::PackedNucleotides reference);
-
-  /// End-to-end aligned search of one protein query (functional).  Under
-  /// an injected fault schedule the recovery machinery retries, repairs
-  /// and (if allowed) degrades so the returned hits are always bit-exact
-  /// with the golden model; throws FaultError only when the schedule is
-  /// unrecoverable (and std::logic_error never — use try_align for the
-  /// non-throwing boundary).
-  HostRunReport align(const bio::ProteinSequence& query,
-                      std::uint32_t threshold);
-
-  /// Non-throwing form of align(): the typed error surface.
-  Expected<HostRunReport> try_align(const bio::ProteinSequence& query,
-                                    std::uint32_t threshold);
-
-  /// Timing-only estimate against a hypothetical reference of `bytes`
-  /// bytes (2-bit packed), for database-scale projections.
-  HostRunReport estimate(const bio::ProteinSequence& query,
-                         std::uint32_t threshold, std::size_t bytes) const;
-
-  /// Aligns a batch of queries against the resident reference, reusing
-  /// the card (the paper's deployment model: the database is transferred
-  /// once, queries stream through).  Thresholds are per-query fractions of
-  /// the query's element count.  The functional hit lists for the whole
-  /// batch are produced in one multi-query pass over the reference — each
-  /// freshly compiled tile is scored against every query while hot in
-  /// cache — and the per-query accelerator runs reduce to cycle/energy
-  /// accounting; reports are bit-for-bit identical to calling align() per
-  /// query.  Pass a pool to chunk the batch scan over threads.
-  using BatchReport = ::fabp::core::BatchReport;
-  BatchReport align_batch(std::span<const bio::ProteinSequence> queries,
-                          double threshold_fraction,
-                          util::ThreadPool* pool = nullptr);
-
-  /// Non-throwing form of align_batch(); the first unrecoverable
-  /// per-query error aborts and is returned for the whole batch.
-  Expected<BatchReport> try_align_batch(
-      std::span<const bio::ProteinSequence> queries,
-      double threshold_fraction, util::ThreadPool* pool = nullptr);
-
-  /// Pure-software scan of the resident reference through the bit-sliced
-  /// engine (no accelerator timing model): returns exactly the hits
-  /// align() reports for the forward strand.  The packed reference is
-  /// streamed directly (nothing is compiled or cached).  Pass a pool to
-  /// chunk the scan over threads (output is identical either way).
-  std::vector<Hit> software_hits(const bio::ProteinSequence& query,
-                                 std::uint32_t threshold,
-                                 util::ThreadPool* pool = nullptr);
-
-  /// Batch form of software_hits: all queries are scored in one tile-fused
-  /// pass over the reference; element [q] of the result equals
-  /// software_hits(queries[q], thresholds[q]) exactly.
-  /// thresholds.size() must equal queries.size().
-  std::vector<std::vector<Hit>> software_hits_batch(
-      std::span<const bio::ProteinSequence> queries,
-      std::span<const std::uint32_t> thresholds,
-      util::ThreadPool* pool = nullptr);
-
-  const bio::PackedNucleotides& reference() const noexcept;
-  const HostConfig& config() const noexcept;
-
-  /// Health-state machine position (degrades after repeated failures).
-  HealthState health() const noexcept;
-
-  /// Every fault event injected over this session's lifetime, in draw
-  /// order — the replayable schedule a chaos failure is reported with.
-  const std::vector<hw::FaultEvent>& fault_log() const noexcept;
-
-  /// The engine this facade wraps, for callers that want the asynchronous
-  /// serving surface (submit/Ticket) on top of the same card state.
-  Engine& engine() noexcept { return *engine_; }
-  const Engine& engine() const noexcept { return *engine_; }
-
- private:
-  std::unique_ptr<Engine> engine_;
 };
 
 }  // namespace fabp::core

@@ -5,8 +5,8 @@
 // it — back-translation into typed elements, element-kind classification
 // for the bit-sliced kernels, 6-bit FabP instruction encoding, the packed
 // DRAM footprint the transfer model charges, and the random-model score
-// statistics threshold derivation uses — is pure per-query work that the
-// old Session recomputed on every align() call.  A CompiledQuery bundles
+// statistics threshold derivation uses — is pure per-query work, done
+// once per distinct query rather than per request.  A CompiledQuery bundles
 // all of it; a QueryCompiler memoizes CompiledQuerys behind a bounded LRU
 // cache so repeated queries (the common case under serving traffic: the
 // same hot queries against a resident database) skip recompilation

@@ -82,8 +82,8 @@ struct ShardStatus {
 };
 
 /// N ScanBackend cards behind one ScanBackend face.  kind() reports the
-/// cards' backend kind, so the engine and facade stay oblivious.
-/// Thread-safety contract matches every other backend: run/run_many (and
+/// cards' backend kind, so the engine stays oblivious.
+/// Thread-safety contract matches every other backend: run_many (and
 /// the status readers) are serialized externally (the engine's
 /// per-database exec_mutex), while scan_batch is const, touches no card,
 /// and may run concurrently with them and with itself.

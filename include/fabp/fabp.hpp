@@ -10,9 +10,9 @@
 //   fabp::bio::ProteinSequence query =
 //       fabp::bio::ProteinSequence::parse("MFSR");
 //
-//   fabp::core::Session session;                     // Kintex-7 model
-//   session.upload_reference(db);
-//   auto report = session.align(query, /*threshold=*/10);
+//   fabp::core::Engine engine;                       // Kintex-7 model
+//   engine.upload_reference(db);
+//   auto report = engine.align_sync(query, /*threshold=*/10).value_or_throw();
 //   for (const auto& hit : report.hits)
 //     std::cout << hit.position << " score " << hit.score << '\n';
 //

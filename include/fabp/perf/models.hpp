@@ -9,7 +9,7 @@
 //  * GPU: analytic throughput model (GpuSpec) over the same element-
 //    comparison workload, plus PCIe/launch overheads.
 //  * FabP: the Accelerator's timing estimate (cycle accounting) plus the
-//    same host-side overheads via core::Session.
+//    same host-side overheads (core::estimate_run).
 
 #include <cstddef>
 
@@ -50,8 +50,8 @@ PlatformResult gpu_result(const GpuSpec& gpu, std::size_t db_elements,
                           std::size_t query_elements,
                           double launch_overhead_s = 50e-6);
 
-/// FabP via the host session timing estimate.
-PlatformResult fabp_result(const core::Session& session,
+/// FabP via the host timing estimate under `config`.
+PlatformResult fabp_result(const core::HostConfig& config,
                            const bio::ProteinSequence& query,
                            std::uint32_t threshold, std::size_t db_bytes);
 

@@ -152,7 +152,7 @@ class TiledSoftwareBackend final : public ScanBackend {
     if (!view_.uploaded())
       return std::vector<Expected<BackendRun>>(
           requests.size(),
-          Error{ErrorCode::NoReference, "Session: no reference uploaded"});
+          Error{ErrorCode::NoReference, "no reference uploaded"});
     std::vector<Expected<BackendRun>> results;
     results.reserve(requests.size());
     for (const BackendRequest& request : requests) {
@@ -177,8 +177,8 @@ class TiledSoftwareBackend final : public ScanBackend {
 // ---------------------------------------------------------------------------
 // Hardware-simulation backend: the Accelerator cycle model wrapped in the
 // fault-detection / bounded-retry / degradation machinery, scheduled as
-// packed device invocations (DESIGN.md §4d).  A serial run() is a one-task
-// invocation through the same pipeline.
+// packed device invocations (DESIGN.md §4d).  A one-request run_many is a
+// one-task invocation through the same pipeline.
 
 class HwSimBackend final : public ScanBackend {
  public:
@@ -583,7 +583,7 @@ void HwSimBackend::commit_invocation(
       if (health() == HealthState::Degraded) {
         if (!config_.recovery.allow_software_fallback) {
           error = Error{ErrorCode::DeviceLost,
-                        "session degraded and software fallback disabled", 0};
+                        "card degraded and software fallback disabled", 0};
           return false;
         }
         ++stats.fallbacks;  // prepared clean hits served, zero card time
@@ -682,7 +682,7 @@ std::vector<Expected<BackendRun>> HwSimBackend::account(
     results.reserve(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i)
       results.push_back(
-          Error{ErrorCode::NoReference, "Session: no reference uploaded"});
+          Error{ErrorCode::NoReference, "no reference uploaded"});
     return results;
   }
 
@@ -733,10 +733,6 @@ const char* to_string(BackendKind kind) noexcept {
 const std::vector<hw::FaultEvent>& ScanBackend::fault_log() const noexcept {
   static const std::vector<hw::FaultEvent> kEmpty;
   return kEmpty;
-}
-
-Expected<BackendRun> ScanBackend::run(const BackendRequest& request) {
-  return std::move(run_many({&request, 1}).front());
 }
 
 std::vector<Expected<BackendRun>> ScanBackend::run_many(

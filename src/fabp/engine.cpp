@@ -593,48 +593,23 @@ void Engine::execute_batch(std::vector<StatePtr> batch) {
   }
 }
 
-Expected<HostRunReport> Engine::align_sync(const bio::ProteinSequence& query,
-                                           std::uint32_t threshold) {
-  // Compile failures (unencodable residues) propagate as the exceptions
-  // the pre-refactor Session::align threw.
-  const CompiledQueryPtr compiled = compiler_.compile(query);
-  Database& db = *default_db_;
-  const std::shared_ptr<Generation> gen = pin_active(db);
-  Expected<StrandHits> scanned =
-      scan_strands(*gen, config_.host.search_both_strands, {&compiled, 1},
-                   {&threshold, 1}, nullptr);
-  if (!scanned) return scanned.error();
-  std::lock_guard lock{db.exec_mutex};
-  Expected<BackendRun> run = gen->backend->run(
-      BackendRequest{compiled.get(), threshold, &scanned->forward.front(),
-                     &scanned->reverse.front()});
-  if (!run) return run.error();
-  HostRunReport report =
-      finalize_run(config_.host, *compiled, std::move(run).value(),
-                   gen->store.forward.byte_size());
-  report.generation = gen->generation;
-  return report;
-}
-
-Expected<BatchReport> Engine::align_batch_sync(
-    std::span<const bio::ProteinSequence> queries, double threshold_fraction,
+Expected<std::vector<HostRunReport>> Engine::run_sync(
+    std::span<const bio::ProteinSequence> queries,
+    const std::function<std::uint32_t(const CompiledQuery&)>& threshold_of,
     util::ThreadPool* pool) {
-  BatchReport batch;
-  batch.per_query.reserve(queries.size());
-  if (queries.empty()) return batch;
   Database& db = *default_db_;
   const std::shared_ptr<Generation> gen = pin_active(db);
   if (!gen->store.uploaded)
-    return Error{ErrorCode::NoReference, "Session: no reference uploaded"};
+    return Error{ErrorCode::NoReference, "no reference uploaded"};
 
+  // Compile failures (unencodable residues) propagate as exceptions.
   std::vector<CompiledQueryPtr> compiled;
   std::vector<std::uint32_t> thresholds;
   compiled.reserve(queries.size());
   thresholds.reserve(queries.size());
   for (const bio::ProteinSequence& query : queries) {
     compiled.push_back(compiler_.compile(query));
-    thresholds.push_back(
-        compiled.back()->threshold_for_fraction(threshold_fraction));
+    thresholds.push_back(threshold_of(*compiled.back()));
   }
 
   // One multi-query pass over the reference produces every hit list up
@@ -645,21 +620,52 @@ Expected<BatchReport> Engine::align_batch_sync(
       *gen, config_.host.search_both_strands, compiled, thresholds, pool);
   if (!scanned) return scanned.error();
 
+  // One single-request run_many per query, never the whole batch in one
+  // call: the hw-sim backend splits a packed invocation's kernel time
+  // across its tasks, and each report here must equal a solo align's.
+  std::vector<HostRunReport> reports;
+  reports.reserve(queries.size());
   std::lock_guard lock{db.exec_mutex};
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    Expected<BackendRun> run = gen->backend->run(
-        BackendRequest{compiled[i].get(), thresholds[i], &scanned->forward[i],
-                       &scanned->reverse[i]});
+    const BackendRequest request{compiled[i].get(), thresholds[i],
+                                 &scanned->forward[i], &scanned->reverse[i]};
+    Expected<BackendRun> run =
+        std::move(gen->backend->run_many({&request, 1}).front());
     if (!run) return run.error();
-    HostRunReport report = finalize_run(
-        config_.host, *compiled[i], std::move(run).value(),
-        gen->store.forward.byte_size());
-    report.generation = gen->generation;
+    reports.push_back(finalize_run(config_.host, *compiled[i],
+                                   std::move(run).value(),
+                                   gen->store.forward.byte_size()));
+    reports.back().generation = gen->generation;
+  }
+  return reports;
+}
+
+Expected<HostRunReport> Engine::align_sync(const bio::ProteinSequence& query,
+                                           std::uint32_t threshold) {
+  Expected<std::vector<HostRunReport>> reports = run_sync(
+      {&query, 1}, [threshold](const CompiledQuery&) { return threshold; },
+      nullptr);
+  if (!reports) return reports.error();
+  return std::move(reports->front());
+}
+
+Expected<BatchReport> Engine::align_batch_sync(
+    std::span<const bio::ProteinSequence> queries, double threshold_fraction,
+    util::ThreadPool* pool) {
+  Expected<std::vector<HostRunReport>> reports = run_sync(
+      queries,
+      [threshold_fraction](const CompiledQuery& query) {
+        return query.threshold_for_fraction(threshold_fraction);
+      },
+      pool);
+  if (!reports) return reports.error();
+  BatchReport batch;
+  batch.per_query = std::move(reports).value();
+  for (const HostRunReport& report : batch.per_query) {
     batch.total_s += report.total_s;
     batch.total_joules += report.joules;
     batch.total_hits += report.hits.size();
     batch.recovery.merge(report.recovery);
-    batch.per_query.push_back(std::move(report));
   }
   batch.queries_per_second =
       batch.total_s > 0.0
@@ -684,12 +690,18 @@ std::vector<Hit> Engine::software_hits(const bio::ProteinSequence& query,
 std::vector<std::vector<Hit>> Engine::software_hits_batch(
     std::span<const bio::ProteinSequence> queries,
     std::span<const std::uint32_t> thresholds, util::ThreadPool* pool) {
+  // Checked before any backend runs: the LUT path reads one threshold
+  // per query unchecked.
+  const std::shared_ptr<Generation> gen = pin_active(*default_db_);
+  if (!gen->store.uploaded) throw std::logic_error{"no reference uploaded"};
+  if (thresholds.size() != queries.size())
+    throw std::invalid_argument{
+        "software_hits_batch: thresholds.size() must equal queries.size()"};
   std::vector<CompiledQueryPtr> compiled;
   compiled.reserve(queries.size());
   for (const bio::ProteinSequence& query : queries)
     compiled.push_back(compiler_.compile(query));
-  return pin_active(*default_db_)->backend->scan_batch(compiled, thresholds,
-                                                       false, pool);
+  return gen->backend->scan_batch(compiled, thresholds, false, pool);
 }
 
 EngineStats Engine::stats() const noexcept {

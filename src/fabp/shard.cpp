@@ -173,7 +173,7 @@ std::vector<Expected<BackendRun>> ShardedBackend::account(
   if (!store_.uploaded)
     return std::vector<Expected<BackendRun>>(
         requests.size(),
-        Error{ErrorCode::NoReference, "Session: no reference uploaded"});
+        Error{ErrorCode::NoReference, "no reference uploaded"});
   // The lists come from scan_batch, which refuses a query longer than the
   // halo supports (it would lose boundary hits); refuse it here too.
   for (const BackendRequest& request : requests)

@@ -21,8 +21,6 @@ std::vector<Figure6Row> run_figure6(const Figure6Config& config) {
   db_spec.seed = config.seed;
   const bio::SyntheticDatabase sample = bio::SyntheticDatabase::build(db_spec);
 
-  core::Session session{config.host};
-
   for (std::size_t length : config.query_lengths) {
     Figure6Row row;
     row.query_length = length;
@@ -46,7 +44,7 @@ std::vector<Figure6Row> run_figure6(const Figure6Config& config) {
     const auto threshold = static_cast<std::uint32_t>(std::llround(
         config.threshold_fraction * static_cast<double>(row.query_elements)));
     row.fabp =
-        fabp_result(session, query, threshold, config.db_bases / 4);
+        fabp_result(config.host, query, threshold, config.db_bases / 4);
 
     const auto ratio = [](double base, double x) {
       return x > 0.0 ? base / x : 0.0;

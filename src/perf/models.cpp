@@ -1,5 +1,6 @@
 #include "fabp/perf/models.hpp"
 
+#include "fabp/core/backend.hpp"
 #include "fabp/util/timer.hpp"
 
 namespace fabp::perf {
@@ -58,11 +59,11 @@ PlatformResult gpu_result(const GpuSpec& gpu, std::size_t db_elements,
   return out;
 }
 
-PlatformResult fabp_result(const core::Session& session,
+PlatformResult fabp_result(const core::HostConfig& config,
                            const bio::ProteinSequence& query,
                            std::uint32_t threshold, std::size_t db_bytes) {
-  const core::HostRunReport report =
-      session.estimate(query, threshold, db_bytes);
+  const core::HostRunReport report = core::estimate_run(
+      config, *core::compile_query(query), threshold, db_bytes);
   PlatformResult out;
   out.seconds = report.total_s;
   out.watts = report.watts;

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "fabp/bio/generate.hpp"
+#include "fabp/core/engine.hpp"
 #include "fabp/core/golden.hpp"
 
 namespace fabp::core {
@@ -23,13 +24,13 @@ std::vector<Hit> backend_forward_hits(BackendKind kind,
   BackendRequest request;
   request.query = &query;
   request.threshold = threshold;
-  Expected<BackendRun> run = backend->run(request);
+  Expected<BackendRun> run = backend->run_many({&request, 1}).front();
   EXPECT_TRUE(run.has_value()) << to_string(kind);
   return std::move(run).value().hits;
 }
 
 // Both backends implement the same functional contract: the hits of
-// run() equal the golden behavioral scan, hit for hit.
+// run_many equal the golden behavioral scan, hit for hit.
 TEST(Backend, AllKindsMatchGolden) {
   util::Xoshiro256 rng{901};
   const NucleotideSequence ref = bio::random_dna(30000, rng);
@@ -82,7 +83,7 @@ TEST(Backend, ReverseStrandMappingAgreesAcrossKinds) {
     BackendRequest request;
     request.query = query.get();
     request.threshold = threshold;
-    Expected<BackendRun> run = backend->run(request);
+    Expected<BackendRun> run = backend->run_many({&request, 1}).front();
     ASSERT_TRUE(run.has_value()) << to_string(kind);
     EXPECT_EQ(run->reverse_hits, expected) << to_string(kind);
   }
@@ -129,7 +130,7 @@ TEST(Backend, RunWithoutReferenceIsTypedError) {
     BackendRequest request;
     request.query = query.get();
     request.threshold = 1;
-    const Expected<BackendRun> run = backend->run(request);
+    const Expected<BackendRun> run = backend->run_many({&request, 1}).front();
     ASSERT_FALSE(run.has_value()) << to_string(kind);
     EXPECT_EQ(run.error().code, ErrorCode::NoReference) << to_string(kind);
   }
@@ -189,11 +190,11 @@ TEST(HostConfigValidation, RejectsDegenerateValues) {
   rejects(negative_rate);
 }
 
-TEST(HostConfigValidation, SessionConstructorThrowsTyped) {
+TEST(HostConfigValidation, EngineConstructorThrowsTyped) {
   HostConfig config;
   config.recovery.max_attempts = 0;
   try {
-    Session session{config};
+    Engine engine{{.host = config}};
     FAIL() << "invalid config must be rejected at construction";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);

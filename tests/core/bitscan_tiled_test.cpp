@@ -289,7 +289,7 @@ TEST(TileScan, RunLayoutIdentityAcrossBackends) {
       BackendRequest request;
       request.query = query.get();
       request.threshold = threshold;
-      Expected<BackendRun> run = backend->run(request);
+      Expected<BackendRun> run = backend->run_many({&request, 1}).front();
       ASSERT_TRUE(run.has_value()) << to_string(kind);
       EXPECT_EQ(run->hits, expected) << to_string(kind) << " tile=" << tile;
     }

@@ -1,5 +1,5 @@
 // Chaos differential suite: the headline invariant of the fault layer.
-// Under any *recoverable* injected fault schedule the session's hits are
+// Under any *recoverable* injected fault schedule the engine's hits are
 // bit-identical to a fault-free oracle run, with RecoveryStats accounting
 // for every retry / re-scan / fallback; unrecoverable schedules produce
 // typed errors — never crashes, never silently wrong hits.  Schedules are
@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "fabp/bio/generate.hpp"
-#include "fabp/core/host.hpp"
+#include "fabp/core/engine.hpp"
 
 namespace fabp::core {
 namespace {
@@ -38,22 +38,23 @@ std::vector<Hit> oracle_hits(const Workload& w, const HostConfig& base) {
   HostConfig clean = base;
   clean.fault = hw::FaultConfig{};
   clean.recovery = RecoveryConfig{};
-  Session session{clean};
-  session.upload_reference(w.reference);
-  return session.align(w.query, w.threshold).hits;
+  Engine engine{{.host = clean}};
+  engine.upload_reference(w.reference);
+  return engine.align_sync(w.query, w.threshold).value_or_throw().hits;
 }
 
 TEST(ChaosRecovery, ZeroFaultPathIsUntouched) {
   const Workload w = make_workload();
-  Session session;
-  session.upload_reference(w.reference);
-  const HostRunReport report = session.align(w.query, w.threshold);
+  Engine engine;
+  engine.upload_reference(w.reference);
+  const HostRunReport report =
+      engine.align_sync(w.query, w.threshold).value_or_throw();
   EXPECT_EQ(report.recovery.attempts, 1u);
   EXPECT_EQ(report.recovery.retries, 0u);
   EXPECT_EQ(report.recovery.recovery_s, 0.0);
   EXPECT_FALSE(report.recovery.degraded);
-  EXPECT_TRUE(session.fault_log().empty());
-  EXPECT_EQ(session.health(), HealthState::Healthy);
+  EXPECT_TRUE(engine.fault_log().empty());
+  EXPECT_EQ(engine.health(), HealthState::Healthy);
 }
 
 TEST(ChaosRecovery, BitFlipSweepMatchesOracle) {
@@ -65,9 +66,10 @@ TEST(ChaosRecovery, BitFlipSweepMatchesOracle) {
       HostConfig config;
       config.fault.seed = seed;
       config.fault.flip_rate = rate;
-      Session session{config};
-      session.upload_reference(w.reference);
-      const HostRunReport report = session.align(w.query, w.threshold);
+      Engine engine{{.host = config}};
+      engine.upload_reference(w.reference);
+      const HostRunReport report =
+          engine.align_sync(w.query, w.threshold).value_or_throw();
       EXPECT_EQ(report.hits, golden)
           << "flip_rate=" << rate << " seed=" << seed;
       // Every detected tile was re-scanned and charged to recovery time.
@@ -93,9 +95,10 @@ TEST(ChaosRecovery, DropDupStallSweepMatchesOracle) {
     config.fault.drop_rate = 5e-3;
     config.fault.dup_rate = 5e-3;
     config.fault.stall_rate = 1e-2;
-    Session session{config};
-    session.upload_reference(w.reference);
-    const HostRunReport report = session.align(w.query, w.threshold);
+    Engine engine{{.host = config}};
+    engine.upload_reference(w.reference);
+    const HostRunReport report =
+        engine.align_sync(w.query, w.threshold).value_or_throw();
     EXPECT_EQ(report.hits, golden) << "seed=" << seed;
     rescans += report.recovery.rescanned_tiles;
   }
@@ -115,9 +118,10 @@ TEST(ChaosRecovery, DetectionOffDeliversCorruptHits) {
     config.fault.seed = seed;
     config.fault.flip_rate = 1e-4;
     config.recovery.verify_integrity = false;
-    Session session{config};
-    session.upload_reference(w.reference);
-    const HostRunReport report = session.align(w.query, w.threshold);
+    Engine engine{{.host = config}};
+    engine.upload_reference(w.reference);
+    const HostRunReport report =
+        engine.align_sync(w.query, w.threshold).value_or_throw();
     EXPECT_EQ(report.recovery.crc_faults, 0u);  // detection disabled
     if (report.hits != golden) diverged = true;
   }
@@ -132,9 +136,10 @@ TEST(ChaosRecovery, TransientTransferFailuresRetryToGolden) {
     HostConfig config;
     config.fault.seed = seed;
     config.fault.transfer_fail_rate = 0.4;
-    Session session{config};
-    session.upload_reference(w.reference);
-    const HostRunReport report = session.align(w.query, w.threshold);
+    Engine engine{{.host = config}};
+    engine.upload_reference(w.reference);
+    const HostRunReport report =
+        engine.align_sync(w.query, w.threshold).value_or_throw();
     EXPECT_EQ(report.hits, golden) << "seed=" << seed;
     // Accounting: every attempt beyond the first was a logged retry with
     // backoff charged to recovery time.
@@ -156,17 +161,17 @@ TEST(ChaosRecovery, UnrecoverableTransferYieldsTypedError) {
   config.fault.transfer_fail_rate = 1.0;  // every attempt fails
   config.recovery.allow_software_fallback = false;
   config.recovery.max_attempts = 3;
-  Session session{config};
-  session.upload_reference(w.reference);
+  Engine engine{{.host = config}};
+  engine.upload_reference(w.reference);
 
-  const auto result = session.try_align(w.query, w.threshold);
+  const auto result = engine.align_sync(w.query, w.threshold);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::TransferFailure);
   EXPECT_EQ(result.error().attempts, 3u);
 
-  // The throwing wrapper carries the same typed payload.
+  // The exception form carries the same typed payload.
   try {
-    session.align(w.query, w.threshold);
+    engine.align_sync(w.query, w.threshold).value_or_throw();
     FAIL() << "align must throw on an unrecoverable schedule";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.code(), ErrorCode::TransferFailure);
@@ -176,10 +181,10 @@ TEST(ChaosRecovery, UnrecoverableTransferYieldsTypedError) {
 TEST(ChaosRecovery, WatchdogTimesOutStormedKernels) {
   const Workload w = make_workload(20'000);
   // Calibrate: a clean run's kernel time bounds the deadline from below.
-  Session clean;
+  Engine clean;
   clean.upload_reference(w.reference);
   const double clean_kernel =
-      clean.align(w.query, w.threshold).kernel_s;
+      clean.align_sync(w.query, w.threshold).value_or_throw().kernel_s;
 
   HostConfig config;
   config.fault.stall_rate = 0.5;      // storm nearly every beat
@@ -187,9 +192,9 @@ TEST(ChaosRecovery, WatchdogTimesOutStormedKernels) {
   config.recovery.watchdog_s = clean_kernel * 1.5;
   config.recovery.allow_software_fallback = false;
   config.recovery.max_attempts = 2;
-  Session session{config};
-  session.upload_reference(w.reference);
-  const auto result = session.try_align(w.query, w.threshold);
+  Engine engine{{.host = config}};
+  engine.upload_reference(w.reference);
+  const auto result = engine.align_sync(w.query, w.threshold);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::Timeout);
 }
@@ -201,22 +206,24 @@ TEST(ChaosRecovery, DegradesToSoftwareAndServesGolden) {
   config.fault.transfer_fail_rate = 1.0;
   config.recovery.max_attempts = 2;
   config.recovery.degrade_after = 2;
-  Session session{config};
-  session.upload_reference(w.reference);
+  Engine engine{{.host = config}};
+  engine.upload_reference(w.reference);
 
   // First two invocations exhaust their attempts and fall back; the
-  // health machine then degrades the session.
+  // health machine then degrades the card.
   for (int i = 0; i < 2; ++i) {
-    const HostRunReport report = session.align(w.query, w.threshold);
+    const HostRunReport report =
+        engine.align_sync(w.query, w.threshold).value_or_throw();
     EXPECT_EQ(report.hits, golden);
     EXPECT_EQ(report.recovery.fallbacks, 1u);
     EXPECT_EQ(report.recovery.attempts, 2u);
   }
-  EXPECT_EQ(session.health(), HealthState::Degraded);
+  EXPECT_EQ(engine.health(), HealthState::Degraded);
 
-  // A degraded session skips the card entirely: zero attempts, zero card
+  // A degraded card is skipped entirely: zero attempts, zero card
   // time, still golden hits.
-  const HostRunReport degraded = session.align(w.query, w.threshold);
+  const HostRunReport degraded =
+      engine.align_sync(w.query, w.threshold).value_or_throw();
   EXPECT_EQ(degraded.hits, golden);
   EXPECT_TRUE(degraded.recovery.degraded);
   EXPECT_EQ(degraded.recovery.attempts, 0u);
@@ -231,13 +238,13 @@ TEST(ChaosRecovery, DegradedWithoutFallbackIsDeviceLost) {
   config.recovery.max_attempts = 1;
   config.recovery.degrade_after = 1;
   config.recovery.allow_software_fallback = false;
-  Session session{config};
-  session.upload_reference(w.reference);
-  const auto first = session.try_align(w.query, w.threshold);
+  Engine engine{{.host = config}};
+  engine.upload_reference(w.reference);
+  const auto first = engine.align_sync(w.query, w.threshold);
   ASSERT_FALSE(first.has_value());
   EXPECT_EQ(first.error().code, ErrorCode::TransferFailure);
-  EXPECT_EQ(session.health(), HealthState::Degraded);
-  const auto second = session.try_align(w.query, w.threshold);
+  EXPECT_EQ(engine.health(), HealthState::Degraded);
+  const auto second = engine.align_sync(w.query, w.threshold);
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.error().code, ErrorCode::DeviceLost);
 }
@@ -253,9 +260,10 @@ TEST(ChaosRecovery, SpotCheckerCatchesCorruptionWithCrcOff) {
     config.fault.flip_rate = 3e-4;
     config.recovery.verify_integrity = false;
     config.recovery.spot_check_samples = 48;
-    Session session{config};
-    session.upload_reference(w.reference);
-    const HostRunReport report = session.align(w.query, w.threshold);
+    Engine engine{{.host = config}};
+    engine.upload_reference(w.reference);
+    const HostRunReport report =
+        engine.align_sync(w.query, w.threshold).value_or_throw();
     checks += report.recovery.spot_checks;
     caught += report.recovery.spot_check_faults;
   }
@@ -271,9 +279,10 @@ TEST(ChaosRecovery, ReadbackCorruptionIsReRead) {
     HostConfig config;
     config.fault.seed = seed;
     config.fault.readback_flip_rate = 0.8;
-    Session session{config};
-    session.upload_reference(w.reference);
-    const HostRunReport report = session.align(w.query, w.threshold);
+    Engine engine{{.host = config}};
+    engine.upload_reference(w.reference);
+    const HostRunReport report =
+        engine.align_sync(w.query, w.threshold).value_or_throw();
     EXPECT_EQ(report.hits, golden) << "seed=" << seed;
     rereads += report.recovery.readback_faults;
   }
@@ -289,12 +298,14 @@ TEST(ChaosRecovery, FaultScheduleReplays) {
   config.fault.stall_rate = 5e-3;
   config.fault.transfer_fail_rate = 0.2;
 
-  Session a{config}, b{config};
+  Engine a{{.host = config}}, b{{.host = config}};
   a.upload_reference(w.reference);
   b.upload_reference(w.reference);
   for (int i = 0; i < 3; ++i) {
-    const HostRunReport ra = a.align(w.query, w.threshold);
-    const HostRunReport rb = b.align(w.query, w.threshold);
+    const HostRunReport ra =
+        a.align_sync(w.query, w.threshold).value_or_throw();
+    const HostRunReport rb =
+        b.align_sync(w.query, w.threshold).value_or_throw();
     EXPECT_EQ(ra.hits, rb.hits);
     EXPECT_EQ(ra.recovery.attempts, rb.recovery.attempts);
     EXPECT_EQ(ra.recovery.crc_faults, rb.recovery.crc_faults);
@@ -307,17 +318,19 @@ TEST(ChaosRecovery, BothStrandsRecoverToGolden) {
   const Workload w = make_workload(30'000);
   HostConfig base;
   base.search_both_strands = true;
-  Session clean{base};
+  Engine clean{{.host = base}};
   clean.upload_reference(w.reference);
-  const HostRunReport golden = clean.align(w.query, w.threshold);
+  const HostRunReport golden =
+      clean.align_sync(w.query, w.threshold).value_or_throw();
 
   HostConfig config = base;
   config.fault.seed = 99;
   config.fault.flip_rate = 1e-4;
   config.fault.drop_rate = 2e-3;
-  Session session{config};
-  session.upload_reference(w.reference);
-  const HostRunReport report = session.align(w.query, w.threshold);
+  Engine engine{{.host = config}};
+  engine.upload_reference(w.reference);
+  const HostRunReport report =
+      engine.align_sync(w.query, w.threshold).value_or_throw();
   EXPECT_EQ(report.hits, golden.hits);
   EXPECT_EQ(report.reverse_hits, golden.reverse_hits);
   EXPECT_GE(report.recovery.attempts, 2u);  // one per strand at least
@@ -330,17 +343,19 @@ TEST(ChaosBatch, BatchRecoversAndAggregatesStats) {
   for (int i = 0; i < 3; ++i)
     queries.push_back(bio::random_protein(15 + i, rng));
 
-  Session clean;
+  Engine clean;
   clean.upload_reference(reference);
-  const Session::BatchReport golden = clean.align_batch(queries, 0.45);
+  const BatchReport golden =
+      clean.align_batch_sync(queries, 0.45).value_or_throw();
 
   HostConfig config;
   config.fault.seed = 123;
   config.fault.flip_rate = 5e-5;
   config.fault.transfer_fail_rate = 0.2;
-  Session session{config};
-  session.upload_reference(reference);
-  const Session::BatchReport batch = session.align_batch(queries, 0.45);
+  Engine engine{{.host = config}};
+  engine.upload_reference(reference);
+  const BatchReport batch =
+      engine.align_batch_sync(queries, 0.45).value_or_throw();
 
   ASSERT_EQ(batch.per_query.size(), golden.per_query.size());
   RecoveryStats sum;
@@ -363,9 +378,9 @@ TEST(ChaosBatch, UnrecoverableBatchReturnsTypedError) {
   HostConfig config;
   config.fault.transfer_fail_rate = 1.0;
   config.recovery.allow_software_fallback = false;
-  Session session{config};
-  session.upload_reference(reference);
-  const auto result = session.try_align_batch(queries, 0.5);
+  Engine engine{{.host = config}};
+  engine.upload_reference(reference);
+  const auto result = engine.align_batch_sync(queries, 0.5);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::TransferFailure);
 }

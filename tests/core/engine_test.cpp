@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +33,7 @@ std::uint32_t half_threshold(const ProteinSequence& query) {
 }
 
 // The engine's core determinism contract: results of coalesced concurrent
-// submission are hit-for-hit identical to sequential Session::align of the
+// submission are hit-for-hit identical to sequential align_sync of the
 // same queries — for every backend kind and the hw-sim LUT oracle, both
 // strands on.  Submitted batches scan on the engine's scan pool, the
 // sequential truth in place.  The 30 kbp reference is one default tile,
@@ -252,6 +254,60 @@ TEST(Engine, InvalidEngineConfigRejected) {
     FAIL() << "invalid engine config must throw at construction";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);
+  }
+}
+
+// The software scans check their inputs before any backend runs: no
+// reference is a logic_error, and a threshold list that does not match
+// the queries is an invalid_argument even on the LUT path, which would
+// otherwise read one threshold per query past the list's end.
+TEST(Engine, SoftwareHitsRequireUploadedReference) {
+  Engine engine;
+  const ProteinSequence query = ProteinSequence::parse("MFSRW");
+  const std::uint32_t threshold = 1;
+  EXPECT_THROW(engine.software_hits(query, threshold), std::logic_error);
+  EXPECT_THROW(engine.software_hits_batch({&query, 1}, {&threshold, 1}),
+               std::logic_error);
+}
+
+TEST(Engine, SoftwareHitsBatchRejectsMismatchedThresholdsOnLutPath) {
+  util::Xoshiro256 rng{917};
+  EngineConfig config;
+  config.host.accelerator.use_lut_path = true;
+  Engine engine{config};
+  engine.upload_reference(bio::random_dna(2000, rng));
+  const std::vector<ProteinSequence> queries = make_queries(3, rng);
+  const std::vector<std::uint32_t> thresholds{4};  // two short
+  EXPECT_THROW(engine.software_hits_batch(queries, thresholds),
+               std::invalid_argument);
+}
+
+/// Threads of this process (Threads: in /proc/self/status).
+std::size_t thread_count() {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+// Synchronous use runs on its caller: an unsharded engine serving
+// align_sync, align_batch_sync without a pool and software_hits starts no
+// thread (the workers and the scan pool start on the first submit).
+TEST(Engine, SyncOnlyStartsNoThreads) {
+  util::Xoshiro256 rng{918};
+  const std::vector<ProteinSequence> queries = make_queries(4, rng);
+  const std::size_t before = thread_count();
+  ASSERT_GT(before, 0u);
+  {
+    Engine engine;
+    engine.upload_reference(bio::random_dna(6000, rng));
+    ASSERT_TRUE(engine.align_sync(queries.front(),
+                                  half_threshold(queries.front()))
+                    .has_value());
+    ASSERT_TRUE(engine.align_batch_sync(queries, 0.5).has_value());
+    engine.software_hits(queries.back(), half_threshold(queries.back()));
+    EXPECT_LE(thread_count(), before);
   }
 }
 

@@ -1,4 +1,4 @@
-#include "fabp/core/host.hpp"
+#include "fabp/core/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,44 +10,45 @@ namespace {
 using bio::NucleotideSequence;
 using bio::ProteinSequence;
 
-TEST(Session, RequiresUploadedReference) {
-  Session session;
+TEST(SyncAlign, RequiresUploadedReference) {
+  Engine engine;
   util::Xoshiro256 rng{161};
-  // Typed error boundary: try_align reports NoReference, align throws the
-  // exception form carrying the same payload.
-  const auto result = session.try_align(bio::random_protein(10, rng), 0);
+  // Typed error boundary: align_sync reports NoReference, value_or_throw
+  // throws the exception form carrying the same payload.
+  const auto result = engine.align_sync(bio::random_protein(10, rng), 0);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::NoReference);
   try {
-    session.align(bio::random_protein(10, rng), 0);
+    engine.align_sync(bio::random_protein(10, rng), 0).value_or_throw();
     FAIL() << "align without a reference must throw";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.code(), ErrorCode::NoReference);
   }
 }
 
-TEST(Session, SoftwareHitsBatchRejectsMismatchedThresholds) {
+TEST(SyncAlign, SoftwareHitsBatchRejectsMismatchedThresholds) {
   util::Xoshiro256 rng{162};
-  Session session;
-  session.upload_reference(bio::random_dna(2000, rng));
+  Engine engine;
+  engine.upload_reference(bio::random_dna(2000, rng));
   const std::vector<ProteinSequence> queries{bio::random_protein(8, rng),
                                              bio::random_protein(9, rng)};
   const std::vector<std::uint32_t> thresholds{10};  // one short
-  EXPECT_THROW(session.software_hits_batch(queries, thresholds),
+  EXPECT_THROW(engine.software_hits_batch(queries, thresholds),
                std::invalid_argument);
 }
 
-TEST(Session, EndToEndFindsPlantedGene) {
+TEST(SyncAlign, EndToEndFindsPlantedGene) {
   util::Xoshiro256 rng{163};
   const ProteinSequence protein = bio::random_protein(30, rng);
   NucleotideSequence ref = bio::random_dna(5000, rng);
   const NucleotideSequence coding = random_template_coding(protein, rng);
   for (std::size_t i = 0; i < coding.size(); ++i) ref[1234 + i] = coding[i];
 
-  Session session;
-  session.upload_reference(ref);
+  Engine engine;
+  engine.upload_reference(ref);
   const HostRunReport report =
-      session.align(protein, static_cast<std::uint32_t>(coding.size()));
+      engine.align_sync(protein, static_cast<std::uint32_t>(coding.size()))
+          .value_or_throw();
 
   bool found = false;
   for (const Hit& h : report.hits)
@@ -55,11 +56,12 @@ TEST(Session, EndToEndFindsPlantedGene) {
   EXPECT_TRUE(found);
 }
 
-TEST(Session, ReportTimesArePositiveAndSum) {
+TEST(SyncAlign, ReportTimesArePositiveAndSum) {
   util::Xoshiro256 rng{167};
-  Session session;
-  session.upload_reference(bio::random_dna(10'000, rng));
-  const HostRunReport r = session.align(bio::random_protein(20, rng), 40);
+  Engine engine;
+  engine.upload_reference(bio::random_dna(10'000, rng));
+  const HostRunReport r =
+      engine.align_sync(bio::random_protein(20, rng), 40).value_or_throw();
   EXPECT_GT(r.query_transfer_s, 0.0);
   EXPECT_GT(r.kernel_s, 0.0);
   EXPECT_GT(r.readback_s, 0.0);
@@ -71,42 +73,43 @@ TEST(Session, ReportTimesArePositiveAndSum) {
   EXPECT_NEAR(r.joules, r.watts * r.total_s, 1e-12);
 }
 
-TEST(Session, NonResidentReferenceChargesTransfer) {
+TEST(SyncAlign, NonResidentReferenceChargesTransfer) {
   util::Xoshiro256 rng{173};
   HostConfig cfg;
   cfg.reference_resident = false;
-  Session session{cfg};
-  session.upload_reference(bio::random_dna(40'000, rng));
-  const HostRunReport r = session.align(bio::random_protein(15, rng), 45);
+  Engine engine{{.host = cfg}};
+  engine.upload_reference(bio::random_dna(40'000, rng));
+  const HostRunReport r =
+      engine.align_sync(bio::random_protein(15, rng), 45).value_or_throw();
   EXPECT_GT(r.reference_transfer_s, 0.0);
   // 40,000 bases at 2 bits each = 10,000 packed bytes, at 12 GB/s.
   EXPECT_NEAR(r.reference_transfer_s, 10'000.0 / 12e9, 1e-9);
 }
 
-TEST(Session, EstimateScalesWithDatabaseSize) {
+TEST(SyncAlign, EstimateScalesWithDatabaseSize) {
   util::Xoshiro256 rng{179};
-  Session session;
+  Engine engine;
   const ProteinSequence protein = bio::random_protein(50, rng);
-  const HostRunReport small = session.estimate(protein, 100, 1 << 20);
-  const HostRunReport large = session.estimate(protein, 100, 1 << 26);
+  const HostRunReport small = engine.estimate(protein, 100, 1 << 20);
+  const HostRunReport large = engine.estimate(protein, 100, 1 << 26);
   EXPECT_GT(large.kernel_s, small.kernel_s * 50);
   EXPECT_NEAR(large.kernel_s / small.kernel_s, 64.0, 2.0);
 }
 
-TEST(Session, EstimateKernelMatchesBandwidthModel) {
+TEST(SyncAlign, EstimateKernelMatchesBandwidthModel) {
   util::Xoshiro256 rng{181};
-  Session session;
+  Engine engine;
   const ProteinSequence protein = bio::random_protein(50, rng);
   const std::size_t bytes = 1 << 28;  // 256 MiB packed
-  const HostRunReport r = session.estimate(protein, 120, bytes);
+  const HostRunReport r = engine.estimate(protein, 120, bytes);
   const double expected =
       static_cast<double>(bytes) / r.mapping.effective_bandwidth_bps;
   EXPECT_NEAR(r.kernel_s, expected, expected * 0.02);
 }
 
-TEST(Session, BatchAlignsEveryQuery) {
+TEST(SyncAlign, BatchAlignsEveryQuery) {
   util::Xoshiro256 rng{193};
-  Session session;
+  Engine engine;
   NucleotideSequence ref = bio::random_dna(8000, rng);
   std::vector<ProteinSequence> queries;
   std::vector<std::size_t> positions;
@@ -118,9 +121,10 @@ TEST(Session, BatchAlignsEveryQuery) {
     queries.push_back(protein);
     positions.push_back(pos);
   }
-  session.upload_reference(ref);
+  engine.upload_reference(ref);
 
-  const Session::BatchReport batch = session.align_batch(queries, 0.95);
+  const BatchReport batch =
+      engine.align_batch_sync(queries, 0.95).value_or_throw();
   ASSERT_EQ(batch.per_query.size(), 3u);
   for (int q = 0; q < 3; ++q) {
     bool found = false;
@@ -135,27 +139,30 @@ TEST(Session, BatchAlignsEveryQuery) {
   EXPECT_NEAR(batch.total_s, sum, 1e-12);
 }
 
-TEST(Session, BatchIdenticalToPerQueryAligns) {
-  // align_batch precomputes every hit list in one tile-fused pass over
-  // the reference; the reports must nonetheless be exactly what
-  // per-query align() produces — hits, order, and timing model included.
+TEST(SyncAlign, BatchIdenticalToPerQueryAligns) {
+  // align_batch_sync precomputes every hit list in one tile-fused pass
+  // over the reference; the reports must nonetheless be exactly what
+  // per-query align_sync produces — hits, order, and timing model
+  // included.
   util::Xoshiro256 rng{194};
   for (bool both_strands : {false, true}) {
     HostConfig config;
     config.search_both_strands = both_strands;
-    Session session{config};
-    session.upload_reference(bio::random_dna(6000, rng));
+    Engine engine{{.host = config}};
+    engine.upload_reference(bio::random_dna(6000, rng));
     std::vector<ProteinSequence> queries;
     for (int q = 0; q < 5; ++q)
       queries.push_back(bio::random_protein(8 + rng.next() % 30, rng));
 
     const double fraction = 0.7;
-    const Session::BatchReport batch = session.align_batch(queries, fraction);
+    const BatchReport batch =
+        engine.align_batch_sync(queries, fraction).value_or_throw();
     ASSERT_EQ(batch.per_query.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       const auto threshold = static_cast<std::uint32_t>(
           fraction * static_cast<double>(queries[q].size() * 3));
-      const HostRunReport solo = session.align(queries[q], threshold);
+      const HostRunReport solo =
+          engine.align_sync(queries[q], threshold).value_or_throw();
       EXPECT_EQ(batch.per_query[q].hits, solo.hits) << q;
       EXPECT_EQ(batch.per_query[q].reverse_hits, solo.reverse_hits) << q;
       EXPECT_EQ(batch.per_query[q].total_s, solo.total_s) << q;
@@ -164,10 +171,10 @@ TEST(Session, BatchIdenticalToPerQueryAligns) {
   }
 }
 
-TEST(Session, SoftwareHitsBatchMatchesPerQuery) {
+TEST(SyncAlign, SoftwareHitsBatchMatchesPerQuery) {
   util::Xoshiro256 rng{195};
-  Session session;
-  session.upload_reference(bio::random_dna(5000, rng));
+  Engine engine;
+  engine.upload_reference(bio::random_dna(5000, rng));
   std::vector<ProteinSequence> queries;
   std::vector<std::uint32_t> thresholds;
   for (int q = 0; q < 6; ++q) {
@@ -175,17 +182,17 @@ TEST(Session, SoftwareHitsBatchMatchesPerQuery) {
     thresholds.push_back(
         static_cast<std::uint32_t>(queries.back().size() * 2));
   }
-  const auto batch = session.software_hits_batch(queries, thresholds);
+  const auto batch = engine.software_hits_batch(queries, thresholds);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q)
-    EXPECT_EQ(batch[q], session.software_hits(queries[q], thresholds[q]))
+    EXPECT_EQ(batch[q], engine.software_hits(queries[q], thresholds[q]))
         << q;
 
   util::ThreadPool pool{3};
-  EXPECT_EQ(session.software_hits_batch(queries, thresholds, &pool), batch);
+  EXPECT_EQ(engine.software_hits_batch(queries, thresholds, &pool), batch);
 }
 
-TEST(Session, ReuploadInvalidatesBitscanPlanes) {
+TEST(SyncAlign, ReuploadInvalidatesBitscanPlanes) {
   // Regression: software scans after a re-upload must see the new
   // reference, never derived state of the old one.
   util::Xoshiro256 rng{196};
@@ -198,11 +205,11 @@ TEST(Session, ReuploadInvalidatesBitscanPlanes) {
   for (std::size_t i = 0; i < coding.size(); ++i) ref_b[500 + i] = coding[i];
   const auto threshold = static_cast<std::uint32_t>(elements.size());
 
-  Session session;
-  session.upload_reference(ref_a);
-  const auto hits_a = session.software_hits(protein, threshold);
-  session.upload_reference(ref_b);
-  const auto hits_b = session.software_hits(protein, threshold);
+  Engine engine;
+  engine.upload_reference(ref_a);
+  const auto hits_a = engine.software_hits(protein, threshold);
+  engine.upload_reference(ref_b);
+  const auto hits_b = engine.software_hits(protein, threshold);
 
   EXPECT_NE(hits_a, hits_b);
   EXPECT_EQ(hits_a, golden_hits(elements, ref_a, threshold));
@@ -214,12 +221,13 @@ TEST(Session, ReuploadInvalidatesBitscanPlanes) {
 
   // The batch path precomputes through the backend's scan_batch — check
   // it too.
-  const auto batch = session.align_batch(std::vector{protein}, 1.0);
+  const auto batch =
+      engine.align_batch_sync(std::vector{protein}, 1.0).value_or_throw();
   ASSERT_EQ(batch.per_query.size(), 1u);
   EXPECT_EQ(batch.per_query[0].hits, hits_b);
 }
 
-TEST(Session, BothStrandsFindsReverseGene) {
+TEST(SyncAlign, BothStrandsFindsReverseGene) {
   util::Xoshiro256 rng{199};
   const ProteinSequence protein = bio::random_protein(25, rng);
   const NucleotideSequence coding = random_template_coding(protein, rng);
@@ -233,10 +241,11 @@ TEST(Session, BothStrandsFindsReverseGene) {
 
   HostConfig cfg;
   cfg.search_both_strands = true;
-  Session session{cfg};
-  session.upload_reference(ref);
+  Engine engine{{.host = cfg}};
+  engine.upload_reference(ref);
   const auto threshold = static_cast<std::uint32_t>(coding.size());
-  const HostRunReport report = session.align(protein, threshold);
+  const HostRunReport report =
+      engine.align_sync(protein, threshold).value_or_throw();
 
   // Forward scan misses it; the reverse scan reports it at the forward
   // coordinate of the planted window.
@@ -251,50 +260,51 @@ TEST(Session, BothStrandsFindsReverseGene) {
   EXPECT_TRUE(reverse_found);
 }
 
-TEST(Session, BothStrandsDoublesKernelTime) {
+TEST(SyncAlign, BothStrandsDoublesKernelTime) {
   util::Xoshiro256 rng{211};
   const NucleotideSequence ref = bio::random_dna(50'000, rng);
   const ProteinSequence query = bio::random_protein(20, rng);
 
-  Session single;
+  Engine single;
   single.upload_reference(ref);
-  const double one = single.align(query, 55).kernel_s;
+  const double one = single.align_sync(query, 55).value_or_throw().kernel_s;
 
   HostConfig cfg;
   cfg.search_both_strands = true;
-  Session both{cfg};
+  Engine both{{.host = cfg}};
   both.upload_reference(ref);
-  const double two = both.align(query, 55).kernel_s;
+  const double two = both.align_sync(query, 55).value_or_throw().kernel_s;
   EXPECT_NEAR(two / one, 2.0, 0.05);
 }
 
-TEST(Session, SingleStrandReportsNoReverseHits) {
+TEST(SyncAlign, SingleStrandReportsNoReverseHits) {
   util::Xoshiro256 rng{223};
-  Session session;
-  session.upload_reference(bio::random_dna(2000, rng));
-  const auto report = session.align(bio::random_protein(10, rng), 0);
+  Engine engine;
+  engine.upload_reference(bio::random_dna(2000, rng));
+  const auto report =
+      engine.align_sync(bio::random_protein(10, rng), 0).value_or_throw();
   EXPECT_TRUE(report.reverse_hits.empty());
 }
 
-TEST(Session, BatchEmptyIsFine) {
-  Session session;
+TEST(SyncAlign, BatchEmptyIsFine) {
+  Engine engine;
   util::Xoshiro256 rng{197};
-  session.upload_reference(bio::random_dna(1000, rng));
-  const auto batch = session.align_batch({}, 0.9);
+  engine.upload_reference(bio::random_dna(1000, rng));
+  const auto batch = engine.align_batch_sync({}, 0.9).value_or_throw();
   EXPECT_TRUE(batch.per_query.empty());
   EXPECT_EQ(batch.total_s, 0.0);
   EXPECT_EQ(batch.queries_per_second, 0.0);
 }
 
-TEST(Session, LongQueryUsesSegmentedMapping) {
+TEST(SyncAlign, LongQueryUsesSegmentedMapping) {
   util::Xoshiro256 rng{191};
-  Session session;
+  Engine engine;
   const HostRunReport r =
-      session.estimate(bio::random_protein(250, rng), 600, 1 << 24);
+      engine.estimate(bio::random_protein(250, rng), 600, 1 << 24);
   EXPECT_GT(r.mapping.segments, 1u);
 }
 
-TEST(TileScanSession, BothStrandsPooledBatchMatchesSerial) {
+TEST(TileScanSync, BothStrandsPooledBatchMatchesSerial) {
   // A pooled both-strand batch scan must match the serial one, and a
   // planted reverse-strand gene must still be found.
   util::Xoshiro256 rng{257};
@@ -311,13 +321,14 @@ TEST(TileScanSession, BothStrandsPooledBatchMatchesSerial) {
   util::ThreadPool pool{2};
   const std::vector<ProteinSequence> queries{protein};
 
-  Session pooled{cfg};
+  Engine pooled{{.host = cfg}};
   pooled.upload_reference(ref);
-  const auto with_pool = pooled.align_batch(queries, 1.0, &pool);
+  const auto with_pool =
+      pooled.align_batch_sync(queries, 1.0, &pool).value_or_throw();
 
-  Session serial{cfg};
+  Engine serial{{.host = cfg}};
   serial.upload_reference(ref);
-  const auto without = serial.align_batch(queries, 1.0);
+  const auto without = serial.align_batch_sync(queries, 1.0).value_or_throw();
 
   ASSERT_EQ(with_pool.per_query.size(), 1u);
   EXPECT_EQ(with_pool.per_query[0].hits, without.per_query[0].hits);

@@ -215,8 +215,8 @@ void expect_same_recovery(const RecoveryStats& a, const RecoveryStats& b) {
   EXPECT_EQ(a.recovery_s, b.recovery_s);
 }
 
-// A serial run() is a one-task invocation: under a fixed fault schedule,
-// Session::align and a fresh backend's run_many of the same single request
+// A serial align is a one-task invocation: under a fixed fault schedule,
+// Engine::align_sync and a fresh backend's run_many of the same single request
 // return identical hits, recovery accounting, cycles and fault log, and
 // the serial call is counted by the device-pipeline accounting.
 TEST(DeviceScheduler, SerialAlignIsOneTaskInvocation) {
@@ -232,19 +232,19 @@ TEST(DeviceScheduler, SerialAlignIsOneTaskInvocation) {
   const Fixture f{940, 20000, 1, true};
   const BackendRequest& request = f.requests.front();
 
-  Session session{config};
-  session.upload_reference(f.reference);
+  Engine engine{{.host = config}};
+  engine.upload_reference(f.reference);
   const Expected<HostRunReport> report =
-      session.try_align(f.queries.front()->protein, request.threshold);
+      engine.align_sync(f.queries.front()->protein, request.threshold);
   ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(session.engine().pipeline_stats().invocations, 1u);
-  EXPECT_EQ(session.engine().pipeline_stats().tasks, 1u);
+  EXPECT_EQ(engine.pipeline_stats().invocations, 1u);
+  EXPECT_EQ(engine.pipeline_stats().tasks, 1u);
 
   const std::unique_ptr<ScanBackend> serial =
       make_backend(BackendKind::HwSim, config, f.store);
   const std::unique_ptr<ScanBackend> batched =
       make_backend(BackendKind::HwSim, config, f.store);
-  const Expected<BackendRun> one = serial->run(request);
+  const Expected<BackendRun> one = serial->run_many({&request, 1}).front();
   const auto many = batched->run_many({&request, 1});
   ASSERT_TRUE(one.has_value());
   ASSERT_EQ(many.size(), 1u);
@@ -257,7 +257,7 @@ TEST(DeviceScheduler, SerialAlignIsOneTaskInvocation) {
   EXPECT_EQ(report->reverse_hits, packed.reverse_hits);
   EXPECT_EQ(report->kernel_s, packed.kernel_seconds);
   expect_same_recovery(report->recovery, packed.recovery);
-  EXPECT_EQ(session.fault_log(), batched->fault_log());
+  EXPECT_EQ(engine.fault_log(), batched->fault_log());
   EXPECT_FALSE(batched->fault_log().empty());
 
   EXPECT_EQ(one->hits, packed.hits);
@@ -291,7 +291,8 @@ TEST(DeviceScheduler, LutOracleSharesTheInvocationPipeline) {
     EXPECT_EQ(results[q]->reverse_hits, golden_reverse_mapped(f, q))
         << "query " << q;
   }
-  const Expected<BackendRun> serial = backend->run(f.requests.front());
+  const Expected<BackendRun> serial =
+      backend->run_many({&f.requests.front(), 1}).front();
   ASSERT_TRUE(serial.has_value());
   EXPECT_EQ(serial->hits, golden_forward(f, 0));
   // Two packed invocations (2 + 1 tasks), then the serial one.

@@ -1,5 +1,5 @@
 // End-to-end integration tests across the full stack: synthetic database
-// -> host session (FabP cycle simulator) -> hits, cross-checked against the
+// -> host engine (FabP cycle simulator) -> hits, cross-checked against the
 // golden model, the GPU functional stand-in, TBLASTN and Smith-Waterman.
 
 #include <gtest/gtest.h>
@@ -32,13 +32,15 @@ Workload make_workload(std::size_t db_bases, std::size_t gene_len,
   return w;
 }
 
-TEST(Integration, FabpSessionAgreesWithGoldenModel) {
+TEST(Integration, FabpEngineAgreesWithGoldenModel) {
   const Workload w = make_workload(40'000, 60, 30, 301);
-  const auto threshold = static_cast<std::uint32_t>(w.query.size() * 3 * 8 / 10);
+  const auto threshold =
+      static_cast<std::uint32_t>(w.query.size() * 3 * 8 / 10);
 
-  core::Session session;
-  session.upload_reference(w.db.dna);
-  const core::HostRunReport report = session.align(w.query, threshold);
+  core::Engine engine;
+  engine.upload_reference(w.db.dna);
+  const core::HostRunReport report =
+      engine.align_sync(w.query, threshold).value_or_throw();
 
   const auto golden =
       core::golden_hits(core::back_translate(w.query), w.db.dna, threshold);
@@ -55,9 +57,10 @@ TEST(Integration, FabpFindsThePlantedGeneAtItsPosition) {
   const auto threshold =
       static_cast<std::uint32_t>(w.query.size() * 3 - 2 * sers);
 
-  core::Session session;
-  session.upload_reference(w.db.dna);
-  const core::HostRunReport report = session.align(w.query, threshold);
+  core::Engine engine;
+  engine.upload_reference(w.db.dna);
+  const core::HostRunReport report =
+      engine.align_sync(w.query, threshold).value_or_throw();
   bool found = false;
   for (const core::Hit& h : report.hits)
     if (h.position == w.gene_pos) found = true;
@@ -70,9 +73,10 @@ TEST(Integration, GpuFunctionalStandInFindsSamePosition) {
   const Workload w = make_workload(30'000, 50, 25, 307);
   const auto threshold = static_cast<std::uint32_t>(w.query.size() * 3 / 2);
 
-  core::Session session;
-  session.upload_reference(w.db.dna);
-  const auto fabp_hits = session.align(w.query, threshold).hits;
+  core::Engine engine;
+  engine.upload_reference(w.db.dna);
+  const auto fabp_hits =
+      engine.align_sync(w.query, threshold).value_or_throw().hits;
 
   util::ThreadPool pool{4};
   const auto gpu_hits = core::golden_hits_parallel(
@@ -89,15 +93,16 @@ TEST(Integration, TblastnAndFabpAgreeOnThePlantedRegion) {
     if (aa == bio::AminoAcid::Ser) ++sers;
   const auto threshold =
       static_cast<std::uint32_t>(w.query.size() * 3 - 2 * sers);
-  core::Session session;
-  session.upload_reference(w.db.dna);
-  const auto fabp_hits = session.align(w.query, threshold).hits;
+  core::Engine engine;
+  engine.upload_reference(w.db.dna);
+  const auto fabp_hits =
+      engine.align_sync(w.query, threshold).value_or_throw().hits;
 
   // TBLASTN.
   blast::TblastnConfig cfg;
   cfg.evalue_cutoff = 10.0;
-  blast::Tblastn engine{w.query, cfg};
-  const auto blast_result = engine.search(w.db.dna);
+  blast::Tblastn tblastn{w.query, cfg};
+  const auto blast_result = tblastn.search(w.db.dna);
 
   // Both find the planted region.
   bool fabp_found = false;
@@ -120,9 +125,9 @@ TEST(Integration, SmithWatermanConfirmsFabpHits) {
   const auto elements = core::back_translate(w.query);
   const auto threshold = static_cast<std::uint32_t>(elements.size() * 9 / 10);
 
-  core::Session session;
-  session.upload_reference(w.db.dna);
-  const auto hits = session.align(w.query, threshold).hits;
+  core::Engine engine;
+  engine.upload_reference(w.db.dna);
+  const auto hits = engine.align_sync(w.query, threshold).value_or_throw().hits;
   ASSERT_FALSE(hits.empty());
 
   util::Xoshiro256 rng{317};
@@ -160,10 +165,11 @@ TEST(Integration, FastaRoundTripDrivesPipeline) {
   EXPECT_EQ(ref, w.db.dna);
   EXPECT_EQ(query, w.query);
 
-  core::Session session;
-  session.upload_reference(ref);
+  core::Engine engine;
+  engine.upload_reference(ref);
   const auto threshold = static_cast<std::uint32_t>(query.size() * 3 / 2);
-  EXPECT_FALSE(session.align(query, threshold).hits.empty());
+  EXPECT_FALSE(
+      engine.align_sync(query, threshold).value_or_throw().hits.empty());
 }
 
 TEST(Integration, MutatedQueriesDegradeGracefully) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fabp/core/engine.hpp"
 #include "fabp/perf/figure6.hpp"
 
 namespace fabp::perf {
@@ -70,12 +71,13 @@ TEST(GpuModel, EnergyIsPowerTimesTime) {
   EXPECT_NEAR(r.joules, r.seconds * gpu.watts, 1e-9);
 }
 
-TEST(FabpModel, MatchesSessionEstimate) {
+TEST(FabpModel, MatchesEngineEstimate) {
   util::Xoshiro256 rng{223};
-  core::Session session;
+  const core::Engine engine;
   const bio::ProteinSequence query = bio::random_protein(50, rng);
-  const PlatformResult r = fabp_result(session, query, 120, 1 << 26);
-  const core::HostRunReport direct = session.estimate(query, 120, 1 << 26);
+  const PlatformResult r =
+      fabp_result(engine.host_config(), query, 120, 1 << 26);
+  const core::HostRunReport direct = engine.estimate(query, 120, 1 << 26);
   EXPECT_DOUBLE_EQ(r.seconds, direct.total_s);
   EXPECT_DOUBLE_EQ(r.joules, direct.joules);
 }

@@ -9,11 +9,11 @@
 #      dispatched, so the widest kernel's own tile compile (PEXT on the
 #      AVX-512 kernels) and the uninitialised tile scratch it fills run
 #      under asan too, and
-#   3. a ThreadSanitizer build running the pooled tiled-scan, thread-pool,
-#      serving-engine and shard router tests — race coverage over the
-#      tile-parallel merge, the engine's submit/cancel/coalesce machinery
-#      and the router's lock-free whole-store scan beside its inline card
-#      accounting, and
+#   3. a ThreadSanitizer build running the pooled tiled-scan, synchronous
+#      align, thread-pool, serving-engine and shard router tests — race
+#      coverage over the tile-parallel merge, the pooled align_batch_sync,
+#      the engine's submit/cancel/coalesce machinery and the router's
+#      lock-free whole-store scan beside its inline card accounting, and
 #   4. an UndefinedBehaviorSanitizer build running the fault-injection and
 #      chaos suites — UB coverage over beat corruption, CRC repair and the
 #      retry/degrade state machine — and the kernel differential suites,
@@ -41,7 +41,7 @@
 #      cannot), and
 #   6. the device batch scheduler chaos leg — the DeviceScheduler
 #      differential/fault suite (packed invocations, multi-PE slicing,
-#      depth-replay, retry/degrade at batch granularity, serial run() as
+#      depth-replay, retry/degrade at batch granularity, a serial align as
 #      a one-task invocation), the device cost model suites (the
 #      width-only Pop36 LUT count against the netlist builder at every
 #      width 0..1536, the closed-form clean beat timing against the
@@ -113,7 +113,9 @@ cmake -B build-tsan -S . -DFABP_SANITIZE=thread
 cmake --build build-tsan -j"$jobs" \
     --target core_tests util_tests engine_tests shard_tests net_tests \
              resilience_tests tenant_tests
-build-tsan/tests/core_tests --gtest_filter='TileScan*'
+# SyncAlign* includes align_batch_sync on a caller's pool, the path
+# servebench's truth oracle takes.
+build-tsan/tests/core_tests --gtest_filter='TileScan*:SyncAlign*'
 build-tsan/tests/util_tests --gtest_filter='ThreadPool*'
 build-tsan/tests/engine_tests
 # Race coverage over the shard router's lock-free scan beside its inline

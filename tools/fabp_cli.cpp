@@ -174,9 +174,10 @@ int cmd_search(const std::string& ref_path, const std::string& query_path,
     return 1;
   }
 
-  core::Session session;
-  session.upload_reference(db.packed());
-  const auto batch = session.align_batch(queries, threshold_fraction);
+  core::Engine engine;
+  engine.upload_reference(db.packed());
+  const auto batch =
+      engine.align_batch_sync(queries, threshold_fraction).value_or_throw();
 
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const auto annotated =
@@ -316,9 +317,10 @@ int cmd_chaos(std::size_t bases, std::size_t query_aa, std::size_t seeds,
   const auto threshold =
       static_cast<std::uint32_t>(query_aa * 3 * 45 / 100);
 
-  core::Session golden_session;
-  golden_session.upload_reference(dna);
-  const auto golden = golden_session.align(query, threshold);
+  core::Engine golden_engine;
+  golden_engine.upload_reference(dna);
+  const auto golden =
+      golden_engine.align_sync(query, threshold).value_or_throw();
   std::cerr << "reference " << bases << " bases, query " << query_aa
             << " aa, threshold " << threshold << ", golden "
             << golden.hits.size() << " hit(s) in "
@@ -339,9 +341,9 @@ int cmd_chaos(std::size_t bases, std::size_t query_aa, std::size_t seeds,
       core::HostConfig config;
       config.fault.seed = 0xc4a05c0deULL + s;
       config.fault.flip_rate = rate;
-      core::Session session{config};
-      session.upload_reference(dna);
-      const auto result = session.try_align(query, threshold);
+      core::Engine engine{{.host = config}};
+      engine.upload_reference(dna);
+      const auto result = engine.align_sync(query, threshold);
       if (!result) {
         std::cerr << "rate " << rate << " seed " << s << ": "
                   << core::to_string(result.error().code) << ": "
